@@ -12,11 +12,12 @@ then merged into one canonical (sorted, deduplicated) set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .boolfn import CapacityError
-from .cnf import CnfFormula, PartialAssignment, SolutionSet, formula_vars, substitute
-from .cnf import UNSAT
+from .cnf import CnfFormula, PartialAssignment, SolutionSet, _models, _scatter
+# Never called here; bench/tracing.py counts calls of ``allsat.substitute``.
+from .cnf import substitute  # noqa: F401
 from .decompose import DEAD, SOLVABLE, DecompositionTree, WorkItem
 
 __all__ = ["LeafResult", "all_solutions", "patch", "gather", "solve_leaf"]
@@ -50,52 +51,7 @@ def all_solutions(formula: CnfFormula) -> SolutionSet:
         raise CapacityError(
             f"enumeration capped at {MAX_ENUM_VARS} variables, "
             f"formula has {len(universe)}")
-    position = {v: j for j, v in enumerate(universe)}
-    rows: list[int] = []
-
-    def encode(bound: dict[int, bool]) -> int:
-        row = 0
-        for v, value in bound.items():
-            if value:
-                row |= 1 << position[v]
-        return row
-
-    def emit_all_completions(base: int, free: Sequence[int]) -> None:
-        if not free:
-            rows.append(base)
-            return
-        masks = [1 << position[v] for v in free]
-        for combo in range(1 << len(free)):
-            row = base
-            for k, mask in enumerate(masks):
-                if combo >> k & 1:
-                    row |= mask
-            rows.append(row)
-
-    def search(f: CnfFormula, bound: dict[int, bool]) -> None:
-        # Unit propagation: forced literals never branch.
-        while True:
-            unit = next((c for c in f.clauses if len(c) == 1), None)
-            if unit is None:
-                break
-            lit = unit.literals[0]
-            bound[lit.var] = lit.positive
-            reduced = substitute(f, {lit.var: lit.positive})
-            if reduced is UNSAT:
-                return
-            f = reduced
-        if f.is_empty:
-            emit_all_completions(encode(bound), f.universe)
-            return
-        branch_var = formula_vars(f)[0]
-        for value in (False, True):
-            reduced = substitute(f, {branch_var: value})
-            if reduced is UNSAT:
-                continue
-            search(reduced, {**bound, branch_var: value})
-
-    search(formula, {})
-    return SolutionSet(universe, rows)
+    return SolutionSet(universe, _models(formula.to_ints(), universe))
 
 
 def solve_leaf(item: WorkItem) -> LeafResult:
@@ -120,39 +76,8 @@ def patch(prefix: PartialAssignment, solutions: SolutionSet) -> SolutionSet:
     for v, value in prefix.items():
         if value:
             prefix_bits |= 1 << position[v]
-    old_masks = [1 << position[v] for v in solutions.over]
-    rows = []
-    for row in solutions.rows:
-        out = prefix_bits
-        for j, mask in enumerate(old_masks):
-            if row >> j & 1:
-                out |= mask
-        rows.append(out)
-    return SolutionSet(merged_over, rows)
-
-
-def _widen(solutions: SolutionSet, target_over: Sequence[int]) -> Iterable[int]:
-    """Re-encode rows over a wider variable list, expanding missing
-    variables to both values."""
-    target = tuple(target_over)
-    position = {v: j for j, v in enumerate(target)}
-    known = set(solutions.over)
-    missing = [v for v in target if v not in known]
-    if set(solutions.over) - set(target):
-        raise ValueError("solution set mentions variables outside the target")
-    old_masks = [1 << position[v] for v in solutions.over]
-    free_masks = [1 << position[v] for v in missing]
-    for row in solutions.rows:
-        base = 0
-        for j, mask in enumerate(old_masks):
-            if row >> j & 1:
-                base |= mask
-        for combo in range(1 << len(free_masks)):
-            out = base
-            for k, mask in enumerate(free_masks):
-                if combo >> k & 1:
-                    out |= mask
-            yield out
+    return SolutionSet(merged_over, _scatter(
+        solutions.rows, [position[v] for v in solutions.over], base=prefix_bits))
 
 
 def gather(
@@ -169,6 +94,7 @@ def gather(
     for result in leaf_results:
         by_item[result.item] = result.solutions
     root_over = tree.root_universe
+    position = {v: j for j, v in enumerate(root_over)}
     rows: list[int] = []
     for leaf in tree.leaves():
         if leaf.status == DEAD:
@@ -180,6 +106,10 @@ def gather(
                     f"missing result for solvable leaf {leaf.node_id}")
         else:  # trivial: every assignment over the leaf universe works
             solutions = SolutionSet((), [0])
+        # Widen over the root universe: variables the branch left
+        # unconstrained take both values.
         patched = patch(leaf.item.prefix, solutions)
-        rows.extend(_widen(patched, root_over))
+        rows.extend(_scatter(
+            patched.rows, [position[v] for v in patched.over],
+            [position[v] for v in root_over if v not in patched.over]))
     return SolutionSet(root_over, rows)

@@ -79,10 +79,11 @@ class TruthTable:
         if not 0 <= index < num_vars:
             raise ValueError(f"variable index {index} out of range")
         half = 1 << index
-        block = ((1 << half) - 1) << half
-        bits = 0
-        for start in range(0, 1 << num_vars, half << 1):
-            bits |= block << start
+        bits = ((1 << half) - 1) << half
+        width = half << 1
+        while width < 1 << num_vars:
+            bits |= bits << width
+            width <<= 1
         return cls(num_vars, bits)
 
     @classmethod

@@ -113,8 +113,7 @@ def _tree_as_json(tree: DecompositionTree) -> list[dict]:
         }
         if node.status in (SOLVABLE, TRIVIAL):
             entry["universe"] = list(node.item.formula.universe)
-            entry["clauses"] = [
-                list(c.to_ints()) for c in node.item.formula.clauses]
+            entry["clauses"] = [list(c) for c in node.item.formula.to_ints()]
         out.append(entry)
     return out
 
@@ -144,7 +143,7 @@ def run(config: RunConfig, out: IO[str] | None = None,
         print(f"error: {config.input_path}: {exc}", file=err)
         return EXIT_ERROR
     log.debug("parsed %s: %d clauses over %d variables",
-              config.input_path, len(formula.clauses), formula.num_vars)
+              config.input_path, len(formula.to_ints()), formula.num_vars)
 
     try:
         tree = _build_tree(formula, config)
@@ -162,7 +161,10 @@ def run(config: RunConfig, out: IO[str] | None = None,
         print(f"error: {exc}", file=err)
         return EXIT_ERROR
 
-    if config.verify and formula.num_vars <= ORACLE_MAX_VARS:
+    if config.verify and formula.num_vars > ORACLE_MAX_VARS:
+        print(f"note: --verify skipped: {formula.num_vars} variables > "
+              f"{ORACLE_MAX_VARS}", file=err)
+    elif config.verify:
         mismatch = _verify_against_oracle(formula, solutions)
         if mismatch is not None:
             print(f"error: {mismatch}", file=err)

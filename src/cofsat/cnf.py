@@ -2,15 +2,19 @@
 
 Variables are positive integers as in DIMACS.  A clause is a set of
 literals; a formula is an ordered, duplicate-free list of clauses together
-with its variable universe.  Formulas and assignments are immutable values:
-``substitute`` returns a new formula, so everything here is safe to share
-across threads.
+with its variable universe.  Internally every clause is a tuple of signed
+ints (DIMACS literals) in variable order; ``Clause`` and ``Literal`` are
+views of those tuples, built only when ``CnfFormula.clauses`` is read.
+Formulas and assignments are immutable values: ``substitute`` returns a new
+formula, so everything here is safe to share across threads.
 
 The key operations mirror the decomposition machinery: ``sat_set`` gives the
 assignment making every literal of a clause true, ``partial_assignments``
 enumerates its 2**k - 1 nonempty subsets in a fixed order, and
 ``substitute`` reduces a formula under a partial assignment, returning the
-``UNSAT`` marker when a clause is falsified outright.
+``UNSAT`` marker when a clause is falsified outright.  ``_models`` is the
+one backtracking search over int clauses, shared by leaf solving and the
+X1 enumeration of variable-partition decomposition.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .boolfn import MAX_VARS, CapacityError, TruthTable
 
@@ -83,66 +87,67 @@ class Literal:
 
 
 class Clause:
-    """A disjunction of literals, stored deduplicated in variable order."""
+    """A disjunction of literals: a view of a signed-int tuple in variable
+    order, deduplicated."""
 
-    __slots__ = ("_literals",)
+    __slots__ = ("_ints",)
 
     def __init__(self, literals: Iterable[Union[Literal, int]]):
-        seen = set()
-        for lit in literals:
-            if isinstance(lit, int):
-                lit = Literal.from_int(lit)
-            seen.add(lit)
-        self._literals = tuple(sorted(seen))
+        ints = {lit.to_int() if isinstance(lit, Literal) else lit
+                for lit in literals}
+        if 0 in ints:
+            raise ValueError("0 is not a literal")
+        self._ints = tuple(sorted(ints, key=lambda x: (abs(x), x)))
+
+    @classmethod
+    def _view(cls, ints: tuple[int, ...]) -> "Clause":
+        clause = cls.__new__(cls)
+        clause._ints = ints
+        return clause
 
     @property
     def literals(self) -> tuple[Literal, ...]:
-        return self._literals
+        return tuple(Literal(abs(x), x > 0) for x in self._ints)
 
     @property
     def is_empty(self) -> bool:
-        return not self._literals
+        return not self._ints
 
     @property
     def is_tautology(self) -> bool:
-        by_var: dict[int, bool] = {}
-        for lit in self._literals:
-            if by_var.get(lit.var, lit.positive) != lit.positive:
-                return True
-            by_var[lit.var] = lit.positive
-        return False
+        return len({abs(x) for x in self._ints}) != len(self._ints)
 
     @property
     def vars(self) -> tuple[int, ...]:
-        return tuple(sorted({lit.var for lit in self._literals}))
+        return tuple(sorted({abs(x) for x in self._ints}))
 
     def to_ints(self) -> tuple[int, ...]:
-        return tuple(lit.to_int() for lit in self._literals)
+        return self._ints
 
     def satisfied_by(self, bindings: Mapping[int, bool]) -> bool:
         return any(
-            lit.var in bindings and bindings[lit.var] == lit.positive
-            for lit in self._literals)
+            abs(x) in bindings and bindings[abs(x)] == (x > 0)
+            for x in self._ints)
 
     def __len__(self) -> int:
-        return len(self._literals)
+        return len(self._ints)
 
     def __iter__(self) -> Iterator[Literal]:
-        return iter(self._literals)
+        return iter(self.literals)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Clause):
             return NotImplemented
-        return self._literals == other._literals
+        return self._ints == other._ints
 
     def __hash__(self) -> int:
-        return hash(self._literals)
+        return hash(self._ints)
 
     def __str__(self) -> str:
-        return "(" + " + ".join(str(lit) for lit in self._literals) + ")"
+        return "(" + " + ".join(str(lit) for lit in self.literals) + ")"
 
     def __repr__(self) -> str:
-        return f"Clause({list(self.to_ints())!r})"
+        return f"Clause({list(self._ints)!r})"
 
 
 class UnsatMarker:
@@ -168,7 +173,8 @@ class CnfFormula:
     Construction normalizes: tautological clauses and exact duplicates are
     dropped (with a NormalizationWarning), empty clauses are rejected.  The
     universe defaults to the variables that occur, and may be widened but
-    never narrowed.
+    never narrowed.  Clauses are stored as signed-int tuples (``to_ints``);
+    ``clauses`` builds ``Clause`` views of them on each read.
     """
 
     __slots__ = ("_clauses", "_universe")
@@ -178,28 +184,27 @@ class CnfFormula:
         clauses: Iterable[Union[Clause, Iterable[int]]],
         universe: Iterable[int] | None = None,
     ):
-        normalized: list[Clause] = []
-        seen: set[Clause] = set()
+        normalized: dict[tuple[int, ...], None] = {}
         for clause in clauses:
             if not isinstance(clause, Clause):
                 clause = Clause(clause)
-            if clause.is_empty:
+            ints = clause.to_ints()
+            if not ints:
                 raise ValueError("formulas cannot contain the empty clause")
-            if clause.is_tautology:
+            if len({abs(x) for x in ints}) != len(ints):
                 warnings.warn(
-                    f"dropped tautological clause {clause}", NormalizationWarning,
-                    stacklevel=2)
+                    f"dropped tautological clause {Clause._view(ints)}",
+                    NormalizationWarning, stacklevel=2)
                 continue
-            if clause in seen:
+            if ints in normalized:
                 warnings.warn(
-                    f"dropped duplicate clause {clause}", NormalizationWarning,
-                    stacklevel=2)
+                    f"dropped duplicate clause {Clause._view(ints)}",
+                    NormalizationWarning, stacklevel=2)
                 continue
-            seen.add(clause)
-            normalized.append(clause)
+            normalized[ints] = None
         self._clauses = tuple(normalized)
 
-        occurring = {v for c in self._clauses for v in c.vars}
+        occurring = {abs(x) for c in self._clauses for x in c}
         if universe is None:
             self._universe = tuple(sorted(occurring))
         else:
@@ -210,8 +215,20 @@ class CnfFormula:
                     f"universe is missing occurring variables {sorted(missing)}")
             self._universe = tuple(sorted(universe_set))
 
+    @classmethod
+    def _normalized(cls, clauses: tuple, universe: tuple) -> "CnfFormula":
+        """Wrap int clauses and a universe already in normal form, unchecked."""
+        formula = cls.__new__(cls)
+        formula._clauses = clauses
+        formula._universe = universe
+        return formula
+
     @property
     def clauses(self) -> tuple[Clause, ...]:
+        return tuple(map(Clause._view, self._clauses))
+
+    def to_ints(self) -> tuple[tuple[int, ...], ...]:
+        """The clauses as signed-int tuples, each in variable order."""
         return self._clauses
 
     @property
@@ -237,10 +254,10 @@ class CnfFormula:
     def __str__(self) -> str:
         if not self._clauses:
             return "(empty)"
-        return "".join(str(c) for c in self._clauses)
+        return "".join(str(c) for c in self.clauses)
 
     def __repr__(self) -> str:
-        return (f"CnfFormula({[list(c.to_ints()) for c in self._clauses]!r}, "
+        return (f"CnfFormula({[list(c) for c in self._clauses]!r}, "
                 f"universe={list(self._universe)!r})")
 
 
@@ -286,6 +303,9 @@ class PartialAssignment(Mapping):
 
     def __getitem__(self, var: int) -> bool:
         return self._bindings[var]
+
+    def items(self):
+        return self._bindings.items()
 
     def __iter__(self) -> Iterator[int]:
         return iter(v for v, _ in self._items)
@@ -472,10 +492,10 @@ def parse_dimacs(source: Union[str, bytes]) -> CnfFormula:
             NormalizationWarning, stacklevel=2)
 
     formula = CnfFormula(raw_clauses, universe=range(1, num_vars + 1))
-    if len(formula.clauses) != len(raw_clauses):
+    if len(formula._clauses) != len(raw_clauses):
         warnings.warn(
             f"normalization reduced {len(raw_clauses)} clauses to "
-            f"{len(formula.clauses)}", NormalizationWarning, stacklevel=2)
+            f"{len(formula._clauses)}", NormalizationWarning, stacklevel=2)
     return formula
 
 
@@ -486,9 +506,9 @@ def emit_dimacs(formula: CnfFormula) -> str:
     those whose universe is {1..nvars}.
     """
     num_vars = max(formula.universe, default=0)
-    lines = [f"p cnf {num_vars} {len(formula.clauses)}"]
-    for clause in formula.clauses:
-        lines.append(" ".join(str(lit) for lit in clause.to_ints()) + " 0")
+    lines = [f"p cnf {num_vars} {len(formula._clauses)}"]
+    for clause in formula._clauses:
+        lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"
 
 
@@ -499,7 +519,7 @@ def sat_set(clause: Clause) -> PartialAssignment:
     """The assignment making every literal of the clause true."""
     if clause.is_empty:
         raise ValueError("the empty clause has no SAT set")
-    return PartialAssignment((lit.var, lit.positive) for lit in clause)
+    return PartialAssignment.from_literals(clause.to_ints())
 
 
 def partial_assignments(clause: Clause) -> list[PartialAssignment]:
@@ -510,12 +530,10 @@ def partial_assignments(clause: Clause) -> list[PartialAssignment]:
     """
     if clause.is_empty:
         raise ValueError("the empty clause defines no partial assignments")
-    literals = clause.literals
-    out = []
-    for size in range(1, len(literals) + 1):
-        for combo in combinations(literals, size):
-            out.append(PartialAssignment((l.var, l.positive) for l in combo))
-    return out
+    literals = clause.to_ints()
+    return [PartialAssignment.from_literals(combo)
+            for size in range(1, len(literals) + 1)
+            for combo in combinations(literals, size)]
 
 
 def substitute(
@@ -528,29 +546,75 @@ def substitute(
     formula is unsatisfiable: the UNSAT marker is returned.  The universe of
     the result is the unbound remainder of the input universe.
     """
-    new_clauses: list[Clause] = []
-    seen: set[Clause] = set()
-    for clause in formula.clauses:
-        survivors = []
-        satisfied = False
-        for lit in clause:
-            bound = bindings.get(lit.var)
-            if bound is None:
-                survivors.append(lit)
-            elif bound == lit.positive:
-                satisfied = True
-                break
-        if satisfied:
+    true = {v if value else -v for v, value in bindings.items()}
+    false = {-x for x in true}
+    reduced: dict[tuple[int, ...], None] = {}
+    for clause in formula._clauses:
+        if not true.isdisjoint(clause):
             continue
-        if not survivors:
-            return UNSAT
-        reduced = Clause(survivors)
-        if reduced in seen:
-            continue
-        seen.add(reduced)
-        new_clauses.append(reduced)
-    remaining = tuple(v for v in formula.universe if v not in bindings)
-    return CnfFormula(new_clauses, universe=remaining)
+        if not false.isdisjoint(clause):
+            clause = tuple([x for x in clause if x not in false])
+            if not clause:
+                return UNSAT
+        reduced[clause] = None
+    remaining = tuple(
+        v for v in formula._universe if v not in true and -v not in true)
+    return CnfFormula._normalized(tuple(reduced), remaining)
+
+
+def _models(clauses: Iterable[tuple[int, ...]], over: Sequence[int]) -> list[int]:
+    """Rows (bit j = value of ``over[j]``) of every assignment over ``over``
+    satisfying the int clauses, each once, in search order.
+
+    Backtracking that sets a unit clause's literal first, else branches on
+    the smallest occurring variable, False first; variables left free when
+    every clause is satisfied are expanded to both values.
+    """
+    position = {v: j for j, v in enumerate(over)}
+    rows: list[int] = []
+
+    def search(clauses: list[tuple[int, ...]], bits: int, fixed: int) -> None:
+        if not clauses:
+            free = [j for j in range(len(over)) if not fixed >> j & 1]
+            rows.extend(_scatter((0,), (), free, bits))
+            return
+        unit = next((c[0] for c in clauses if len(c) == 1), 0)
+        var = abs(unit) or min(abs(c[0]) for c in clauses)
+        bit = 1 << position[var]
+        for lit in (unit,) if unit else (-var, var):
+            reduced = []
+            for clause in clauses:
+                if lit in clause:
+                    continue
+                if -lit in clause:
+                    if len(clause) == 1:
+                        break  # falsified: this branch has no models
+                    clause = tuple([x for x in clause if x != -lit])
+                reduced.append(clause)
+            else:
+                search(reduced, bits | bit if lit > 0 else bits, fixed | bit)
+
+    clauses = list(clauses)
+    if all(clauses):
+        search(clauses, 0, 0)
+    return rows
+
+
+def _scatter(rows: Iterable[int], targets: Sequence[int],
+             free: Sequence[int] = (), base: int = 0) -> list[int]:
+    """Move bit j of each row to bit ``targets[j]``, OR in ``base``, and
+    expand over every combination of the ``free`` bit positions."""
+    fills = [base]
+    for pos in free:
+        fills += [fill | 1 << pos for fill in fills]
+    out: list[int] = []
+    for row in rows:
+        placed = 0
+        for j, target in enumerate(targets):
+            if row >> j & 1:
+                placed |= 1 << target
+        out.extend([placed | fill for fill in fills])
+    return out
 
 
 def to_truth_table(formula: CnfFormula) -> TruthTable:
@@ -563,15 +627,16 @@ def to_truth_table(formula: CnfFormula) -> TruthTable:
     if n > MAX_VARS:
         raise CapacityError(
             f"truth tables support at most {MAX_VARS} variables, formula has {n}")
-    position = {v: j for j, v in enumerate(formula.universe)}
-    table = TruthTable.constant(n, True)
-    for clause in formula.clauses:
-        acc = TruthTable.constant(n, False)
-        for lit in clause:
-            var_table = TruthTable.variable(n, position[lit.var])
-            acc = acc | (var_table if lit.positive else ~var_table)
-        table = table & acc
-    return table
+    full = TruthTable.constant(n, True).bits
+    projection = {
+        v: TruthTable.variable(n, j).bits for j, v in enumerate(formula.universe)}
+    bits = full
+    for clause in formula._clauses:
+        acc = 0
+        for x in clause:
+            acc |= projection[x] if x > 0 else full ^ projection[-x]
+        bits &= acc
+    return TruthTable(n, bits)
 
 
 def clause_vars(clause: Clause) -> tuple[int, ...]:
@@ -581,4 +646,4 @@ def clause_vars(clause: Clause) -> tuple[int, ...]:
 
 def formula_vars(formula: CnfFormula) -> tuple[int, ...]:
     """Sorted distinct variables occurring in the formula's clauses."""
-    return tuple(sorted({v for c in formula.clauses for v in c.vars}))
+    return tuple(sorted({abs(x) for c in formula._clauses for x in c}))

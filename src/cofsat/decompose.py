@@ -27,6 +27,7 @@ from .cnf import (
     Clause,
     CnfFormula,
     PartialAssignment,
+    _models,
     partial_assignments,
     substitute,
 )
@@ -101,8 +102,6 @@ class TreeNode:
     parent: int  # -1 for the root
     item: WorkItem
     status: str
-    # For internal nodes: ("clause", pivot_index) or ("vars", x1 tuple).
-    step: tuple | None = None
 
 
 class DecompositionTree:
@@ -166,9 +165,10 @@ class DecompositionTree:
                 parts.append("u")
                 parts.extend(str(v) for v in f.universe)
                 parts.append("0")
-                parts.extend(["c", str(len(f.clauses))])
-                for clause in f.clauses:
-                    parts.extend(str(lit) for lit in clause.to_ints())
+                clauses = f.to_ints()
+                parts.extend(["c", str(len(clauses))])
+                for clause in clauses:
+                    parts.extend(map(str, clause))
                     parts.append("0")
             lines.append(" ".join(parts))
         return "\n".join(lines) + "\n"
@@ -213,11 +213,12 @@ def clause_pivot_decompose(
     The input is satisfiable iff some branch is satisfiable; branch
     solution sets may overlap, so gathering deduplicates.
     """
-    if not 0 <= pivot_index < len(formula.clauses):
+    clauses = formula.clauses
+    if not 0 <= pivot_index < len(clauses):
         raise ValueError(
             f"pivot index {pivot_index} out of range for "
-            f"{len(formula.clauses)} clauses")
-    pivot = formula.clauses[pivot_index]
+            f"{len(clauses)} clauses")
+    pivot = clauses[pivot_index]
     items = []
     for q in partial_assignments(pivot):
         reduced = substitute(formula, q)
@@ -239,7 +240,7 @@ def clause_pivot_tree(formula: CnfFormula, pivot_index: int) -> DecompositionTre
     root = TreeNode(
         node_id=0, parent=-1,
         item=WorkItem(PartialAssignment(), formula, 0),
-        status=INTERNAL, step=("clause", pivot_index))
+        status=INTERNAL)
     nodes = [root]
     for item in items:
         nodes.append(TreeNode(
@@ -258,7 +259,7 @@ def choose_var_subset(formula: CnfFormula, n0: int) -> tuple[int, ...]:
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
     universe = formula.universe
-    clause_var_sets = [set(c.vars) for c in formula.clauses]
+    clause_var_sets = [{abs(x) for x in c} for c in formula.to_ints()]
     chosen: set[int] = set()
     target = min(n0, len(universe))
     while len(chosen) < target:
@@ -286,7 +287,7 @@ def partition(formula: CnfFormula, x1: Iterable[int]) -> Partition:
     x2_set = set(x2)
     only_x1, mixed, only_x2 = [], [], []
     for clause in formula.clauses:
-        vs = set(clause.vars)
+        vs = {abs(x) for x in clause.to_ints()}
         if vs <= x1_set:
             only_x1.append(clause)
         elif vs <= x2_set:
@@ -305,7 +306,8 @@ def enumerate_c1_assignments(
 
     Canonical ascending order of the assignments' bit encodings over the
     sorted block.  An empty result means the clauses are unsatisfiable over
-    x1, which kills the whole subproblem.
+    x1, which kills the whole subproblem.  The assignments come from the
+    backtracking search that also solves leaves (``cnf._models``).
     """
     x1 = tuple(sorted(set(x1)))
     clauses = tuple(clauses)
@@ -317,13 +319,9 @@ def enumerate_c1_assignments(
     if len(x1) > 20:
         raise CapacityError(
             f"refusing to enumerate 2**{len(x1)} assignments")
-    out = []
-    for encoded in range(1 << len(x1)):
-        bindings = PartialAssignment(
-            (v, bool(encoded >> j & 1)) for j, v in enumerate(x1))
-        if all(c.satisfied_by(bindings) for c in clauses):
-            out.append(bindings)
-    return out
+    rows = _models([c.to_ints() for c in clauses], x1)
+    return [PartialAssignment((v, bool(row >> j & 1)) for j, v in enumerate(x1))
+            for row in sorted(rows)]
 
 
 def var_partition_decompose(formula: CnfFormula, n0: int) -> DecompositionTree:
@@ -355,7 +353,7 @@ def var_partition_decompose(formula: CnfFormula, n0: int) -> DecompositionTree:
             log.debug("block %s admits no assignment; branch dead", x1)
             nodes.append(TreeNode(node_id, parent, item, DEAD))
             return
-        nodes.append(TreeNode(node_id, parent, item, INTERNAL, step=("vars", x1)))
+        nodes.append(TreeNode(node_id, parent, item, INTERNAL))
         for q in allowed:
             reduced = substitute(f, q)
             child = WorkItem(

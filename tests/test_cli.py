@@ -249,3 +249,20 @@ class TestMain:
                        "--mode", "sat", "--format", "json"])
         assert status == EXIT_UNSAT
         assert json.loads(capsys.readouterr().out)["status"] == "UNSATISFIABLE"
+
+
+class TestVerifySkipped:
+    def test_skip_is_reported_on_stderr_only(self, tmp_path):
+        path = tmp_path / "wide.cnf"
+        path.write_text(
+            "p cnf 17 17\n" + "".join(f"{v} 0\n" for v in range(1, 18)))
+        plain = run_capture(RunConfig(str(path), mode="count"))
+        status, out, err = run_capture(RunConfig(
+            str(path), mode="count", verify=True))
+        assert (status, out) == plain[:2] == (EXIT_SAT, "1\n")
+        assert err == "note: --verify skipped: 17 variables > 16\n"
+
+    def test_no_note_when_verify_runs(self):
+        status, out, err = run_capture(RunConfig(
+            str(GOLDEN / "example2.cnf"), mode="count", verify=True))
+        assert (status, out, err) == (EXIT_SAT, "9\n", "")

@@ -1,0 +1,180 @@
+"""Differential tests of the signed-int clause core.
+
+Formulas store their clauses as tuples of signed ints; ``Clause`` and
+``Literal`` are views of them.  Each test here holds one int-level path
+(``substitute``, the leaf search behind ``all_solutions`` and
+``enumerate_c1_assignments``, the projection masks behind
+``to_truth_table``) to a plain reference written over raw ints in this file
+or in ``helpers``.
+"""
+
+import warnings
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from cofsat import (
+    UNSAT,
+    Clause,
+    CnfFormula,
+    PartialAssignment,
+    SolutionSet,
+    TruthTable,
+    all_solutions,
+    enumerate_c1_assignments,
+    patch,
+    substitute,
+    to_truth_table,
+)
+
+from helpers import brute_force_rows
+
+MAX_N = 7
+
+
+@st.composite
+def formulas(draw, max_n=MAX_N, max_clauses=14):
+    """Formulas over 1..n from clauses of 1-3 distinct variables; duplicate
+    clauses are left in for the constructor to merge."""
+    n = draw(st.integers(1, max_n))
+    clause = st.lists(st.integers(1, n), min_size=1, max_size=3,
+                      unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
+    raw = draw(st.lists(clause, max_size=max_clauses))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return CnfFormula(raw, universe=range(1, n + 1))
+
+
+@st.composite
+def formulas_with_bindings(draw):
+    f = draw(formulas())
+    bound = draw(st.lists(st.sampled_from(f.universe), unique=True))
+    return f, {v: draw(st.booleans()) for v in bound}
+
+
+def reference_substitute(clauses, universe, bindings):
+    """Satisfied clauses dropped, falsified literals removed, duplicates
+    merged in first-seen order; None when a clause loses every literal."""
+    out = []
+    for clause in clauses:
+        if any(abs(lit) in bindings and bindings[abs(lit)] == (lit > 0)
+               for lit in clause):
+            continue
+        rest = tuple(lit for lit in clause if abs(lit) not in bindings)
+        if not rest:
+            return None
+        if rest not in out:
+            out.append(rest)
+    return out, tuple(v for v in universe if v not in bindings)
+
+
+def public_ints(formula):
+    return [c.to_ints() for c in formula.clauses]
+
+
+class TestSubstituteAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(formulas_with_bindings())
+    def test_matches_reference(self, case):
+        f, bindings = case
+        want = reference_substitute(public_ints(f), f.universe, bindings)
+        got = substitute(f, bindings)
+        if want is None:
+            assert got is UNSAT
+            return
+        clauses, universe = want
+        assert got is not UNSAT
+        assert public_ints(got) == clauses
+        assert got.universe == universe
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas_with_bindings())
+    def test_partial_assignment_reads_like_dict(self, case):
+        f, bindings = case
+        assert substitute(f, PartialAssignment(bindings)) == substitute(
+            f, bindings)
+
+
+class TestReducedFormulaIsOrdinary:
+    @settings(max_examples=100, deadline=None)
+    @given(formulas_with_bindings())
+    def test_equal_and_hash_equal_to_public_construction(self, case):
+        f, bindings = case
+        got = substitute(f, bindings)
+        if got is UNSAT:
+            return
+        rebuilt = CnfFormula(public_ints(got), universe=got.universe)
+        assert got == rebuilt and rebuilt == got
+        assert hash(got) == hash(rebuilt)
+        assert len({got, rebuilt}) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas_with_bindings())
+    def test_clause_views_round_trip(self, case):
+        f, bindings = case
+        got = substitute(f, bindings)
+        if got is UNSAT:
+            return
+        views = got.clauses
+        assert tuple(c.to_ints() for c in views) == got.to_ints()
+        for view in views:
+            assert Clause(view.to_ints()) == view
+            assert Clause(view.literals) == view
+            assert hash(Clause(list(view.to_ints()))) == hash(view)
+        assert CnfFormula(views, universe=got.universe) == got
+        assert str(CnfFormula(views, universe=got.universe)) == str(got)
+
+
+class TestSearchAgainstBruteForce:
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(max_n=8, max_clauses=20))
+    def test_all_solutions(self, f):
+        got = all_solutions(f)
+        assert got.over == f.universe
+        assert list(got.rows) == brute_force_rows(public_ints(f), f.universe)
+
+    @settings(max_examples=150, deadline=None)
+    @given(formulas(), st.data())
+    def test_enumerate_c1_assignments(self, f, data):
+        x1 = data.draw(st.lists(st.sampled_from(f.universe), unique=True))
+        block = set(x1)
+        inside = [c for c in f.clauses if set(c.vars) <= block]
+        got = enumerate_c1_assignments(inside, x1)
+        order = sorted(block)
+        rows = [sum(1 << j for j, v in enumerate(order) if q[v]) for q in got]
+        assert rows == brute_force_rows([c.to_ints() for c in inside], order)
+        assert all(tuple(q) == tuple(order) for q in got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas(max_n=8, max_clauses=20))
+    def test_truth_table(self, f):
+        table = to_truth_table(f)
+        assert list(table.support()) == brute_force_rows(
+            public_ints(f), f.universe)
+
+
+class TestBitHelpers:
+    @given(st.integers(1, 12), st.data())
+    def test_projection_masks(self, n, data):
+        index = data.draw(st.integers(0, n - 1))
+        want = sum(1 << p for p in range(1 << n) if p >> index & 1)
+        assert TruthTable.variable(n, index).bits == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_patch_moves_every_bit(self, data):
+        variables = data.draw(st.lists(st.integers(1, 12), min_size=1,
+                                       max_size=8, unique=True))
+        split = data.draw(st.integers(0, len(variables)))
+        prefix = PartialAssignment(
+            (v, data.draw(st.booleans())) for v in variables[:split])
+        over = sorted(variables[split:])
+        rows = data.draw(st.lists(st.integers(0, (1 << len(over)) - 1)))
+        got = patch(prefix, SolutionSet(over, rows))
+        want = SolutionSet.from_assignments(
+            sorted(variables),
+            [{**dict(prefix), **{v: bool(row >> j & 1)
+                                 for j, v in enumerate(over)}}
+             for row in rows])
+        assert got == want

@@ -10,7 +10,7 @@ Layers, lowest first:
 * ``decompose`` clause-pivot and variable-partition decomposition into
                 independent work items, plus the cost model
 * ``allsat``    enumerating leaf solver and solution gathering
-* ``cli``       command-line driver with parallel leaf solving
+* ``cli``       command-line driver; leaves are solved serially
 """
 
 from .allsat import LeafResult, all_solutions, gather, patch, solve_leaf

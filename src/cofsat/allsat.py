@@ -14,15 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .boolfn import CapacityError
 from .cnf import CnfFormula, PartialAssignment, SolutionSet, _models, _scatter
 # Never called here; bench/tracing.py counts calls of ``allsat.substitute``.
 from .cnf import substitute  # noqa: F401
 from .decompose import DEAD, SOLVABLE, DecompositionTree, WorkItem
 
 __all__ = ["LeafResult", "all_solutions", "patch", "gather", "solve_leaf"]
-
-MAX_ENUM_VARS = 20
 
 
 @dataclass(frozen=True)
@@ -44,13 +41,10 @@ def all_solutions(formula: CnfFormula) -> SolutionSet:
 
     Backtracking search in ascending variable order with unit propagation;
     variables the clauses never touch are expanded to both values.  The
-    empty formula over k variables yields all 2**k rows.
+    empty formula over k variables yields all 2**k rows.  More than
+    ``cnf.MAX_ENUM_VARS`` variables raise ``CapacityError``.
     """
     universe = formula.universe
-    if len(universe) > MAX_ENUM_VARS:
-        raise CapacityError(
-            f"enumeration capped at {MAX_ENUM_VARS} variables, "
-            f"formula has {len(universe)}")
     return SolutionSet(universe, _models(formula.to_ints(), universe))
 
 

@@ -1,10 +1,12 @@
-"""Command-line driver: parse DIMACS, decompose, solve leaves in parallel.
+"""Command-line driver: parse DIMACS, decompose, solve the leaves, gather.
 
-Exit status follows common solver conventions: 10 for satisfiable, 20 for
-unsatisfiable, 0 for a decomposition-only run, 1 for any error.  Output is
-deterministic and independent of the worker count, because gathering
-canonicalizes the solution set.  Set COFSAT_LOG=DEBUG (or any logging level
-name) for diagnostics on stderr.
+The leaves are independent work items, solved one after another on the
+calling thread: a thread pool measured slower, because the pure-Python leaf
+search holds the GIL.  ``--jobs`` is still accepted and validated, but
+selects nothing.  Exit status follows common solver conventions: 10 for
+satisfiable, 20 for unsatisfiable, 0 for a decomposition-only run, 1 for
+any error.  Set COFSAT_LOG=DEBUG (or any logging level name) for
+diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO
 
 from .allsat import LeafResult, gather, solve_leaf
+from .boolfn import MAX_VARS
 from .cnf import DimacsParseError, SolutionSet, parse_dimacs, to_truth_table
 from .decompose import (
     SOLVABLE,
@@ -49,7 +51,6 @@ EXIT_UNSAT = 20
 MODES = ("sat", "allsat", "count", "decompose")
 PIVOTS = ("clause", "vars")
 FORMATS = ("text", "json")
-ORACLE_MAX_VARS = 16
 
 
 @dataclass
@@ -79,20 +80,13 @@ class RunConfig:
 
 
 def parallel_leaf_solve(tree: DecompositionTree, jobs: int) -> list[LeafResult]:
-    """Solve every solvable leaf on a fixed-size worker pool.
+    """Solve every solvable leaf, in tree order, on the calling thread.
 
-    Work items are immutable and disjoint, so scheduling cannot affect the
-    results; a worker failure propagates instead of yielding partial output.
+    ``jobs`` is validated but selects nothing (see the module docstring).
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    leaves = [n.item for n in tree.solvable_leaves()]
-    if not leaves:
-        return []
-    if jobs == 1:
-        return [solve_leaf(item) for item in leaves]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(solve_leaf, leaves))
+    return [solve_leaf(n.item) for n in tree.solvable_leaves()]
 
 
 def _build_tree(formula, config: RunConfig) -> DecompositionTree:
@@ -161,9 +155,9 @@ def run(config: RunConfig, out: IO[str] | None = None,
         print(f"error: {exc}", file=err)
         return EXIT_ERROR
 
-    if config.verify and formula.num_vars > ORACLE_MAX_VARS:
+    if config.verify and formula.num_vars > MAX_VARS:
         print(f"note: --verify skipped: {formula.num_vars} variables > "
-              f"{ORACLE_MAX_VARS}", file=err)
+              f"{MAX_VARS}", file=err)
     elif config.verify:
         mismatch = _verify_against_oracle(formula, solutions)
         if mismatch is not None:
@@ -225,7 +219,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n0", type=int, default=8,
                         help="leaf size threshold for --pivot vars (default: 8)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel leaf workers (default: 1)")
+                        help="accepted for compatibility; leaves are always "
+                             "solved serially (default: 1)")
     parser.add_argument("--format", choices=FORMATS, default="text",
                         dest="output_format")
     parser.add_argument("--verify", action="store_true",

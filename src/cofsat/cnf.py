@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 from .boolfn import MAX_VARS, CapacityError, TruthTable
 
 __all__ = [
+    "MAX_ENUM_VARS",
     "NormalizationWarning",
     "DimacsParseError",
     "Literal",
@@ -45,6 +46,9 @@ __all__ = [
     "clause_vars",
     "formula_vars",
 ]
+
+# Largest variable list ``_models`` enumerates (2**20 rows at most).
+MAX_ENUM_VARS = 20
 
 
 class NormalizationWarning(UserWarning):
@@ -367,10 +371,7 @@ class SolutionSet:
     def complete(cls, over: Iterable[int]) -> "SolutionSet":
         """All assignments over the variable list."""
         over = tuple(sorted(set(over)))
-        if len(over) > 20:
-            raise CapacityError(
-                f"refusing to enumerate 2**{len(over)} assignments")
-        return cls(over, range(1 << len(over)))
+        return cls(over, _models((), over))
 
     @property
     def over(self) -> tuple[int, ...]:
@@ -568,8 +569,13 @@ def _models(clauses: Iterable[tuple[int, ...]], over: Sequence[int]) -> list[int
 
     Backtracking that sets a unit clause's literal first, else branches on
     the smallest occurring variable, False first; variables left free when
-    every clause is satisfied are expanded to both values.
+    every clause is satisfied are expanded to both values.  More than
+    ``MAX_ENUM_VARS`` variables raise ``CapacityError``.
     """
+    if len(over) > MAX_ENUM_VARS:
+        raise CapacityError(
+            f"enumeration capped at {MAX_ENUM_VARS} variables, "
+            f"formula has {len(over)}")
     position = {v: j for j, v in enumerate(over)}
     rows: list[int] = []
 

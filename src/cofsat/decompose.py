@@ -21,7 +21,6 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .boolfn import CapacityError
 from .cnf import (
     UNSAT,
     Clause,
@@ -316,9 +315,6 @@ def enumerate_c1_assignments(
         if stray:
             raise ValueError(
                 f"clause {clause} touches variables {sorted(stray)} outside the block")
-    if len(x1) > 20:
-        raise CapacityError(
-            f"refusing to enumerate 2**{len(x1)} assignments")
     rows = _models([c.to_ints() for c in clauses], x1)
     return [PartialAssignment((v, bool(row >> j & 1)) for j, v in enumerate(x1))
             for row in sorted(rows)]

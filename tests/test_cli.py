@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import threading
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,19 @@ class TestParallelism:
         tree = clause_pivot_tree(example2_formula(), 0)
         with pytest.raises(ValueError):
             parallel_leaf_solve(tree, 0)
+
+    def test_leaves_solved_in_order_on_calling_thread(self, monkeypatch):
+        tree = clause_pivot_tree(random_formula(random.Random(101), 10, 24), 0)
+        calls = []
+
+        def recorder(item):
+            calls.append((threading.get_ident(), item))
+            return item
+
+        monkeypatch.setattr("cofsat.cli.solve_leaf", recorder)
+        expected = [n.item for n in tree.solvable_leaves()]
+        assert parallel_leaf_solve(tree, 8) == expected
+        assert calls == [(threading.get_ident(), item) for item in expected]
 
 
 class TestVerify:

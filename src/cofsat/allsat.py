@@ -4,9 +4,10 @@
 leaf formulas a decomposition produces; it is deliberately a different code
 path from the dense truth-table evaluation in ``cnf.to_truth_table``, so the
 two can cross-check each other.  ``gather`` reassembles a root-level
-solution set from per-leaf results: each leaf's rows are extended by the
-leaf's prefix, widened over any variables the branch left unconstrained,
-then merged into one canonical (sorted, deduplicated) set.
+solution set from per-leaf results: each leaf's rows are moved to their
+root positions together with the leaf's prefix in one bit scatter, widened
+over any variables the branch left unconstrained, then merged into one
+canonical (sorted, deduplicated) set.
 """
 
 from __future__ import annotations
@@ -98,12 +99,22 @@ def gather(
             if solutions is None:
                 raise ValueError(
                     f"missing result for solvable leaf {leaf.node_id}")
+            over, leaf_rows = solutions.over, solutions.rows
         else:  # trivial: every assignment over the leaf universe works
-            solutions = SolutionSet((), [0])
-        # Widen over the root universe: variables the branch left
-        # unconstrained take both values.
-        patched = patch(leaf.item.prefix, solutions)
-        rows.extend(_scatter(
-            patched.rows, [position[v] for v in patched.over],
-            [position[v] for v in root_over if v not in patched.over]))
+            over, leaf_rows = (), (0,)
+        prefix = leaf.item.prefix
+        bound = set(prefix)
+        overlap = bound.intersection(over)
+        if overlap:
+            raise ValueError(
+                f"prefix re-binds solution variables {sorted(overlap)}")
+        # Place the leaf's bits and the prefix's true bits at their root
+        # positions; root variables bound by neither take both values.
+        base = 0
+        for v, value in prefix.items():
+            if value:
+                base |= 1 << position[v]
+        bound.update(over)
+        free = [position[v] for v in root_over if v not in bound]
+        rows.extend(_scatter(leaf_rows, [position[v] for v in over], free, base))
     return SolutionSet(root_over, rows)

@@ -4,10 +4,12 @@ Two strategies are provided.  Clause-pivot decomposition branches on the
 2**k - 1 partial assignments of one pivot clause: the input is satisfiable
 iff at least one branch is, and the branch solution sets together (after
 deduplication) recover the full solution set.  Variable-partition
-decomposition repeatedly picks a block X1 of at most ``n0`` variables,
-splits the clauses into (only-X1, mixed, only-X2), enumerates the X1
-assignments consistent with the only-X1 clauses, and recurses on the
-reduced formulas until every live leaf has at most ``n0`` variables.
+decomposition repeatedly picks a block X1 of at most ``n0`` variables and
+splits the clauses once per node into bit masks over X1: the only-X1
+clauses give the allowed X1 assignments, and every child (one per allowed
+assignment) is read off the masks of the other clauses, without
+substituting into the whole formula.  It recurses on the children until
+every live leaf has at most ``n0`` variables.
 
 Each subproblem is an immutable WorkItem (prefix assignment + reduced
 formula) that can be shipped to any worker; the tree records how the items
@@ -254,26 +256,62 @@ def choose_var_subset(formula: CnfFormula, n0: int) -> tuple[int, ...]:
     Greedy: grow the block one variable at a time, each step taking the
     variable that maximizes the number of clauses whose variables are fully
     inside the block, breaking ties by smallest variable id.
+
+    Each clause keeps its set of variables still outside the block, so a
+    candidate v adds exactly the clauses whose outside set is {v}; the
+    clauses already inside count the same for every candidate.
     """
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
     universe = formula.universe
-    clause_var_sets = [{abs(x) for x in c} for c in formula.to_ints()]
-    chosen: set[int] = set()
-    target = min(n0, len(universe))
-    while len(chosen) < target:
-        best_var = None
-        best_count = -1
-        for v in universe:
-            if v in chosen:
-                continue
-            candidate = chosen | {v}
-            count = sum(1 for vs in clause_var_sets if vs <= candidate)
-            if count > best_count:
-                best_var, best_count = v, count
-        assert best_var is not None
-        chosen.add(best_var)
+    outside = [{abs(x) for x in c} for c in formula.to_ints()]
+    occurs: dict[int, list[set[int]]] = {v: [] for v in universe}
+    completes = dict.fromkeys(universe, 0)  # clauses whose outside set is {v}
+    for vs in outside:
+        for v in vs:
+            occurs[v].append(vs)
+        if len(vs) == 1:
+            completes[next(iter(vs))] += 1
+    candidates = list(universe)
+    chosen = []
+    for _ in range(min(n0, len(universe))):
+        # max keeps the first of equal scores: the smallest id.
+        best = max(candidates, key=completes.__getitem__)
+        candidates.remove(best)
+        chosen.append(best)
+        for vs in occurs[best]:
+            vs.discard(best)
+            if len(vs) == 1:
+                completes[next(iter(vs))] += 1
     return tuple(sorted(chosen))
+
+
+def _split(
+    clauses: Sequence[tuple[int, ...]], x1: Sequence[int]
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """One ``(pos_mask, neg_mask, rest)`` entry per int clause, over the
+    sorted block x1.
+
+    Bit j of ``pos_mask`` (``neg_mask``) is set when the clause holds
+    ``x1[j]`` positively (negatively); ``rest`` is the clause's literals
+    outside the block: empty for an only-X1 clause, the clause itself for
+    an only-X2 clause.
+    """
+    pos_bit = {v: 1 << j for j, v in enumerate(x1)}
+    neg_bit = {-v: b for v, b in pos_bit.items()}
+    split = []
+    for clause in clauses:
+        pos = neg = 0
+        rest = []
+        for x in clause:
+            if x in pos_bit:
+                pos |= pos_bit[x]
+            elif x in neg_bit:
+                neg |= neg_bit[x]
+            else:
+                rest.append(x)
+        split.append((pos, neg, tuple(rest) if pos | neg else clause))
+    return split
 
 
 def partition(formula: CnfFormula, x1: Iterable[int]) -> Partition:
@@ -282,20 +320,19 @@ def partition(formula: CnfFormula, x1: Iterable[int]) -> Partition:
     extra = x1_set - set(formula.universe)
     if extra:
         raise ValueError(f"x1 contains foreign variables {sorted(extra)}")
-    x2 = tuple(v for v in formula.universe if v not in x1_set)
-    x2_set = set(x2)
+    x1 = tuple(sorted(x1_set))
     only_x1, mixed, only_x2 = [], [], []
-    for clause in formula.clauses:
-        vs = {abs(x) for x in clause.to_ints()}
-        if vs <= x1_set:
+    for clause, (pos, neg, rest) in zip(
+            formula.clauses, _split(formula.to_ints(), x1)):
+        if not rest:
             only_x1.append(clause)
-        elif vs <= x2_set:
-            only_x2.append(clause)
-        else:
+        elif pos | neg:
             mixed.append(clause)
+        else:
+            only_x2.append(clause)
     return Partition(
         only_x1=tuple(only_x1), mixed=tuple(mixed), only_x2=tuple(only_x2),
-        x1=tuple(sorted(x1_set)), x2=x2)
+        x1=x1, x2=tuple(v for v in formula.universe if v not in x1_set))
 
 
 def enumerate_c1_assignments(
@@ -323,12 +360,17 @@ def enumerate_c1_assignments(
 def var_partition_decompose(formula: CnfFormula, n0: int) -> DecompositionTree:
     """Recursively decompose until every live leaf has at most n0 variables.
 
-    At each internal node: choose a block X1, partition the clauses,
-    enumerate the X1 assignments allowed by the only-X1 clauses, and create
-    one child per assignment holding the reduction of the whole formula
-    under it (mixed clauses shrink, only-X2 clauses ride along unchanged).
-    A node whose block admits no assignment is a dead leaf; if every leaf
-    is dead the formula is unsatisfiable.
+    At each internal node: choose a block X1 and split the clauses once
+    into masks over X1.  The only-X1 clauses give the allowed X1
+    assignments, in ascending bit order; each one becomes a child holding
+    the reduced formula over X2: every other clause the assignment does not
+    satisfy, cut to its X2 literals (only-X2 clauses ride along unchanged),
+    duplicates merged in first-seen order.  This equals ``substitute`` of
+    the whole formula under the assignment, which never falsifies a clause:
+    only an only-X1 clause could lose every literal, and the allowed
+    assignments satisfy those.  A node whose block
+    admits no assignment is a dead leaf; if every leaf is dead the formula
+    is unsatisfiable.
     """
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
@@ -343,18 +385,28 @@ def var_partition_decompose(formula: CnfFormula, n0: int) -> DecompositionTree:
             return
         assert f is not None
         x1 = choose_var_subset(f, n0)
-        part = partition(f, x1)
-        allowed = enumerate_c1_assignments(part.only_x1, x1)
-        if not allowed:
+        clauses = f.to_ints()
+        split = _split(clauses, x1)
+        rows = sorted(_models(
+            [c for c, (_, _, rest) in zip(clauses, split) if not rest], x1))
+        if not rows:
             log.debug("block %s admits no assignment; branch dead", x1)
             nodes.append(TreeNode(node_id, parent, item, DEAD))
             return
         nodes.append(TreeNode(node_id, parent, item, INTERNAL))
-        for q in allowed:
-            reduced = substitute(f, q)
+        entries = [entry for entry in split if entry[2]]
+        x2 = tuple(v for v in f.universe if v not in x1)
+        bound = list(item.prefix.items())
+        for row in rows:
+            # A clause is satisfied when the row sets one of its positive
+            # X1 literals or clears one of its negative ones.
+            reduced = dict.fromkeys(
+                rest for pos, neg, rest in entries
+                if not (row & pos or neg & ~row))
             child = WorkItem(
-                prefix=item.prefix.merged(q),
-                formula=None if reduced is UNSAT else reduced,
+                prefix=PartialAssignment(
+                    bound + [(v, row >> j & 1) for j, v in enumerate(x1)]),
+                formula=CnfFormula._normalized(tuple(reduced), x2),
                 depth=item.depth + 1)
             build(child, node_id)
 

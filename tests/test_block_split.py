@@ -1,0 +1,153 @@
+"""Variable-partition trees, gathering and block choice against restated
+references.
+
+``var_partition_decompose`` builds each node's children from one split of
+its clauses into masks over the block X1, and ``gather`` places each leaf's
+rows at their root positions in one scatter.  The references here are the
+straightforward algorithms they replace: substitute the whole formula under
+every allowed X1 assignment, patch each leaf's rows with its prefix and
+then widen them, and rescan every clause for every candidate variable.
+"""
+
+import itertools
+import warnings
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from cofsat import (
+    UNSAT,
+    CnfFormula,
+    DecompositionTree,
+    PartialAssignment,
+    SolutionSet,
+    WorkItem,
+    choose_var_subset,
+    clause_pivot_tree,
+    enumerate_c1_assignments,
+    gather,
+    partition,
+    patch,
+    solve_leaf,
+    substitute,
+    var_partition_decompose,
+)
+from cofsat.decompose import DEAD, INTERNAL, SOLVABLE, TRIVIAL, TreeNode
+
+MAX_N = 14
+
+
+@st.composite
+def three_cnf(draw):
+    """Random 3-CNF over 1..n, n <= 14, up to five clauses per variable;
+    repeated clauses are left for the constructor to merge."""
+    n = draw(st.integers(3, MAX_N))
+    clause = st.lists(st.integers(1, n), min_size=3, max_size=3,
+                      unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
+    raw = draw(st.lists(clause, max_size=5 * n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return CnfFormula(raw, universe=range(1, n + 1))
+
+
+block_sizes = st.integers(1, 8)
+
+
+def reference_choose(formula, n0):
+    """The greedy block choice as a full rescan: every step scores every
+    candidate by the clauses lying inside the block grown by it."""
+    var_sets = [{abs(x) for x in c} for c in formula.to_ints()]
+    chosen = set()
+    while len(chosen) < min(n0, len(formula.universe)):
+        best, best_count = None, -1
+        for v in formula.universe:
+            if v in chosen:
+                continue
+            count = sum(1 for vs in var_sets if vs <= chosen | {v})
+            if count > best_count:
+                best, best_count = v, count
+        chosen.add(best)
+    return tuple(sorted(chosen))
+
+
+def reference_tree(formula, n0):
+    """The tree built by substituting the whole formula under every allowed
+    X1 assignment and merging the parent's prefix with it."""
+    nodes = []
+
+    def status_of(f):
+        if f is None:
+            return DEAD
+        if f.is_empty:
+            return TRIVIAL
+        return SOLVABLE if len(f.universe) <= n0 else INTERNAL
+
+    def build(item, parent):
+        node_id = len(nodes)
+        status = status_of(item.formula)
+        if status != INTERNAL:
+            nodes.append(TreeNode(node_id, parent, item, status))
+            return
+        x1 = reference_choose(item.formula, n0)
+        allowed = enumerate_c1_assignments(
+            partition(item.formula, x1).only_x1, x1)
+        if not allowed:
+            nodes.append(TreeNode(node_id, parent, item, DEAD))
+            return
+        nodes.append(TreeNode(node_id, parent, item, INTERNAL))
+        for q in allowed:
+            reduced = substitute(item.formula, q)
+            build(WorkItem(
+                prefix=item.prefix.merged(q),
+                formula=None if reduced is UNSAT else reduced,
+                depth=item.depth + 1), node_id)
+
+    build(WorkItem(PartialAssignment(), formula, 0), -1)
+    return DecompositionTree(nodes)
+
+
+def reference_gather(tree, results):
+    """Patch each live leaf's rows with its prefix, then widen them over the
+    root variables the branch left unbound."""
+    by_item = {r.item: r.solutions for r in results}
+    root = tree.root_universe
+    rows = set()
+    for leaf in tree.leaves():
+        if leaf.status == DEAD:
+            continue
+        solutions = (by_item[leaf.item] if leaf.status == SOLVABLE
+                     else SolutionSet((), [0]))
+        patched = patch(leaf.item.prefix, solutions)
+        free = [v for v in root if v not in patched.over]
+        for row in patched.rows:
+            values = {v: row >> j & 1 for j, v in enumerate(patched.over)}
+            for fill in itertools.product((0, 1), repeat=len(free)):
+                values.update(zip(free, fill))
+                rows.add(sum(values[v] << j for j, v in enumerate(root)))
+    return SolutionSet(root, rows)
+
+
+class TestBlockSplit:
+    @settings(max_examples=80, deadline=None)
+    @given(three_cnf(), block_sizes)
+    def test_tree_matches_substitute_reference(self, f, n0):
+        got = var_partition_decompose(f, n0).serialize()
+        assert got == reference_tree(f, n0).serialize()
+
+    @settings(max_examples=60, deadline=None)
+    @given(three_cnf(), block_sizes, st.randoms(use_true_random=False))
+    def test_gather_matches_patch_then_widen(self, f, n0, rnd):
+        trees = [var_partition_decompose(f, n0)]
+        if not f.is_empty:
+            trees.append(clause_pivot_tree(
+                f, rnd.randrange(len(f.to_ints()))))
+        for tree in trees:
+            results = [solve_leaf(n.item) for n in tree.solvable_leaves()]
+            rnd.shuffle(results)
+            assert gather(tree, results) == reference_gather(tree, results)
+
+    @settings(max_examples=200, deadline=None)
+    @given(three_cnf(), block_sizes)
+    def test_choose_matches_full_rescan(self, f, n0):
+        assert choose_var_subset(f, n0) == reference_choose(f, n0)

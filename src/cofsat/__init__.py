@@ -13,7 +13,7 @@ Layers, lowest first:
 * ``cli``       command-line driver; leaves are solved serially
 """
 
-from .allsat import LeafResult, all_solutions, gather, patch, solve_leaf
+from .allsat import LeafResult, all_solutions, gather, solve_leaf
 from .boolfn import (
     BaseSet,
     CapacityError,
@@ -42,7 +42,6 @@ from .cnf import (
     NormalizationWarning,
     PartialAssignment,
     SolutionSet,
-    clause_vars,
     emit_dimacs,
     formula_vars,
     parse_dimacs,
@@ -54,14 +53,12 @@ from .cnf import (
 from .decompose import (
     CostEstimate,
     DecompositionTree,
-    Partition,
     WorkItem,
     choose_var_subset,
     clause_pivot_decompose,
     clause_pivot_tree,
     enumerate_c1_assignments,
     estimate_cost,
-    partition,
     var_partition_decompose,
 )
 from .expr import parse_function
@@ -80,12 +77,11 @@ __all__ = [
     "Literal", "Clause", "CnfFormula", "PartialAssignment", "SolutionSet",
     "UNSAT", "NormalizationWarning", "DimacsParseError", "parse_dimacs",
     "emit_dimacs", "sat_set", "partial_assignments", "substitute",
-    "to_truth_table", "clause_vars", "formula_vars",
+    "to_truth_table", "formula_vars",
     # decompose
-    "Partition", "WorkItem", "DecompositionTree", "CostEstimate",
+    "WorkItem", "DecompositionTree", "CostEstimate",
     "clause_pivot_decompose", "clause_pivot_tree", "choose_var_subset",
-    "partition", "enumerate_c1_assignments", "var_partition_decompose",
-    "estimate_cost",
+    "enumerate_c1_assignments", "var_partition_decompose", "estimate_cost",
     # allsat
-    "LeafResult", "all_solutions", "solve_leaf", "patch", "gather",
+    "LeafResult", "all_solutions", "solve_leaf", "gather",
 ]

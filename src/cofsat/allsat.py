@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cnf import CnfFormula, PartialAssignment, SolutionSet, _models, _scatter
+from .cnf import CnfFormula, SolutionSet, _models, _scatter
 # Never called here; bench/tracing.py counts calls of ``allsat.substitute``.
 from .cnf import substitute  # noqa: F401
 from .decompose import DEAD, SOLVABLE, DecompositionTree, WorkItem
 
-__all__ = ["LeafResult", "all_solutions", "patch", "gather", "solve_leaf"]
+__all__ = ["LeafResult", "all_solutions", "gather", "solve_leaf"]
 
 
 @dataclass(frozen=True)
@@ -56,25 +56,6 @@ def solve_leaf(item: WorkItem) -> LeafResult:
     return LeafResult(item, all_solutions(item.formula))
 
 
-def patch(prefix: PartialAssignment, solutions: SolutionSet) -> SolutionSet:
-    """Extend every row by the branch prefix.
-
-    The prefix must bind variables disjoint from the solution set's; the
-    result is over the union, re-canonicalized.
-    """
-    overlap = set(prefix) & set(solutions.over)
-    if overlap:
-        raise ValueError(f"prefix re-binds solution variables {sorted(overlap)}")
-    merged_over = tuple(sorted(set(prefix) | set(solutions.over)))
-    position = {v: j for j, v in enumerate(merged_over)}
-    prefix_bits = 0
-    for v, value in prefix.items():
-        if value:
-            prefix_bits |= 1 << position[v]
-    return SolutionSet(merged_over, _scatter(
-        solutions.rows, [position[v] for v in solutions.over], base=prefix_bits))
-
-
 def gather(
     tree: DecompositionTree, leaf_results: Iterable[LeafResult]
 ) -> SolutionSet:
@@ -104,10 +85,6 @@ def gather(
             over, leaf_rows = (), (0,)
         prefix = leaf.item.prefix
         bound = set(prefix)
-        overlap = bound.intersection(over)
-        if overlap:
-            raise ValueError(
-                f"prefix re-binds solution variables {sorted(overlap)}")
         # Place the leaf's bits and the prefix's true bits at their root
         # positions; root variables bound by neither take both values.
         base = 0

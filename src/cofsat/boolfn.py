@@ -242,6 +242,16 @@ class TruthTable:
 
     # -- product terms -----------------------------------------------------
 
+    def _subcube(self) -> tuple[int, int]:
+        """(lo, free): the AND of the support's points and the positions
+        where they differ; the support is a subcube iff it has 2**|free|
+        points.  Needs a nonempty support."""
+        lo = hi = None
+        for p in self.support():
+            lo = p if lo is None else lo & p
+            hi = p if hi is None else hi | p
+        return lo, hi & ~lo
+
     @property
     def is_term(self) -> bool:
         """True iff the function is a product of literals (support is a subcube).
@@ -251,11 +261,7 @@ class TruthTable:
         """
         if self.is_zero:
             return False
-        lo = hi = None
-        for p in self.support():
-            lo = p if lo is None else lo & p
-            hi = p if hi is None else hi | p
-        free = hi & ~lo
+        _, free = self._subcube()
         return self.support_size == 1 << bin(free).count("1")
 
     def term_bindings(self) -> dict[int, bool]:
@@ -265,11 +271,7 @@ class TruthTable:
         """
         if not self.is_term:
             raise ValueError("not a product term")
-        lo = hi = None
-        for p in self.support():
-            lo = p if lo is None else lo & p
-            hi = p if hi is None else hi | p
-        free = hi & ~lo
+        lo, free = self._subcube()
         return {
             j: bool(lo >> j & 1)
             for j in range(self._num_vars)

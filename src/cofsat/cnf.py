@@ -43,7 +43,6 @@ __all__ = [
     "partial_assignments",
     "substitute",
     "to_truth_table",
-    "clause_vars",
     "formula_vars",
 ]
 
@@ -296,15 +295,6 @@ class PartialAssignment(Mapping):
     def to_literals(self) -> tuple[int, ...]:
         return tuple(var if value else -var for var, value in self._items)
 
-    def merged(self, other: "PartialAssignment") -> "PartialAssignment":
-        """Union of two assignments; conflicting bindings raise ValueError."""
-        return PartialAssignment(list(self._items) + list(other._items))
-
-    def without(self, vars: Iterable[int]) -> "PartialAssignment":
-        drop = set(vars)
-        return PartialAssignment(
-            (v, b) for v, b in self._items if v not in drop)
-
     def __getitem__(self, var: int) -> bool:
         return self._bindings[var]
 
@@ -394,10 +384,8 @@ class SolutionSet:
             yield PartialAssignment(
                 (v, bool(row >> j & 1)) for j, v in enumerate(self._over))
 
-    def to_text(self, count_only: bool = False) -> str:
-        """One row per line as 0-terminated signed literals, or just the count."""
-        if count_only:
-            return f"{self.count}\n"
+    def to_text(self) -> str:
+        """One row per line as 0-terminated signed literals."""
         return "".join(
             " ".join([*(str(lit) for lit in self.row_to_literals(row)), "0"])
             + "\n"
@@ -643,11 +631,6 @@ def to_truth_table(formula: CnfFormula) -> TruthTable:
             acc |= projection[x] if x > 0 else full ^ projection[-x]
         bits &= acc
     return TruthTable(n, bits)
-
-
-def clause_vars(clause: Clause) -> tuple[int, ...]:
-    """Sorted distinct variables of a clause."""
-    return clause.vars
 
 
 def formula_vars(formula: CnfFormula) -> tuple[int, ...]:

@@ -34,7 +34,6 @@ from .cnf import (
 )
 
 __all__ = [
-    "Partition",
     "WorkItem",
     "TreeNode",
     "DecompositionTree",
@@ -42,7 +41,6 @@ __all__ = [
     "clause_pivot_decompose",
     "clause_pivot_tree",
     "choose_var_subset",
-    "partition",
     "enumerate_c1_assignments",
     "var_partition_decompose",
     "estimate_cost",
@@ -54,21 +52,6 @@ INTERNAL = "internal"
 SOLVABLE = "solvable"
 TRIVIAL = "trivial"
 DEAD = "unsat"
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Three-way clause split induced by a variable block X1.
-
-    ``only_x1`` clauses touch X1 variables only, ``only_x2`` clauses touch
-    the complement only, ``mixed`` clauses touch both.
-    """
-
-    only_x1: tuple[Clause, ...]
-    mixed: tuple[Clause, ...]
-    only_x2: tuple[Clause, ...]
-    x1: tuple[int, ...]
-    x2: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -112,10 +95,6 @@ class DecompositionTree:
         if not nodes or nodes[0].parent != -1:
             raise ValueError("first node must be the root with parent -1")
         self._nodes = tuple(nodes)
-        children: dict[int, list[int]] = {n.node_id: [] for n in self._nodes}
-        for node in self._nodes[1:]:
-            children[node.parent].append(node.node_id)
-        self._children = {k: tuple(v) for k, v in children.items()}
 
     @property
     def nodes(self) -> tuple[TreeNode, ...]:
@@ -129,9 +108,6 @@ class DecompositionTree:
     def root_universe(self) -> tuple[int, ...]:
         assert self.root.item.formula is not None
         return self.root.item.formula.universe
-
-    def children(self, node_id: int) -> tuple[int, ...]:
-        return self._children[node_id]
 
     def leaves(self) -> list[TreeNode]:
         return [n for n in self._nodes if n.status != INTERNAL]
@@ -314,27 +290,6 @@ def _split(
     return split
 
 
-def partition(formula: CnfFormula, x1: Iterable[int]) -> Partition:
-    """Split clauses by the variable block x1 (see Partition)."""
-    x1_set = set(x1)
-    extra = x1_set - set(formula.universe)
-    if extra:
-        raise ValueError(f"x1 contains foreign variables {sorted(extra)}")
-    x1 = tuple(sorted(x1_set))
-    only_x1, mixed, only_x2 = [], [], []
-    for clause, (pos, neg, rest) in zip(
-            formula.clauses, _split(formula.to_ints(), x1)):
-        if not rest:
-            only_x1.append(clause)
-        elif pos | neg:
-            mixed.append(clause)
-        else:
-            only_x2.append(clause)
-    return Partition(
-        only_x1=tuple(only_x1), mixed=tuple(mixed), only_x2=tuple(only_x2),
-        x1=x1, x2=tuple(v for v in formula.universe if v not in x1_set))
-
-
 def enumerate_c1_assignments(
     clauses: Iterable[Clause], x1: Iterable[int]
 ) -> list[PartialAssignment]:
@@ -375,14 +330,17 @@ def var_partition_decompose(formula: CnfFormula, n0: int) -> DecompositionTree:
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
     nodes: list[TreeNode] = []
-
-    def build(item: WorkItem, parent: int) -> None:
+    # Preorder from an explicit stack, children pushed in reverse, so the
+    # tree's depth is not bounded by the interpreter's recursion limit.
+    stack = [(WorkItem(PartialAssignment(), formula, 0), -1)]
+    while stack:
+        item, parent = stack.pop()
         node_id = len(nodes)
         f = item.formula
         status = _leaf_status(f, n0)
         if status != INTERNAL:
             nodes.append(TreeNode(node_id, parent, item, status))
-            return
+            continue
         assert f is not None
         x1 = choose_var_subset(f, n0)
         clauses = f.to_ints()
@@ -392,12 +350,12 @@ def var_partition_decompose(formula: CnfFormula, n0: int) -> DecompositionTree:
         if not rows:
             log.debug("block %s admits no assignment; branch dead", x1)
             nodes.append(TreeNode(node_id, parent, item, DEAD))
-            return
+            continue
         nodes.append(TreeNode(node_id, parent, item, INTERNAL))
         entries = [entry for entry in split if entry[2]]
         x2 = tuple(v for v in f.universe if v not in x1)
         bound = list(item.prefix.items())
-        for row in rows:
+        for row in reversed(rows):
             # A clause is satisfied when the row sets one of its positive
             # X1 literals or clears one of its negative ones.
             reduced = dict.fromkeys(
@@ -408,9 +366,8 @@ def var_partition_decompose(formula: CnfFormula, n0: int) -> DecompositionTree:
                     bound + [(v, row >> j & 1) for j, v in enumerate(x1)]),
                 formula=CnfFormula._normalized(tuple(reduced), x2),
                 depth=item.depth + 1)
-            build(child, node_id)
+            stack.append((child, node_id))
 
-    build(WorkItem(PartialAssignment(), formula, 0), -1)
     return DecompositionTree(nodes)
 
 

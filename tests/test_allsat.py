@@ -1,4 +1,4 @@
-"""Enumerating leaf solver, patching, and gathering."""
+"""Enumerating leaf solver and gathering."""
 
 import random
 
@@ -14,7 +14,6 @@ from cofsat import (
     all_solutions,
     clause_pivot_tree,
     gather,
-    patch,
     solve_leaf,
     to_truth_table,
     var_partition_decompose,
@@ -87,28 +86,6 @@ class TestLeafResult:
         item = WorkItem(PartialAssignment(), CnfFormula([[1]]), 0)
         with pytest.raises(ValueError):
             LeafResult(item, SolutionSet([2], [0]))
-
-
-class TestPatch:
-    def test_empty_prefix_is_identity(self):
-        s = SolutionSet([2, 3], [0, 2])
-        assert patch(PartialAssignment(), s) == s
-
-    def test_dead_branch_contributes_nothing(self):
-        s = SolutionSet([], [])
-        assert patch(PartialAssignment({1: False}), s).count == 0
-
-    def test_extends_rows(self):
-        # rows over {3,4} extended by {1:0, 4 absent}: prefix {x=0, w=0}
-        s = SolutionSet([3], [0, 1])
-        got = patch(PartialAssignment({1: False, 4: False}), s)
-        assert got.over == (1, 3, 4)
-        assert got.rows == (0, 2)  # x=0,z=0,w=0 and x=0,z=1,w=0
-
-    def test_collision_rejected(self):
-        s = SolutionSet([2], [0])
-        with pytest.raises(ValueError):
-            patch(PartialAssignment({2: True}), s)
 
 
 class TestGather:

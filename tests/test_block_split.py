@@ -4,9 +4,10 @@ references.
 ``var_partition_decompose`` builds each node's children from one split of
 its clauses into masks over the block X1, and ``gather`` places each leaf's
 rows at their root positions in one scatter.  The references here are the
-straightforward algorithms they replace: substitute the whole formula under
-every allowed X1 assignment, patch each leaf's rows with its prefix and
-then widen them, and rescan every clause for every candidate variable.
+straightforward algorithms, written in this file: try every X1 assignment
+against the clauses inside the block and substitute the whole formula under
+each allowed one, extend each leaf's rows by its prefix and then widen
+them, and rescan every clause for every candidate variable.
 """
 
 import itertools
@@ -24,10 +25,7 @@ from cofsat import (
     WorkItem,
     choose_var_subset,
     clause_pivot_tree,
-    enumerate_c1_assignments,
     gather,
-    partition,
-    patch,
     solve_leaf,
     substitute,
     var_partition_decompose,
@@ -73,7 +71,8 @@ def reference_choose(formula, n0):
 
 def reference_tree(formula, n0):
     """The tree built by substituting the whole formula under every allowed
-    X1 assignment and merging the parent's prefix with it."""
+    X1 assignment, in ascending bit order over the sorted block, and
+    extending the parent's prefix by it."""
     nodes = []
 
     def status_of(f):
@@ -90,8 +89,13 @@ def reference_tree(formula, n0):
             nodes.append(TreeNode(node_id, parent, item, status))
             return
         x1 = reference_choose(item.formula, n0)
-        allowed = enumerate_c1_assignments(
-            partition(item.formula, x1).only_x1, x1)
+        only_x1 = [c for c in item.formula.to_ints()
+                   if {abs(x) for x in c} <= set(x1)]
+        allowed = []
+        for row in range(1 << len(x1)):
+            q = {v: bool(row >> j & 1) for j, v in enumerate(x1)}
+            if all(any(q[abs(x)] == (x > 0) for x in c) for c in only_x1):
+                allowed.append(q)
         if not allowed:
             nodes.append(TreeNode(node_id, parent, item, DEAD))
             return
@@ -99,7 +103,7 @@ def reference_tree(formula, n0):
         for q in allowed:
             reduced = substitute(item.formula, q)
             build(WorkItem(
-                prefix=item.prefix.merged(q),
+                prefix=PartialAssignment({**item.prefix, **q}),
                 formula=None if reduced is UNSAT else reduced,
                 depth=item.depth + 1), node_id)
 
@@ -108,7 +112,7 @@ def reference_tree(formula, n0):
 
 
 def reference_gather(tree, results):
-    """Patch each live leaf's rows with its prefix, then widen them over the
+    """Extend each live leaf's rows by its prefix, then widen them over the
     root variables the branch left unbound."""
     by_item = {r.item: r.solutions for r in results}
     root = tree.root_universe
@@ -118,10 +122,11 @@ def reference_gather(tree, results):
             continue
         solutions = (by_item[leaf.item] if leaf.status == SOLVABLE
                      else SolutionSet((), [0]))
-        patched = patch(leaf.item.prefix, solutions)
-        free = [v for v in root if v not in patched.over]
-        for row in patched.rows:
-            values = {v: row >> j & 1 for j, v in enumerate(patched.over)}
+        for row in solutions.rows:
+            values = {v: int(b) for v, b in leaf.item.prefix.items()}
+            values.update(
+                (v, row >> j & 1) for j, v in enumerate(solutions.over))
+            free = [v for v in root if v not in values]
             for fill in itertools.product((0, 1), repeat=len(free)):
                 values.update(zip(free, fill))
                 rows.add(sum(values[v] << j for j, v in enumerate(root)))

@@ -15,7 +15,6 @@ from cofsat import (
     NormalizationWarning,
     PartialAssignment,
     SolutionSet,
-    clause_vars,
     emit_dimacs,
     formula_vars,
     parse_dimacs,
@@ -56,7 +55,7 @@ class TestClause:
         assert not Clause([1, -2]).is_tautology
 
     def test_vars(self):
-        assert clause_vars(Clause([-7, 2])) == (2, 7)
+        assert Clause([-7, 2]).vars == (2, 7)
 
     def test_satisfied_by(self):
         c = Clause([1, -2])
@@ -180,13 +179,6 @@ class TestPartialAssignment:
     def test_conflict_rejected(self):
         with pytest.raises(ValueError):
             PartialAssignment([(1, True), (1, False)])
-        with pytest.raises(ValueError):
-            PartialAssignment({1: True}).merged(PartialAssignment({1: False}))
-
-    def test_merged_and_without(self):
-        q = PartialAssignment({1: True}).merged(PartialAssignment({2: False}))
-        assert q.to_literals() == (1, -2)
-        assert q.without([1]).to_literals() == (-2,)
 
     def test_hashable(self):
         assert hash(PartialAssignment({1: True})) == hash(
@@ -276,16 +268,16 @@ class TestSubstitute:
         for _ in range(40):
             f = random_formula(rng, 8, 12)
             vars_ = rng.sample(range(1, 9), 4)
-            q = PartialAssignment(
-                (v, rng.random() < 0.5) for v in vars_[:2])
-            q_full = q.merged(PartialAssignment(
-                (v, rng.random() < 0.5) for v in vars_[2:]))
+            first = [(v, rng.random() < 0.5) for v in vars_[:2]]
+            rest = [(v, rng.random() < 0.5) for v in vars_[2:]]
+            q = PartialAssignment(first)
+            q_full = PartialAssignment(first + rest)
             one_step = substitute(f, q_full)
             partial = substitute(f, q)
             if partial is UNSAT:
                 assert one_step is UNSAT
                 continue
-            two_step = substitute(partial, q_full.without(q))
+            two_step = substitute(partial, PartialAssignment(rest))
             assert one_step == two_step
 
     def test_soundness_against_restriction(self):
@@ -362,7 +354,6 @@ class TestSolutionSet:
         s = SolutionSet([2, 5], [1, 2])
         assert s.row_to_literals(1) == (2, -5)
         assert s.to_text() == "2 -5 0\n-2 5 0\n"
-        assert s.to_text(count_only=True) == "2\n"
 
     def test_from_assignments(self):
         s = SolutionSet.from_assignments(

@@ -1,6 +1,7 @@
 """Clause-pivot and variable-partition decomposition, plus the cost model."""
 
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from cofsat import (
     enumerate_c1_assignments,
     estimate_cost,
     gather,
-    partition,
     solve_leaf,
     var_partition_decompose,
 )
@@ -130,49 +130,6 @@ class TestChooseVarSubset:
             choose_var_subset(example2_formula(), 0)
 
 
-class TestPartition:
-    def test_all_vars_in_block(self):
-        f = example2_formula()
-        part = partition(f, f.universe)
-        assert part.only_x1 == f.clauses
-        assert part.mixed == () and part.only_x2 == ()
-
-    def test_empty_block(self):
-        f = example2_formula()
-        part = partition(f, ())
-        assert part.only_x2 == f.clauses
-        assert part.only_x1 == () and part.mixed == ()
-
-    def test_example2_x_w_block_is_all_mixed(self):
-        part = partition(example2_formula(), (1, 4))
-        assert part.only_x1 == () and part.only_x2 == ()
-        assert len(part.mixed) == 4
-
-    def test_is_a_true_partition(self):
-        rng = random.Random(41)
-        for _ in range(30):
-            f = random_formula(rng, 9, 20)
-            k = rng.randint(0, 9)
-            x1 = tuple(rng.sample(f.universe, k))
-            part = partition(f, x1)
-            assert sorted(part.x1 + part.x2) == list(f.universe)
-            assert set(part.x1) & set(part.x2) == set()
-            regrouped = sorted(
-                part.only_x1 + part.mixed + part.only_x2, key=lambda c: c.to_ints())
-            assert regrouped == sorted(f.clauses, key=lambda c: c.to_ints())
-            for c in part.only_x1:
-                assert set(c.vars) <= set(part.x1)
-            for c in part.only_x2:
-                assert set(c.vars) <= set(part.x2)
-            for c in part.mixed:
-                assert set(c.vars) & set(part.x1)
-                assert set(c.vars) & set(part.x2)
-
-    def test_foreign_vars_rejected(self):
-        with pytest.raises(ValueError):
-            partition(example2_formula(), (1, 9))
-
-
 class TestEnumerateC1:
     def test_no_clauses_means_all_assignments(self):
         got = enumerate_c1_assignments([], (1, 2))
@@ -262,6 +219,17 @@ class TestVarPartition:
                     assert any(
                         assignment[v] != value for v, value in prefix.items())
         assert checked > 0
+
+    def test_chain_deeper_than_recursion_limit(self):
+        # Unit clauses x1 .. xn at n0=1 peel one variable per level: a chain
+        # of n - 1 internal nodes ending in one solvable leaf.
+        n = sys.getrecursionlimit() + 100
+        f = CnfFormula([[v] for v in range(1, n + 1)])
+        tree = var_partition_decompose(f, 1)
+        assert len(tree.nodes) == n
+        assert [leaf.node_id for leaf in tree.solvable_leaves()] == [n - 1]
+        results = [solve_leaf(leaf.item) for leaf in tree.solvable_leaves()]
+        assert gather(tree, results).rows == ((1 << n) - 1,)
 
     def test_bad_n0(self):
         with pytest.raises(ValueError):

@@ -18,11 +18,9 @@ from cofsat import (
     Clause,
     CnfFormula,
     PartialAssignment,
-    SolutionSet,
     TruthTable,
     all_solutions,
     enumerate_c1_assignments,
-    patch,
     substitute,
     to_truth_table,
 )
@@ -160,21 +158,3 @@ class TestBitHelpers:
         index = data.draw(st.integers(0, n - 1))
         want = sum(1 << p for p in range(1 << n) if p >> index & 1)
         assert TruthTable.variable(n, index).bits == want
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_patch_moves_every_bit(self, data):
-        variables = data.draw(st.lists(st.integers(1, 12), min_size=1,
-                                       max_size=8, unique=True))
-        split = data.draw(st.integers(0, len(variables)))
-        prefix = PartialAssignment(
-            (v, data.draw(st.booleans())) for v in variables[:split])
-        over = sorted(variables[split:])
-        rows = data.draw(st.lists(st.integers(0, (1 << len(over)) - 1)))
-        got = patch(prefix, SolutionSet(over, rows))
-        want = SolutionSet.from_assignments(
-            sorted(variables),
-            [{**dict(prefix), **{v: bool(row >> j & 1)
-                                 for j, v in enumerate(over)}}
-             for row in rows])
-        assert got == want

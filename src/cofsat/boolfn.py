@@ -15,7 +15,8 @@ are immutable, so they can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import and_, or_, xor
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 MAX_VARS = 16
@@ -60,8 +61,7 @@ class TruthTable:
         if not 0 <= num_vars <= MAX_VARS:
             raise CapacityError(
                 f"num_vars must be in [0, {MAX_VARS}], got {num_vars}")
-        size = 1 << num_vars
-        if not 0 <= bits < (1 << size):
+        if bits < 0 or bits >> (1 << num_vars):
             raise ValueError(f"bits out of range for {num_vars} variables")
         self._num_vars = num_vars
         self._bits = bits
@@ -192,6 +192,17 @@ class TruthTable:
 
     # -- substitution ------------------------------------------------------
 
+    def _pin(self, bindings: Mapping[int, bool]) -> tuple[int, int]:
+        """(mask, values): bit masks of the pinned variables and their values."""
+        mask = values = 0
+        for j, v in bindings.items():
+            if not 0 <= j < self._num_vars:
+                raise ValueError(f"variable index {j} out of range")
+            mask |= 1 << j
+            if v:
+                values |= 1 << j
+        return mask, values
+
     def substitute(self, bindings: Mapping[int, bool]) -> "TruthTable":
         """Pin some variables to constants, keeping the universe width.
 
@@ -199,17 +210,10 @@ class TruthTable:
         """
         if not bindings:
             return self
-        fixed_mask = 0
-        fixed_vals = 0
-        for j, v in bindings.items():
-            if not 0 <= j < self._num_vars:
-                raise ValueError(f"variable index {j} out of range")
-            fixed_mask |= 1 << j
-            if v:
-                fixed_vals |= 1 << j
+        mask, values = self._pin(bindings)
         bits = 0
         for p in range(1 << self._num_vars):
-            q = (p & ~fixed_mask) | fixed_vals
+            q = (p & ~mask) | values
             if self._bits >> q & 1:
                 bits |= 1 << p
         return TruthTable(self._num_vars, bits)
@@ -222,17 +226,11 @@ class TruthTable:
         """
         if not bindings:
             return self
-        for j in bindings:
-            if not 0 <= j < self._num_vars:
-                raise ValueError(f"variable index {j} out of range")
-        free = [j for j in range(self._num_vars) if j not in bindings]
-        base = 0
-        for j, v in bindings.items():
-            if v:
-                base |= 1 << j
+        mask, values = self._pin(bindings)
+        free = [j for j in range(self._num_vars) if not mask >> j & 1]
         bits = 0
         for q in range(1 << len(free)):
-            p = base
+            p = values
             for k, j in enumerate(free):
                 if q >> k & 1:
                     p |= 1 << j
@@ -298,24 +296,28 @@ class CofactorInterval:
 class BaseSet:
     """A nonempty family of nonzero functions over one universe.
 
-    The cover is the OR of all members; expansion of ``f`` over the base
-    requires ``f <= cover``.  Orthonormality is a property, not a
-    requirement.
+    ``cover``, the OR of all members, is stored on construction; expansion
+    of ``f`` over the base requires ``f <= cover``.  Orthonormality is a
+    property, not a requirement.
     """
 
     members: tuple[TruthTable, ...]
+    cover: TruthTable = field(init=False, repr=False, compare=False)
 
     def __init__(self, members: Iterable[TruthTable]):
         members = tuple(members)
         if not members:
             raise ValueError("base set must be nonempty")
         n = members[0].num_vars
+        cover = 0
         for g in members:
             if g.num_vars != n:
                 raise ValueError("base set members must share one universe")
             if g.is_zero:
                 raise ValueError("base set members must be nonzero")
+            cover |= g.bits
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "cover", TruthTable(n, cover))
 
     @classmethod
     def pair(cls, g: TruthTable) -> "BaseSet":
@@ -335,13 +337,6 @@ class BaseSet:
     @property
     def num_vars(self) -> int:
         return self.members[0].num_vars
-
-    @property
-    def cover(self) -> TruthTable:
-        out = self.members[0]
-        for g in self.members[1:]:
-            out = out | g
-        return out
 
     def __iter__(self) -> Iterator[TruthTable]:
         return iter(self.members)
@@ -431,20 +426,20 @@ def expand(
             raise ValueError(f"alphas[{i}] is not a cofactor of f relative to base[{i}]")
     if require_cover and not f <= base.cover:
         raise ValueError("f is not dominated by the cover of the base set")
-    out = TruthTable.constant(f.num_vars, False)
+    bits = 0
     for alpha, g in zip(alphas, base):
-        out = out | (alpha & g)
-    return out
+        bits |= alpha.bits & g.bits
+    return TruthTable(f.num_vars, bits)
 
 
 def is_orthonormal(base: BaseSet) -> bool:
     """True iff members are pairwise disjoint and OR to the constant 1."""
-    seen = TruthTable.constant(base.num_vars, False)
+    seen = 0
     for g in base:
-        if not (seen & g).is_zero:
+        if seen & g.bits:
             return False
-        seen = seen | g
-    return seen.is_one
+        seen |= g.bits
+    return base.cover.is_one
 
 
 def term_expansions(
@@ -461,13 +456,13 @@ def term_expansions(
     for t in terms:
         if not t.is_term:
             raise ValueError("term set members must be product terms")
-    sum_form = TruthTable.constant(f.num_vars, False)
-    product_form = TruthTable.constant(f.num_vars, True)
+    sum_bits = 0
+    product_bits = full = (1 << (1 << f.num_vars)) - 1
     for t in terms:
         quotient = f.substitute(t.term_bindings())
-        sum_form = sum_form | (quotient & t)
-        product_form = product_form & (quotient | ~t)
-    return sum_form, product_form
+        sum_bits |= (quotient & t).bits
+        product_bits &= quotient.bits | (full ^ t.bits)
+    return TruthTable(f.num_vars, sum_bits), TruthTable(f.num_vars, product_bits)
 
 
 def expansion_identity(
@@ -489,30 +484,23 @@ def expansion_identity(
             raise ValueError("complement takes a single operand")
         if not base.cover.is_one:
             raise ValueError("complement identity needs a base covering the whole space")
-        out = TruthTable.constant(f.num_vars, False)
+        fb = (f & base.cover).bits  # the universe check; the cover is 1
+        bits = 0
         for g in base:
-            out = out | (~(f & g) & g)
-        return out
+            bits |= ~(fb & g.bits) & g.bits
+        return TruthTable(f.num_vars, bits)
 
-    if op not in ("sum", "product", "xor"):
+    combine = {"sum": or_, "product": and_, "xor": xor}.get(op)
+    if combine is None:
         raise ValueError(f"unknown identity {op!r}")
     if h is None:
         raise ValueError(f"{op} identity needs two operands")
-    cover = base.cover
-    if not f <= cover or not h <= cover:
+    if not f <= base.cover or not h <= base.cover:
         raise ValueError("operands must be dominated by the cover of the base set")
-    out = TruthTable.constant(f.num_vars, False)
+    bits = 0
     for g in base:
-        alpha = f & g
-        beta = h & g
-        if op == "sum":
-            combined = alpha | beta
-        elif op == "product":
-            combined = alpha & beta
-        else:
-            combined = alpha ^ beta
-        out = out | (combined & g)
-    return out
+        bits |= combine(f.bits & g.bits, h.bits & g.bits) & g.bits
+    return TruthTable(f.num_vars, bits)
 
 
 def compose(f: TruthTable, inner: Sequence[TruthTable]) -> TruthTable:
@@ -555,11 +543,11 @@ def compose_via_expansion(
     for h in inner:
         if h.num_vars != m:
             raise ValueError("inner functions must live on the base universe")
-    out = TruthTable.constant(m, False)
+    bits = 0
     for phi in base:
         betas = [h & phi for h in inner]
-        out = out | (compose(f, betas) & phi)
-    return out
+        bits |= (compose(f, betas) & phi).bits
+    return TruthTable(m, bits)
 
 
 def consistency_over_base(f: TruthTable, base: BaseSet) -> Verdict:
@@ -575,10 +563,9 @@ def consistency_over_base(f: TruthTable, base: BaseSet) -> Verdict:
     if not f <= base.cover:
         raise ValueError("f is not dominated by the cover of the base set")
     for i, g in enumerate(base):
-        hit = f & g
-        if not hit.is_zero:
-            point = (hit.bits & -hit.bits).bit_length() - 1
-            return Verdict(True, i, point)
+        hit = f.bits & g.bits
+        if hit:
+            return Verdict(True, i, (hit & -hit).bit_length() - 1)
     return Verdict(False, None, None)
 
 
@@ -592,10 +579,7 @@ def consistency_over_on(f: TruthTable, base: BaseSet) -> OnVerdict:
         raise ValueError("f and base set live on different universes")
     if not is_orthonormal(base):
         raise ValueError("base set is not orthonormal")
-    for i, phi in enumerate(base):
-        hit = f & phi
-        if not hit.is_zero:
-            point = (hit.bits & -hit.bits).bit_length() - 1
-            ones = sum(1 for g in base if g.evaluate(point))
-            return OnVerdict(True, i, point, ones == 1)
-    return OnVerdict(False, None, None, True)
+    # an orthonormal base covers every point, so the cover check passes
+    sat, i, point = consistency_over_base(f, base)
+    ones = sum(g.bits >> point & 1 for g in base) if sat else 1
+    return OnVerdict(sat, i, point, ones == 1)

@@ -5,8 +5,9 @@ calling thread: a thread pool measured slower, because the pure-Python leaf
 search holds the GIL.  ``--jobs`` is still accepted and validated, but
 selects nothing.  Exit status follows common solver conventions: 10 for
 satisfiable, 20 for unsatisfiable, 0 for a decomposition-only run, 1 for
-any error.  Set COFSAT_LOG=DEBUG (or any logging level name) for
-diagnostics on stderr.
+an error in the input or an option value the run rejects (``--n0 0``), and
+2 for a usage error that argparse reports (``--mode prove``, ``--n0 x``).
+Set COFSAT_LOG=DEBUG (or any logging level name) for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -142,6 +143,9 @@ def run(config: RunConfig, out: IO[str] | None = None,
     try:
         tree = _build_tree(formula, config)
         if config.mode == "decompose":
+            if config.verify:
+                print("note: --verify skipped: decompose mode solves nothing",
+                      file=err)
             if config.output_format == "json":
                 print(json.dumps({"status": "OK", "tree": _tree_as_json(tree)}),
                       file=out)

@@ -175,9 +175,10 @@ class CnfFormula:
 
     Construction normalizes: tautological clauses and exact duplicates are
     dropped (with a NormalizationWarning), empty clauses are rejected.  The
-    universe defaults to the variables that occur, and may be widened but
-    never narrowed.  Clauses are stored as signed-int tuples (``to_ints``);
-    ``clauses`` builds ``Clause`` views of them on each read.
+    universe defaults to the variables that occur, and may be widened, by
+    positive variables only, but never narrowed.  Clauses are stored as
+    signed-int tuples (``to_ints``); ``clauses`` builds ``Clause`` views of
+    them on each read.
     """
 
     __slots__ = ("_clauses", "_universe")
@@ -212,6 +213,10 @@ class CnfFormula:
             self._universe = tuple(sorted(occurring))
         else:
             universe_set = set(universe)
+            nonpositive = sorted(v for v in universe_set if v < 1)
+            if nonpositive:
+                raise ValueError(
+                    f"universe variables are positive integers, got {nonpositive}")
             missing = occurring - universe_set
             if missing:
                 raise ValueError(

@@ -258,6 +258,12 @@ class TestMain:
         status = main(["--input", str(GOLDEN / "example2.cnf"), "--n0", "0"])
         assert status == EXIT_ERROR
 
+    @pytest.mark.parametrize("bad", [["--mode", "prove"], ["--n0", "x"]])
+    def test_usage_error_exits_2(self, bad):
+        with pytest.raises(SystemExit) as exc:
+            main(["--input", str(GOLDEN / "example2.cnf"), *bad])
+        assert exc.value.code == 2
+
     def test_main_json(self, capsys):
         status = main(["--input", str(GOLDEN / "unsat.cnf"),
                        "--mode", "sat", "--format", "json"])
@@ -275,6 +281,14 @@ class TestVerifySkipped:
             str(path), mode="count", verify=True))
         assert (status, out) == plain[:2] == (EXIT_SAT, "1\n")
         assert err == "note: --verify skipped: 17 variables > 16\n"
+
+    def test_skip_in_decompose_mode(self):
+        path = str(GOLDEN / "example2.cnf")
+        plain = run_capture(RunConfig(path, mode="decompose"))
+        status, out, err = run_capture(RunConfig(
+            path, mode="decompose", verify=True))
+        assert (status, out) == plain[:2] and status == EXIT_OK
+        assert err == "note: --verify skipped: decompose mode solves nothing\n"
 
     def test_no_note_when_verify_runs(self):
         status, out, err = run_capture(RunConfig(

@@ -79,6 +79,11 @@ class TestCnfFormula:
         with pytest.raises(ValueError):
             CnfFormula([[1, 2]], universe=[1])
 
+    @pytest.mark.parametrize("universe", [[0, 1, 2], [-3, 1, 2]])
+    def test_universe_variables_are_positive(self, universe):
+        with pytest.raises(ValueError, match="positive"):
+            CnfFormula([[1, 2]], universe=universe)
+
     def test_empty_clause_rejected(self):
         with pytest.raises(ValueError):
             CnfFormula([[]])

@@ -40,8 +40,9 @@ class LeafResult:
 def all_solutions(formula: CnfFormula) -> SolutionSet:
     """Every satisfying full assignment over the formula's universe.
 
-    Backtracking search in ascending variable order with unit propagation;
-    variables the clauses never touch are expanded to both values.  The
+    Backtracking search (``cnf._models``) that propagates unit clauses and
+    branches on the variable in the most 2-literal clauses; variables the
+    clauses never touch are expanded to both values.  The
     empty formula over k variables yields all 2**k rows.  More than
     ``cnf.MAX_ENUM_VARS`` variables raise ``CapacityError``.
     """
@@ -80,6 +81,8 @@ def gather(
             if solutions is None:
                 raise ValueError(
                     f"missing result for solvable leaf {leaf.node_id}")
+            if not solutions.rows:
+                continue
             over, leaf_rows = solutions.over, solutions.rows
         else:  # trivial: every assignment over the leaf universe works
             over, leaf_rows = (), (0,)

@@ -14,12 +14,15 @@ enumerates its 2**k - 1 nonempty subsets in a fixed order, and
 ``substitute`` reduces a formula under a partial assignment, returning the
 ``UNSAT`` marker when a clause is falsified outright.  ``_models`` is the
 one backtracking search over int clauses, shared by leaf solving and the
-X1 enumeration of variable-partition decomposition.
+X1 enumeration of variable-partition decomposition: it propagates unit
+clauses within each frame and branches on the variable in the most
+2-literal clauses.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -560,10 +563,13 @@ def _models(clauses: Iterable[tuple[int, ...]], over: Sequence[int]) -> list[int
     """Rows (bit j = value of ``over[j]``) of every assignment over ``over``
     satisfying the int clauses, each once, in search order.
 
-    Backtracking that sets a unit clause's literal first, else branches on
-    the smallest occurring variable, False first; variables left free when
-    every clause is satisfied are expanded to both values.  More than
-    ``MAX_ENUM_VARS`` variables raise ``CapacityError``.
+    Backtracking search.  Each frame first sets unit clauses' literals in a
+    loop, until none is left or a clause is falsified.  It then branches,
+    False first, on the variable occurring in the most 2-literal clauses
+    (ties to the first such variable in clause order), or, with no
+    2-literal clause left, on the smallest occurring variable.  Variables
+    left free when every clause is satisfied are expanded to both values.
+    More than ``MAX_ENUM_VARS`` variables raise ``CapacityError``.
     """
     if len(over) > MAX_ENUM_VARS:
         raise CapacityError(
@@ -573,30 +579,51 @@ def _models(clauses: Iterable[tuple[int, ...]], over: Sequence[int]) -> list[int
     rows: list[int] = []
 
     def search(clauses: list[tuple[int, ...]], bits: int, fixed: int) -> None:
+        while True:
+            unit = next((c[0] for c in clauses if len(c) == 1), 0)
+            if not unit:
+                break
+            clauses = _reduce(clauses, unit)
+            if clauses is None:
+                return
+            bit = 1 << position[abs(unit)]
+            fixed |= bit
+            if unit > 0:
+                bits |= bit
         if not clauses:
             free = [j for j in range(len(over)) if not fixed >> j & 1]
             rows.extend(_scatter((0,), (), free, bits))
             return
-        unit = next((c[0] for c in clauses if len(c) == 1), 0)
-        var = abs(unit) or min(abs(c[0]) for c in clauses)
+        binary = Counter([abs(x) for c in clauses if len(c) == 2 for x in c])
+        var = (max(binary, key=binary.__getitem__) if binary
+               else min(abs(c[0]) for c in clauses))
         bit = 1 << position[var]
-        for lit in (unit,) if unit else (-var, var):
-            reduced = []
-            for clause in clauses:
-                if lit in clause:
-                    continue
-                if -lit in clause:
-                    if len(clause) == 1:
-                        break  # falsified: this branch has no models
-                    clause = tuple([x for x in clause if x != -lit])
-                reduced.append(clause)
-            else:
-                search(reduced, bits | bit if lit > 0 else bits, fixed | bit)
+        for lit, value in ((-var, 0), (var, bit)):
+            reduced = _reduce(clauses, lit)
+            if reduced is not None:
+                search(reduced, bits | value, fixed | bit)
 
     clauses = list(clauses)
     if all(clauses):
         search(clauses, 0, 0)
     return rows
+
+
+def _reduce(clauses: list[tuple[int, ...]], lit: int
+            ) -> list[tuple[int, ...]] | None:
+    """The clauses with ``lit`` set true: satisfied clauses dropped, ``-lit``
+    cut from the rest; None when a clause loses its last literal."""
+    out = []
+    neg = -lit
+    for clause in clauses:
+        if lit in clause:
+            continue
+        if neg in clause:
+            if len(clause) == 1:
+                return None
+            clause = tuple([x for x in clause if x != neg])
+        out.append(clause)
+    return out
 
 
 def _scatter(rows: Iterable[int], targets: Sequence[int],

@@ -49,9 +49,29 @@ class TestAllSolutions:
         assert all_solutions(f).rows == (1, 3)
 
     def test_capacity(self):
-        f = CnfFormula([], universe=range(1, 22))
-        with pytest.raises(CapacityError):
-            all_solutions(f)
+        for clauses in ([], [[1]] + [[-i, i + 1] for i in range(1, 21)]):
+            f = CnfFormula(clauses, universe=range(1, 22))
+            with pytest.raises(
+                    CapacityError,
+                    match="enumeration capped at 20 variables, formula has 21"):
+                all_solutions(f)
+
+    def test_implication_chain_has_one_solution(self):
+        # x1 and x_i -> x_{i+1}: propagation sets all 20 variables true.
+        f = CnfFormula([[1]] + [[-i, i + 1] for i in range(1, 20)])
+        assert all_solutions(f).rows == ((1 << 20) - 1,)
+
+    def test_two_sat_matches_independent_oracle(self):
+        rng = random.Random(71)
+        for _ in range(25):
+            n = rng.randint(6, 10)
+            binary = [(a * sa, b * sb) for a in range(1, n + 1)
+                      for b in range(a + 1, n + 1)
+                      for sa in (1, -1) for sb in (1, -1)]
+            clauses = rng.sample(binary, rng.randint(1, 2 * n))
+            f = CnfFormula(clauses, universe=range(1, n + 1))
+            assert list(all_solutions(f).rows) == brute_force_rows(
+                f.to_ints(), range(1, n + 1))
 
     def test_zero_variable_formula_has_one_solution(self):
         f = CnfFormula([], universe=[])

@@ -2,7 +2,7 @@
 
 Formulas store their clauses as tuples of signed ints; ``Clause`` and
 ``Literal`` are views of them.  Each test here holds one int-level path
-(``substitute``, the leaf search behind ``all_solutions`` and
+(``substitute``, the leaf search ``_models`` behind ``all_solutions`` and
 ``enumerate_c1_assignments``, the projection masks behind
 ``to_truth_table``) to a plain reference written over raw ints in this file
 or in ``helpers``.
@@ -24,6 +24,7 @@ from cofsat import (
     substitute,
     to_truth_table,
 )
+from cofsat.cnf import _models
 
 from helpers import brute_force_rows
 
@@ -39,6 +40,24 @@ def formulas(draw, max_n=MAX_N, max_clauses=14):
                       unique=True).flatmap(
         lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
     raw = draw(st.lists(clause, max_size=max_clauses))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return CnfFormula(raw, universe=range(1, n + 1))
+
+
+@st.composite
+def binary_heavy_formulas(draw):
+    """Formulas over 1..n, n from 8 to 16, from clauses of 1-3 distinct
+    variables, most of them 2-literal.  Up to three universe variables
+    occur in no clause."""
+    n = draw(st.integers(8, 16))
+    unused = draw(st.lists(st.integers(1, n), max_size=3, unique=True))
+    used = [v for v in range(1, n + 1) if v not in unused]
+    clause = st.sampled_from((1, 2, 2, 2, 2, 2, 3, 3)).flatmap(
+        lambda k: st.lists(st.sampled_from(used), min_size=k, max_size=k,
+                           unique=True)).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
+    raw = draw(st.lists(clause, max_size=3 * n))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return CnfFormula(raw, universe=range(1, n + 1))
@@ -143,6 +162,14 @@ class TestSearchAgainstBruteForce:
         rows = [sum(1 << j for j, v in enumerate(order) if q[v]) for q in got]
         assert rows == brute_force_rows([c.to_ints() for c in inside], order)
         assert all(tuple(q) == tuple(order) for q in got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(binary_heavy_formulas())
+    def test_models_against_truth_table(self, f):
+        # Each row once: SolutionSet would hide a duplicate.
+        rows = _models(f.to_ints(), f.universe)
+        assert len(rows) == len(set(rows))
+        assert sorted(rows) == list(to_truth_table(f).support())
 
     @settings(max_examples=100, deadline=None)
     @given(formulas(max_n=8, max_clauses=20))

@@ -38,7 +38,6 @@ from .cnf import (
     Clause,
     CnfFormula,
     DimacsParseError,
-    Literal,
     NormalizationWarning,
     PartialAssignment,
     SolutionSet,
@@ -74,8 +73,8 @@ __all__ = [
     "compose", "compose_via_expansion", "consistency_over_base",
     "consistency_over_on", "parse_function",
     # cnf
-    "Literal", "Clause", "CnfFormula", "PartialAssignment", "SolutionSet",
-    "UNSAT", "NormalizationWarning", "DimacsParseError", "parse_dimacs",
+    "Clause", "CnfFormula", "PartialAssignment", "SolutionSet", "UNSAT",
+    "NormalizationWarning", "DimacsParseError", "parse_dimacs",
     "emit_dimacs", "sat_set", "partial_assignments", "substitute",
     "to_truth_table", "formula_vars",
     # decompose

@@ -2,11 +2,11 @@
 
 Variables are positive integers as in DIMACS.  A clause is a set of
 literals; a formula is an ordered, duplicate-free list of clauses together
-with its variable universe.  Internally every clause is a tuple of signed
-ints (DIMACS literals) in variable order; ``Clause`` and ``Literal`` are
-views of those tuples, built only when ``CnfFormula.clauses`` is read.
-Formulas and assignments are immutable values: ``substitute`` returns a new
-formula, so everything here is safe to share across threads.
+with its variable universe.  Every clause is a tuple of signed ints
+(DIMACS literals) in variable order.  ``Clause`` is the one view of such a
+tuple: it iterates the ints and is built only when ``CnfFormula.clauses``
+is read.  Formulas and assignments are immutable values: ``substitute``
+returns a new formula, so everything here is safe to share across threads.
 
 The key operations mirror the decomposition machinery: ``sat_set`` gives the
 assignment making every literal of a clause true, ``partial_assignments``
@@ -16,14 +16,14 @@ enumerates its 2**k - 1 nonempty subsets in a fixed order, and
 one backtracking search over int clauses, shared by leaf solving and the
 X1 enumeration of variable-partition decomposition: it propagates unit
 clauses within each frame and branches on the variable in the most
-2-literal clauses.
+2-literal clauses.  Its one-literal step ``_reduce`` also does the work of
+``substitute``.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -33,7 +33,6 @@ __all__ = [
     "MAX_ENUM_VARS",
     "NormalizationWarning",
     "DimacsParseError",
-    "Literal",
     "Clause",
     "CnfFormula",
     "PartialAssignment",
@@ -65,31 +64,18 @@ class DimacsParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
-    """A variable occurrence with polarity; positive means unnegated."""
+def _normalize(literals: Iterable[int]) -> tuple[int, ...]:
+    """A clause's literals deduplicated and sorted by variable, negative
+    first; 0 is rejected."""
+    ints = set(literals)
+    if 0 in ints:
+        raise ValueError("0 is not a literal")
+    return tuple(sorted(ints, key=lambda x: (abs(x), x)))
 
-    var: int
-    positive: bool
 
-    def __post_init__(self) -> None:
-        if self.var < 1:
-            raise ValueError("variables are positive integers")
-
-    @classmethod
-    def from_int(cls, value: int) -> "Literal":
-        if value == 0:
-            raise ValueError("0 is not a literal")
-        return cls(abs(value), value > 0)
-
-    def to_int(self) -> int:
-        return self.var if self.positive else -self.var
-
-    def negated(self) -> "Literal":
-        return Literal(self.var, not self.positive)
-
-    def __str__(self) -> str:
-        return f"x{self.var}" if self.positive else f"x{self.var}'"
+def _is_tautology(ints: tuple[int, ...]) -> bool:
+    """Whether a normalized clause holds some variable in both polarities."""
+    return len({abs(x) for x in ints}) != len(ints)
 
 
 class Clause:
@@ -98,12 +84,8 @@ class Clause:
 
     __slots__ = ("_ints",)
 
-    def __init__(self, literals: Iterable[Union[Literal, int]]):
-        ints = {lit.to_int() if isinstance(lit, Literal) else lit
-                for lit in literals}
-        if 0 in ints:
-            raise ValueError("0 is not a literal")
-        self._ints = tuple(sorted(ints, key=lambda x: (abs(x), x)))
+    def __init__(self, literals: Iterable[int]):
+        self._ints = _normalize(literals)
 
     @classmethod
     def _view(cls, ints: tuple[int, ...]) -> "Clause":
@@ -112,16 +94,12 @@ class Clause:
         return clause
 
     @property
-    def literals(self) -> tuple[Literal, ...]:
-        return tuple(Literal(abs(x), x > 0) for x in self._ints)
-
-    @property
     def is_empty(self) -> bool:
         return not self._ints
 
     @property
     def is_tautology(self) -> bool:
-        return len({abs(x) for x in self._ints}) != len(self._ints)
+        return _is_tautology(self._ints)
 
     @property
     def vars(self) -> tuple[int, ...]:
@@ -138,8 +116,8 @@ class Clause:
     def __len__(self) -> int:
         return len(self._ints)
 
-    def __iter__(self) -> Iterator[Literal]:
-        return iter(self.literals)
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ints)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Clause):
@@ -150,7 +128,8 @@ class Clause:
         return hash(self._ints)
 
     def __str__(self) -> str:
-        return "(" + " + ".join(str(lit) for lit in self.literals) + ")"
+        return "(" + " + ".join(
+            f"x{x}" if x > 0 else f"x{-x}'" for x in self._ints) + ")"
 
     def __repr__(self) -> str:
         return f"Clause({list(self._ints)!r})"
@@ -188,17 +167,15 @@ class CnfFormula:
 
     def __init__(
         self,
-        clauses: Iterable[Union[Clause, Iterable[int]]],
+        clauses: Iterable[Iterable[int]],
         universe: Iterable[int] | None = None,
     ):
         normalized: dict[tuple[int, ...], None] = {}
         for clause in clauses:
-            if not isinstance(clause, Clause):
-                clause = Clause(clause)
-            ints = clause.to_ints()
+            ints = _normalize(clause)
             if not ints:
                 raise ValueError("formulas cannot contain the empty clause")
-            if len({abs(x) for x in ints}) != len(ints):
+            if _is_tautology(ints):
                 warnings.warn(
                     f"dropped tautological clause {Clause._view(ints)}",
                     NormalizationWarning, stacklevel=2)
@@ -273,18 +250,16 @@ class CnfFormula:
 
 
 class PartialAssignment(Mapping):
-    """An immutable finite mapping from variables to truth values."""
+    """An immutable finite mapping from variables to truth values, kept in
+    ascending variable order."""
 
-    __slots__ = ("_bindings", "_items")
+    __slots__ = ("_bindings",)
 
     def __init__(
         self,
         bindings: Union[Mapping[int, bool], Iterable[tuple[int, bool]]] = (),
     ):
-        if isinstance(bindings, Mapping):
-            items = bindings.items()
-        else:
-            items = list(bindings)
+        items = bindings.items() if isinstance(bindings, Mapping) else bindings
         mapping: dict[int, bool] = {}
         for var, value in items:
             if var < 1:
@@ -293,40 +268,43 @@ class PartialAssignment(Mapping):
             if mapping.get(var, value) != value:
                 raise ValueError(f"conflicting bindings for variable {var}")
             mapping[var] = value
-        self._bindings = mapping
-        self._items = tuple(sorted(mapping.items()))
+        self._bindings = dict(sorted(mapping.items()))
 
     @classmethod
     def from_literals(cls, literals: Iterable[int]) -> "PartialAssignment":
         return cls((abs(v), v > 0) for v in literals)
 
     def to_literals(self) -> tuple[int, ...]:
-        return tuple(var if value else -var for var, value in self._items)
+        return tuple(
+            var if value else -var for var, value in self._bindings.items())
 
     def __getitem__(self, var: int) -> bool:
         return self._bindings[var]
+
+    def __contains__(self, var: object) -> bool:
+        return var in self._bindings
 
     def items(self):
         return self._bindings.items()
 
     def __iter__(self) -> Iterator[int]:
-        return iter(v for v, _ in self._items)
+        return iter(self._bindings)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._bindings)
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return hash(tuple(self._bindings.items()))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PartialAssignment):
-            return self._items == other._items
+            return self._bindings == other._bindings
         if isinstance(other, Mapping):
             return self._bindings == dict(other)
         return NotImplemented
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{v}={int(b)}" for v, b in self._items)
+        inner = ", ".join(f"{v}={int(b)}" for v, b in self._bindings.items())
         return f"PartialAssignment({{{inner}}})"
 
 
@@ -426,14 +404,15 @@ class SolutionSet:
 def parse_dimacs(source: Union[str, bytes]) -> CnfFormula:
     """Parse DIMACS CNF text into a formula over universe {1..nvars}.
 
-    Comment lines start with 'c'; a single ``p cnf <nvars> <nclauses>``
+    Comment lines start with 'c' and may hold any bytes; elsewhere a byte
+    that is not UTF-8 is a bad token.  A single ``p cnf <nvars> <nclauses>``
     header precedes the clauses; clauses are 0-terminated signed integers
     and may span lines.  Normalization (dropped tautologies or duplicates)
     and a clause count differing from the header produce warnings, not
     errors.
     """
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        source = source.decode("utf-8", errors="replace")
 
     num_vars = None
     num_clauses_declared = 0
@@ -538,25 +517,20 @@ def substitute(
 ) -> Union[CnfFormula, UnsatMarker]:
     """Reduce a formula under a partial assignment.
 
-    Satisfied clauses are dropped, falsified literals removed, surviving
-    duplicates merged.  A clause losing all its literals means the reduced
-    formula is unsatisfiable: the UNSAT marker is returned.  The universe of
-    the result is the unbound remainder of the input universe.
+    Each bound literal is set in turn by the search's ``_reduce``:
+    satisfied clauses are dropped, falsified literals removed.  Surviving
+    duplicates are then merged, first occurrence kept.  A clause losing all
+    its literals means the reduced formula is unsatisfiable: the UNSAT
+    marker is returned.  The universe of the result is the unbound remainder
+    of the input universe.
     """
-    true = {v if value else -v for v, value in bindings.items()}
-    false = {-x for x in true}
-    reduced: dict[tuple[int, ...], None] = {}
-    for clause in formula._clauses:
-        if not true.isdisjoint(clause):
-            continue
-        if not false.isdisjoint(clause):
-            clause = tuple([x for x in clause if x not in false])
-            if not clause:
-                return UNSAT
-        reduced[clause] = None
-    remaining = tuple(
-        v for v in formula._universe if v not in true and -v not in true)
-    return CnfFormula._normalized(tuple(reduced), remaining)
+    clauses = formula._clauses
+    for var, value in bindings.items():
+        clauses = _reduce(clauses, var if value else -var)
+        if clauses is None:
+            return UNSAT
+    remaining = tuple(v for v in formula._universe if v not in bindings)
+    return CnfFormula._normalized(tuple(dict.fromkeys(clauses)), remaining)
 
 
 def _models(clauses: Iterable[tuple[int, ...]], over: Sequence[int]) -> list[int]:
@@ -609,7 +583,7 @@ def _models(clauses: Iterable[tuple[int, ...]], over: Sequence[int]) -> list[int
     return rows
 
 
-def _reduce(clauses: list[tuple[int, ...]], lit: int
+def _reduce(clauses: Sequence[tuple[int, ...]], lit: int
             ) -> list[tuple[int, ...]] | None:
     """The clauses with ``lit`` set true: satisfied clauses dropped, ``-lit``
     cut from the rest; None when a clause loses its last literal."""

@@ -58,8 +58,10 @@ DEAD = "unsat"
 class WorkItem:
     """A self-contained subproblem: accumulated prefix plus reduced formula.
 
-    ``formula`` is None for a dead branch (the reduction falsified a clause,
-    or the branch's local constraints admitted no assignment).
+    ``formula`` is None when the reduction that built the item falsified a
+    clause.  Whether a node of a ``DecompositionTree`` is dead is its
+    ``status``: a variable-partition node whose block admits no assignment
+    keeps its formula.
     """
 
     prefix: PartialAssignment
@@ -77,6 +79,7 @@ class WorkItem:
 
     @property
     def is_dead(self) -> bool:
+        """A reduction falsified a clause; tree nodes are dead by status."""
         return self.formula is None
 
 
@@ -190,14 +193,13 @@ def clause_pivot_decompose(
     The input is satisfiable iff some branch is satisfiable; branch
     solution sets may overlap, so gathering deduplicates.
     """
-    clauses = formula.clauses
+    clauses = formula.to_ints()
     if not 0 <= pivot_index < len(clauses):
         raise ValueError(
             f"pivot index {pivot_index} out of range for "
             f"{len(clauses)} clauses")
-    pivot = clauses[pivot_index]
     items = []
-    for q in partial_assignments(pivot):
+    for q in partial_assignments(Clause._view(clauses[pivot_index])):
         reduced = substitute(formula, q)
         items.append(WorkItem(
             prefix=q,

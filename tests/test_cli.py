@@ -264,6 +264,19 @@ class TestMain:
             main(["--input", str(GOLDEN / "example2.cnf"), *bad])
         assert exc.value.code == 2
 
+    def test_non_utf8_byte_is_a_clean_error(self, tmp_path, capsys):
+        good = tmp_path / "comment.cnf"
+        good.write_bytes(b"c caf\xe9\np cnf 2 1\n1 2 0\n")
+        assert main(["--input", str(good), "--mode", "count"]) == EXIT_SAT
+        assert capsys.readouterr().out == "3\n"
+        bad = tmp_path / "token.cnf"
+        bad.write_bytes(b"p cnf 2 1\n1 \xe9 0\n")
+        assert main(["--input", str(bad)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: line 2: ")
+        assert "Traceback" not in captured.err
+
     def test_main_json(self, capsys):
         status = main(["--input", str(GOLDEN / "unsat.cnf"),
                        "--mode", "sat", "--format", "json"])

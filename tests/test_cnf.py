@@ -1,6 +1,7 @@
 """CNF data model, DIMACS I/O, partial assignments, and reduction."""
 
 import random
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,6 @@ from cofsat import (
     Clause,
     CnfFormula,
     DimacsParseError,
-    Literal,
     NormalizationWarning,
     PartialAssignment,
     SolutionSet,
@@ -29,22 +29,6 @@ from helpers import brute_force_rows, example2_formula, random_formula
 GOLDEN = Path(__file__).parent / "golden"
 
 
-class TestLiteral:
-    def test_from_to_int(self):
-        assert Literal.from_int(-3) == Literal(3, False)
-        assert Literal.from_int(3).to_int() == 3
-        assert Literal(2, False).to_int() == -2
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            Literal.from_int(0)
-        with pytest.raises(ValueError):
-            Literal(0, True)
-
-    def test_negated(self):
-        assert Literal(5, True).negated() == Literal(5, False)
-
-
 class TestClause:
     def test_dedupes_and_sorts(self):
         c = Clause([3, -1, 3])
@@ -56,6 +40,14 @@ class TestClause:
 
     def test_vars(self):
         assert Clause([-7, 2]).vars == (2, 7)
+
+    def test_iterates_its_ints(self):
+        assert list(Clause([3, -1])) == [-1, 3]
+        assert Clause(Clause([3, -1])) == Clause([-1, 3])
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            Clause([1, 0])
 
     def test_satisfied_by(self):
         c = Clause([1, -2])
@@ -98,6 +90,19 @@ class TestCnfFormula:
             f = CnfFormula([[1, 2], [2, 1]])
         assert len(f.clauses) == 1
 
+    def test_normalization_warning_texts(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            CnfFormula([[1, -1], [2, -3], [-3, 2], [3]])
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (NormalizationWarning, "dropped tautological clause (x1' + x1)"),
+            (NormalizationWarning, "dropped duplicate clause (x2 + x3')"),
+        ]
+
+    def test_renders_as_product_of_sums(self):
+        assert str(CnfFormula([[-1, 3], [2]])) == "(x1' + x3)(x2)"
+        assert str(CnfFormula([], universe=[1])) == "(empty)"
+
     def test_empty_formula_vars(self):
         f = CnfFormula([], universe=[1, 2])
         assert formula_vars(f) == ()
@@ -125,6 +130,15 @@ class TestDimacs:
     def test_comments_and_multiline_clauses(self):
         f = parse_dimacs("c hello\np cnf 3 1\n1\n2 3 0\n")
         assert f.clauses == (Clause([1, 2, 3]),)
+
+    def test_comment_may_hold_any_bytes(self):
+        f = parse_dimacs(b"c caf\xe9\np cnf 2 1\n1 2 0\n")
+        assert f == parse_dimacs(b"p cnf 2 1\n1 2 0\n")
+
+    def test_non_utf8_byte_outside_a_comment_is_a_parse_error(self):
+        with pytest.raises(DimacsParseError) as err:
+            parse_dimacs(b"p cnf 2 1\n1 \xe9 0\n")
+        assert err.value.line == 2
 
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(DimacsParseError) as err:
@@ -173,6 +187,7 @@ class TestPartialAssignment:
     def test_mapping_protocol(self):
         q = PartialAssignment({3: True, 1: False})
         assert dict(q) == {1: False, 3: True}
+        assert q == {1: False, 3: True}
         assert list(q) == [1, 3]
         assert q[3] is True
         assert len(q) == 2

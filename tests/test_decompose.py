@@ -165,6 +165,11 @@ class TestVarPartition:
         tree = var_partition_decompose(f, 2)
         assert tree.all_dead
         assert gather(tree, []).count == 0
+        # Dead through its status; the root keeps its formula for
+        # root_universe, so its item is not dead.
+        assert tree.root.status == "unsat"
+        assert tree.root.item.formula == f
+        assert not tree.root.item.is_dead
 
     def test_leaf_bound(self):
         rng = random.Random(43)

@@ -1,11 +1,11 @@
 """Differential tests of the signed-int clause core.
 
-Formulas store their clauses as tuples of signed ints; ``Clause`` and
-``Literal`` are views of them.  Each test here holds one int-level path
-(``substitute``, the leaf search ``_models`` behind ``all_solutions`` and
-``enumerate_c1_assignments``, the projection masks behind
-``to_truth_table``) to a plain reference written over raw ints in this file
-or in ``helpers``.
+Formulas store their clauses as tuples of signed ints; a ``Clause`` is a
+view of one of them and iterates its ints.  Each test here holds one
+int-level path (``substitute``, the leaf search ``_models`` behind
+``all_solutions`` and ``enumerate_c1_assignments``, the projection masks
+behind ``to_truth_table``) to a plain reference written over raw ints in
+this file or in ``helpers``.
 """
 
 import warnings
@@ -65,8 +65,11 @@ def binary_heavy_formulas(draw):
 
 @st.composite
 def formulas_with_bindings(draw):
+    """A formula and bindings of some of its universe variables, sometimes
+    also of variables n+1 to n+3 outside the universe."""
     f = draw(formulas())
-    bound = draw(st.lists(st.sampled_from(f.universe), unique=True))
+    n = len(f.universe)
+    bound = draw(st.lists(st.integers(1, n + 3), unique=True))
     return f, {v: draw(st.booleans()) for v in bound}
 
 
@@ -137,7 +140,7 @@ class TestReducedFormulaIsOrdinary:
         assert tuple(c.to_ints() for c in views) == got.to_ints()
         for view in views:
             assert Clause(view.to_ints()) == view
-            assert Clause(view.literals) == view
+            assert Clause(view) == view
             assert hash(Clause(list(view.to_ints()))) == hash(view)
         assert CnfFormula(views, universe=got.universe) == got
         assert str(CnfFormula(views, universe=got.universe)) == str(got)

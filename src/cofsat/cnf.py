@@ -271,6 +271,14 @@ class PartialAssignment(Mapping):
         self._bindings = dict(sorted(mapping.items()))
 
     @classmethod
+    def _sorted(cls, bindings: dict[int, bool]) -> "PartialAssignment":
+        """Wrap a dict of bool values over positive variables, already in
+        ascending variable order, unchecked."""
+        assignment = cls.__new__(cls)
+        assignment._bindings = bindings
+        return assignment
+
+    @classmethod
     def from_literals(cls, literals: Iterable[int]) -> "PartialAssignment":
         return cls((abs(v), v > 0) for v in literals)
 
@@ -283,6 +291,9 @@ class PartialAssignment(Mapping):
 
     def __contains__(self, var: object) -> bool:
         return var in self._bindings
+
+    def keys(self):
+        return self._bindings.keys()
 
     def items(self):
         return self._bindings.items()
@@ -407,9 +418,10 @@ def parse_dimacs(source: Union[str, bytes]) -> CnfFormula:
     Comment lines start with 'c' and may hold any bytes; elsewhere a byte
     that is not UTF-8 is a bad token.  A single ``p cnf <nvars> <nclauses>``
     header precedes the clauses; clauses are 0-terminated signed integers
-    and may span lines.  Normalization (dropped tautologies or duplicates)
-    and a clause count differing from the header produce warnings, not
-    errors.
+    and may span lines.  Lines end at LF only (a CR before it is dropped),
+    so a form feed or U+2028 inside a comment does not end the comment.
+    Normalization (dropped tautologies or duplicates) and a clause count
+    differing from the header produce warnings, not errors.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8", errors="replace")
@@ -420,7 +432,7 @@ def parse_dimacs(source: Union[str, bytes]) -> CnfFormula:
     current: list[int] = []
     current_start_line = 0
 
-    for lineno, line in enumerate(source.splitlines(), start=1):
+    for lineno, line in enumerate(source.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue

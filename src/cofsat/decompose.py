@@ -71,11 +71,11 @@ class WorkItem:
     def __post_init__(self) -> None:
         if self.depth < 0:
             raise ValueError("depth must be nonnegative")
-        if self.formula is not None:
+        if (self.formula is not None
+                and not self.prefix.keys().isdisjoint(self.formula.universe)):
             overlap = set(self.prefix) & set(self.formula.universe)
-            if overlap:
-                raise ValueError(
-                    f"prefix binds formula variables {sorted(overlap)}")
+            raise ValueError(
+                f"prefix binds formula variables {sorted(overlap)}")
 
     @property
     def is_dead(self) -> bool:
@@ -135,21 +135,22 @@ class DecompositionTree:
         inline clause block; internal and dead nodes stop after the prefix.
         """
         lines = []
+        texts: dict[tuple[int, ...], str] = {}  # leaves share clause tuples
         for node in self._nodes:
-            parts = [str(node.node_id), str(node.parent), str(node.item.depth),
-                     node.status, "q"]
-            parts.extend(str(lit) for lit in node.item.prefix.to_literals())
-            parts.append("0")
+            item = node.item
+            parts = [str(node.node_id), str(node.parent), str(item.depth),
+                     node.status, "q", *map(str, item.prefix.to_literals()),
+                     "0"]
             if node.status in (SOLVABLE, TRIVIAL):
-                f = node.item.formula
-                parts.append("u")
-                parts.extend(str(v) for v in f.universe)
-                parts.append("0")
+                f = item.formula
                 clauses = f.to_ints()
-                parts.extend(["c", str(len(clauses))])
+                parts += ["u", *map(str, f.universe), "0",
+                          "c", str(len(clauses))]
                 for clause in clauses:
-                    parts.extend(map(str, clause))
-                    parts.append("0")
+                    text = texts.get(clause)
+                    if text is None:
+                        text = texts[clause] = " ".join(map(str, clause)) + " 0"
+                    parts.append(text)
             lines.append(" ".join(parts))
         return "\n".join(lines) + "\n"
 
@@ -267,28 +268,31 @@ def choose_var_subset(formula: CnfFormula, n0: int) -> tuple[int, ...]:
 def _split(
     clauses: Sequence[tuple[int, ...]], x1: Sequence[int]
 ) -> list[tuple[int, int, tuple[int, ...]]]:
-    """One ``(pos_mask, neg_mask, rest)`` entry per int clause, over the
-    sorted block x1.
+    """One ``(mask, neg_mask, rest)`` entry per int clause, over the sorted
+    block x1.
 
-    Bit j of ``pos_mask`` (``neg_mask``) is set when the clause holds
-    ``x1[j]`` positively (negatively); ``rest`` is the clause's literals
-    outside the block: empty for an only-X1 clause, the clause itself for
-    an only-X2 clause.
+    Bit j of ``mask`` is set when the clause holds ``x1[j]``, and of
+    ``neg_mask`` when it holds it negatively, so a row over x1 falsifies
+    every X1 literal of the clause exactly when ``row & mask == neg_mask``.
+    ``rest`` is the clause's literals outside the block: empty for an
+    only-X1 clause, the clause itself for an only-X2 clause.
     """
     pos_bit = {v: 1 << j for j, v in enumerate(x1)}
     neg_bit = {-v: b for v, b in pos_bit.items()}
     split = []
     for clause in clauses:
-        pos = neg = 0
+        mask = neg = 0
         rest = []
         for x in clause:
             if x in pos_bit:
-                pos |= pos_bit[x]
+                mask |= pos_bit[x]
             elif x in neg_bit:
-                neg |= neg_bit[x]
+                bit = neg_bit[x]
+                mask |= bit
+                neg |= bit
             else:
                 rest.append(x)
-        split.append((pos, neg, tuple(rest) if pos | neg else clause))
+        split.append((mask, neg, tuple(rest) if mask else clause))
     return split
 
 
@@ -354,18 +358,22 @@ def var_partition_decompose(formula: CnfFormula, n0: int) -> DecompositionTree:
             nodes.append(TreeNode(node_id, parent, item, DEAD))
             continue
         nodes.append(TreeNode(node_id, parent, item, INTERNAL))
+        # In clause order: grouping the entries would reorder the children's
+        # clauses.
         entries = [entry for entry in split if entry[2]]
         x2 = tuple(v for v in f.universe if v not in x1)
-        bound = list(item.prefix.items())
+        # Each child binds the parent's variables and the block's, which are
+        # disjoint, in ascending order: copy a sorted template, set the block.
+        bindings = dict.fromkeys(sorted([*item.prefix, *x1]))
+        bindings.update(item.prefix.items())
+        bits = [1 << j for j in range(len(x1))]
         for row in reversed(rows):
-            # A clause is satisfied when the row sets one of its positive
-            # X1 literals or clears one of its negative ones.
             reduced = dict.fromkeys(
-                rest for pos, neg, rest in entries
-                if not (row & pos or neg & ~row))
+                rest for mask, neg, rest in entries if row & mask == neg)
+            prefix = bindings.copy()
+            prefix.update(zip(x1, [row & bit != 0 for bit in bits]))
             child = WorkItem(
-                prefix=PartialAssignment(
-                    bound + [(v, row >> j & 1) for j, v in enumerate(x1)]),
+                prefix=PartialAssignment._sorted(prefix),
                 formula=CnfFormula._normalized(tuple(reduced), x2),
                 depth=item.depth + 1)
             stack.append((child, node_id))

@@ -144,6 +144,17 @@ class TestBlockSplit:
         assert got == reference_tree(f, n0).serialize()
 
     @settings(max_examples=60, deadline=None)
+    @given(three_cnf(), block_sizes)
+    def test_prefixes_are_canonical(self, f, n0):
+        for node in var_partition_decompose(f, n0).nodes:
+            prefix = node.item.prefix
+            rebuilt = PartialAssignment(dict(prefix))
+            assert prefix == rebuilt and hash(prefix) == hash(rebuilt)
+            assert list(prefix) == sorted(prefix)
+            assert all(type(value) is bool for _, value in prefix.items())
+            assert not set(prefix) & set(node.item.formula.universe)
+
+    @settings(max_examples=60, deadline=None)
     @given(three_cnf(), block_sizes, st.randoms(use_true_random=False))
     def test_gather_matches_patch_then_widen(self, f, n0, rnd):
         trees = [var_partition_decompose(f, n0)]

@@ -121,6 +121,21 @@ class TestModes:
         assert status == EXIT_OK
         assert out == (GOLDEN / "example2_pivot_tree.txt").read_text()
 
+    # Trees of a random 3-CNF (n=11, m=44), written by the implementation
+    # that built every child prefix through the checked constructor.  At
+    # n0=1 and n0=3 each child below depth 1 extends a nonempty prefix.
+    @pytest.mark.parametrize("n0, output_format, golden", [
+        (1, "text", "random3_n11_vars_n0_1_tree.txt"),
+        (3, "text", "random3_n11_vars_n0_3_tree.txt"),
+        (3, "json", "random3_n11_vars_n0_3_tree.json"),
+    ])
+    def test_decompose_var_partition_golden(self, n0, output_format, golden):
+        status, out, err = run_capture(RunConfig(
+            str(GOLDEN / "random3_n11.cnf"), mode="decompose", n0=n0,
+            output_format=output_format))
+        assert (status, err) == (EXIT_OK, "")
+        assert out == (GOLDEN / golden).read_text()
+
     def test_clause_pivot_solving(self):
         status, out, _ = run_capture(RunConfig(
             str(GOLDEN / "example2.cnf"), mode="count",

@@ -140,6 +140,26 @@ class TestDimacs:
             parse_dimacs(b"p cnf 2 1\n1 \xe9 0\n")
         assert err.value.line == 2
 
+    def test_lines_end_at_lf_only(self):
+        # str.splitlines() would also end the comment at these characters
+        # and read "-1 -2 0" as a second clause.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = parse_dimacs(b"p cnf 2 1\nc see\x0c -1 -2 0\n1 0\n")
+            assert f.to_ints() == ((1,),)
+            for sep in "\x0b\x1c\x1d\x1e\x85\u2028\u2029":
+                f = parse_dimacs(f"p cnf 2 1\nc see{sep} -1 -2 0\n1 0\n")
+                assert f.to_ints() == ((1,),)
+
+    def test_crlf_lines(self):
+        f = parse_dimacs(b"c crlf\r\np cnf 2 2\r\n1 -2 0\r\n2\r\n0\r\n")
+        assert f == CnfFormula([[1, -2], [2]], universe=[1, 2])
+
+    def test_line_numbers_after_a_form_feed_comment(self):
+        with pytest.raises(DimacsParseError) as err:
+            parse_dimacs("p cnf 2 1\nc a\x0c\u2028c\n1 -3 0\n")
+        assert str(err.value) == "line 3: literal -3 out of range 1..2"
+
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(DimacsParseError) as err:
             parse_dimacs("1 -2 0\n")

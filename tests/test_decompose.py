@@ -35,6 +35,9 @@ class TestWorkItem:
         f = CnfFormula([[1, 2]])
         with pytest.raises(ValueError):
             WorkItem(PartialAssignment({1: True}), f, 1)
+        with pytest.raises(ValueError,
+                           match=r"^prefix binds formula variables \[1\]$"):
+            WorkItem(PartialAssignment({1: True}), CnfFormula([[1]]), 1)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):

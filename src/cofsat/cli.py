@@ -7,22 +7,23 @@ selects nothing.  Exit status follows common solver conventions: 10 for
 satisfiable, 20 for unsatisfiable, 0 for a decomposition-only run, 1 for
 an error in the input or an option value the run rejects (``--n0 0``), and
 2 for a usage error that argparse reports (``--mode prove``, ``--n0 x``).
-Set COFSAT_LOG=DEBUG (or any logging level name) for diagnostics on stderr.
+``run`` writes every message it makes (``error:``, ``warning:`` and
+``note:`` lines) to its ``err`` stream, and nothing else to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import IO
 
 from .allsat import LeafResult, gather, solve_leaf
 from .boolfn import MAX_VARS
-from .cnf import DimacsParseError, SolutionSet, parse_dimacs, to_truth_table
+from .cnf import (DimacsParseError, NormalizationWarning, parse_dimacs,
+                  to_truth_table)
 from .decompose import (
     SOLVABLE,
     TRIVIAL,
@@ -41,8 +42,6 @@ __all__ = [
     "parallel_leaf_solve",
     "main",
 ]
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -90,12 +89,6 @@ def parallel_leaf_solve(tree: DecompositionTree, jobs: int) -> list[LeafResult]:
     return [solve_leaf(n.item) for n in tree.solvable_leaves()]
 
 
-def _build_tree(formula, config: RunConfig) -> DecompositionTree:
-    if config.pivot_strategy == "clause":
-        return clause_pivot_tree(formula, config.pivot_clause)
-    return var_partition_decompose(formula, config.n0)
-
-
 def _tree_as_json(tree: DecompositionTree) -> list[dict]:
     out = []
     for node in tree.nodes:
@@ -104,44 +97,44 @@ def _tree_as_json(tree: DecompositionTree) -> list[dict]:
             "parent": node.parent,
             "depth": node.item.depth,
             "status": node.status,
-            "prefix": list(node.item.prefix.to_literals()),
+            "prefix": node.item.prefix.to_literals(),
         }
         if node.status in (SOLVABLE, TRIVIAL):
-            entry["universe"] = list(node.item.formula.universe)
-            entry["clauses"] = [list(c) for c in node.item.formula.to_ints()]
+            entry["universe"] = node.item.formula.universe
+            entry["clauses"] = node.item.formula.to_ints()
         out.append(entry)
     return out
 
 
-def _verify_against_oracle(formula, solutions: SolutionSet) -> str | None:
-    """Cross-check against dense truth-table evaluation; None means match."""
-    table = to_truth_table(formula)
-    expected = tuple(table.support())
-    if solutions.rows != expected:
-        return (f"verification mismatch: solver found {solutions.count} "
-                f"solutions, oracle found {len(expected)}")
-    return None
-
-
 def run(config: RunConfig, out: IO[str] | None = None,
         err: IO[str] | None = None) -> int:
-    """Execute one configured invocation; returns the process exit status."""
+    """Execute one configured invocation; returns the process exit status.
+
+    Parse warnings are captured process-wide and printed on ``err``, so
+    ``run`` is not for concurrent use from several threads.
+    """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
         with open(config.input_path, "rb") as handle:
-            formula = parse_dimacs(handle.read())
+            source = handle.read()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", NormalizationWarning)
+            formula = parse_dimacs(source)
     except OSError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_ERROR
     except DimacsParseError as exc:
         print(f"error: {config.input_path}: {exc}", file=err)
         return EXIT_ERROR
-    log.debug("parsed %s: %d clauses over %d variables",
-              config.input_path, len(formula.to_ints()), formula.num_vars)
+    for warning in caught:
+        print(f"warning: {config.input_path}: {warning.message}", file=err)
 
     try:
-        tree = _build_tree(formula, config)
+        if config.pivot_strategy == "clause":
+            tree = clause_pivot_tree(formula, config.pivot_clause)
+        else:
+            tree = var_partition_decompose(formula, config.n0)
         if config.mode == "decompose":
             if config.verify:
                 print("note: --verify skipped: decompose mode solves nothing",
@@ -163,21 +156,22 @@ def run(config: RunConfig, out: IO[str] | None = None,
         print(f"note: --verify skipped: {formula.num_vars} variables > "
               f"{MAX_VARS}", file=err)
     elif config.verify:
-        mismatch = _verify_against_oracle(formula, solutions)
-        if mismatch is not None:
-            print(f"error: {mismatch}", file=err)
+        expected = tuple(to_truth_table(formula).support())
+        if solutions.rows != expected:
+            print(f"error: verification mismatch: solver found "
+                  f"{solutions.count} solutions, oracle found {len(expected)}",
+                  file=err)
             return EXIT_ERROR
-        log.debug("oracle cross-check passed (%d solutions)", solutions.count)
 
     sat = solutions.count > 0
     status = "SATISFIABLE" if sat else "UNSATISFIABLE"
     if config.output_format == "json":
         payload: dict = {"status": status, "count": solutions.count}
         if config.mode == "sat" and sat:
-            payload["solutions"] = [list(solutions.row_to_literals(solutions.rows[0]))]
+            payload["solutions"] = [solutions.row_to_literals(solutions.rows[0])]
         elif config.mode == "allsat":
             payload["solutions"] = [
-                list(solutions.row_to_literals(row)) for row in solutions.rows]
+                solutions.row_to_literals(row) for row in solutions.rows]
         print(json.dumps(payload), file=out)
     else:
         if config.mode == "sat":
@@ -193,60 +187,39 @@ def run(config: RunConfig, out: IO[str] | None = None,
     return EXIT_SAT if sat else EXIT_UNSAT
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("COFSAT_LOG", "").upper()
-    if not level_name:
-        return
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        try:
-            level = int(level_name)
-        except ValueError:
-            level = logging.INFO
-    logging.basicConfig(
-        level=level, stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s")
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cofsat",
         description="CNF satisfiability and all-solutions toolkit based on "
                     "cofactor decomposition.")
-    parser.add_argument("--input", required=True, help="DIMACS CNF file")
-    parser.add_argument("--mode", choices=MODES, default="sat")
-    parser.add_argument("--pivot", choices=PIVOTS, default="vars",
-                        dest="pivot_strategy",
-                        help="decomposition strategy (default: vars)")
-    parser.add_argument("--pivot-clause", type=int, default=0,
-                        help="clause index for --pivot clause (default: 0)")
-    parser.add_argument("--n0", type=int, default=8,
-                        help="leaf size threshold for --pivot vars (default: 8)")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--input", required=True, dest="input_path",
+                        metavar="INPUT", help="DIMACS CNF file")
+    parser.add_argument("--mode", choices=MODES, default=RunConfig.mode)
+    parser.add_argument("--pivot", choices=PIVOTS,
+                        default=RunConfig.pivot_strategy, dest="pivot_strategy",
+                        help="decomposition strategy (default: %(default)s)")
+    parser.add_argument("--pivot-clause", type=int,
+                        default=RunConfig.pivot_clause,
+                        help="clause index for --pivot clause "
+                             "(default: %(default)s)")
+    parser.add_argument("--n0", type=int, default=RunConfig.n0,
+                        help="leaf size threshold for --pivot vars "
+                             "(default: %(default)s)")
+    parser.add_argument("--jobs", type=int, default=RunConfig.jobs,
                         help="accepted for compatibility; leaves are always "
-                             "solved serially (default: 1)")
-    parser.add_argument("--format", choices=FORMATS, default="text",
-                        dest="output_format")
+                             "solved serially (default: %(default)s)")
+    parser.add_argument("--format", choices=FORMATS,
+                        default=RunConfig.output_format, dest="output_format")
     parser.add_argument("--verify", action="store_true",
                         help="cross-check results against the truth-table "
-                             "oracle (formulas up to 16 variables)")
+                             f"oracle (formulas up to {MAX_VARS} variables)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
     args = build_arg_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            input_path=args.input,
-            mode=args.mode,
-            pivot_strategy=args.pivot_strategy,
-            pivot_clause=args.pivot_clause,
-            n0=args.n0,
-            jobs=args.jobs,
-            output_format=args.output_format,
-            verify=args.verify,
-        )
+        config = RunConfig(**vars(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -412,14 +412,22 @@ class SolutionSet:
 # -- DIMACS ---------------------------------------------------------------
 
 
+def _ints_are_dimacs(text: str) -> bool:
+    # Whether int() of each word of text is a DIMACS integer (an optional
+    # sign, then ASCII digits) or fails: int() also takes "_" separators and
+    # any Unicode decimal digit, which ASCII text without "_" cannot hold.
+    return text.isascii() and "_" not in text
+
+
 def parse_dimacs(source: Union[str, bytes]) -> CnfFormula:
     """Parse DIMACS CNF text into a formula over universe {1..nvars}.
 
     Comment lines start with 'c' and may hold any bytes; elsewhere a byte
     that is not UTF-8 is a bad token.  A single ``p cnf <nvars> <nclauses>``
     header precedes the clauses; clauses are 0-terminated signed integers
-    and may span lines.  Lines end at LF only (a CR before it is dropped),
-    so a form feed or U+2028 inside a comment does not end the comment.
+    (an optional ``+`` or ``-``, then ASCII digits) and may span lines.
+    Lines end at LF only (a CR before it is dropped), so a form feed or
+    U+2028 inside a comment does not end the comment.
     Normalization (dropped tautologies or duplicates) and a clause count
     differing from the header produce warnings, not errors.
     """
@@ -440,7 +448,8 @@ def parse_dimacs(source: Union[str, bytes]) -> CnfFormula:
             if num_vars is not None:
                 raise DimacsParseError("duplicate header", lineno)
             parts = stripped.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if (len(parts) != 4 or parts[1] != "cnf"
+                    or not _ints_are_dimacs(stripped)):
                 raise DimacsParseError(f"malformed header {stripped!r}", lineno)
             try:
                 num_vars = int(parts[2])
@@ -452,8 +461,11 @@ def parse_dimacs(source: Union[str, bytes]) -> CnfFormula:
             continue
         if num_vars is None:
             raise DimacsParseError("clause before header", lineno)
+        checked = _ints_are_dimacs(stripped)
         for token in stripped.split():
             try:
+                if not (checked or _ints_are_dimacs(token)):
+                    raise ValueError(token)
                 value = int(token)
             except ValueError:
                 raise DimacsParseError(f"bad token {token!r}", lineno) from None

@@ -19,7 +19,6 @@ strategy is included.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -45,8 +44,6 @@ __all__ = [
     "var_partition_decompose",
     "estimate_cost",
 ]
-
-log = logging.getLogger(__name__)
 
 INTERNAL = "internal"
 SOLVABLE = "solvable"
@@ -354,7 +351,6 @@ def var_partition_decompose(formula: CnfFormula, n0: int) -> DecompositionTree:
         rows = sorted(_models(
             [c for c, (_, _, rest) in zip(clauses, split) if not rest], x1))
         if not rows:
-            log.debug("block %s admits no assignment; branch dead", x1)
             nodes.append(TreeNode(node_id, parent, item, DEAD))
             continue
         nodes.append(TreeNode(node_id, parent, item, INTERNAL))

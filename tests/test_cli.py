@@ -15,6 +15,7 @@ from cofsat.cli import (
     EXIT_SAT,
     EXIT_UNSAT,
     RunConfig,
+    build_arg_parser,
     main,
     parallel_leaf_solve,
     run,
@@ -292,6 +293,18 @@ class TestMain:
         assert captured.err.startswith(f"error: {bad}: line 2: ")
         assert "Traceback" not in captured.err
 
+    def test_underscore_in_a_literal_is_a_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "underscore.cnf"
+        path.write_bytes(b"p cnf 10 1\n1_0 0\n")
+        assert main(["--input", str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: line 2: bad token '1_0'\n"
+
+    def test_config_is_the_parsed_namespace(self):
+        args = build_arg_parser().parse_args(["--input", "f.cnf"])
+        assert RunConfig(**vars(args)) == RunConfig("f.cnf")
+
     def test_main_json(self, capsys):
         status = main(["--input", str(GOLDEN / "unsat.cnf"),
                        "--mode", "sat", "--format", "json"])
@@ -322,3 +335,35 @@ class TestVerifySkipped:
         status, out, err = run_capture(RunConfig(
             str(GOLDEN / "example2.cnf"), mode="count", verify=True))
         assert (status, out, err) == (EXIT_SAT, "9\n", "")
+
+
+# Parsing drops a tautology and a duplicate.  Python's warning display shows
+# a warning once per process, so the tests run twice and read err each time.
+NORMALIZING = "p cnf 3 3\n1 -1 0\n2 3 0\n3 2 0\n"
+
+
+def normalizing_warnings(path):
+    return (f"warning: {path}: dropped tautological clause (x1' + x1)\n"
+            f"warning: {path}: dropped duplicate clause (x2 + x3)\n"
+            f"warning: {path}: normalization reduced 3 clauses to 1\n")
+
+
+class TestParseWarnings:
+    def test_every_run_reports_its_warnings_on_err(self, tmp_path, capsys):
+        path = tmp_path / "normalizing.cnf"
+        path.write_text(NORMALIZING)
+        for _ in range(2):
+            status, out, err = run_capture(RunConfig(str(path), mode="count"))
+            assert (status, out) == (EXIT_SAT, "6\n")
+            assert err == normalizing_warnings(path)
+            assert capsys.readouterr().err == ""
+
+    def test_main_prints_warnings_without_source_lines(self, tmp_path, capsys):
+        path = tmp_path / "normalizing.cnf"
+        path.write_text(NORMALIZING)
+        assert main(["--input", str(path), "--mode", "count"]) == EXIT_SAT
+        captured = capsys.readouterr()
+        assert captured.out == "6\n"
+        assert captured.err == normalizing_warnings(path)
+        for text in ("NormalizationWarning", "Traceback", ".py:"):
+            assert text not in captured.err

@@ -160,6 +160,21 @@ class TestDimacs:
             parse_dimacs("p cnf 2 1\nc a\x0c\u2028c\n1 -3 0\n")
         assert str(err.value) == "line 3: literal -3 out of range 1..2"
 
+    # int() also takes "_" separators and any Unicode decimal digit.
+    @pytest.mark.parametrize("source, line, message", [
+        (b"p cnf 10 1\n1_0 0\n", 2, "bad token '1_0'"),
+        ("p cnf 2 1\n\u0661 2 0\n", 2, "bad token '\u0661'"),
+        ("p cnf 1_0 1\n1 0\n", 1, "malformed header 'p cnf 1_0 1'"),
+    ], ids=["underscore", "arabic-indic-digit", "header-underscore"])
+    def test_integers_are_a_sign_and_ascii_digits(self, source, line, message):
+        with pytest.raises(DimacsParseError) as err:
+            parse_dimacs(source)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
+    def test_plus_sign_is_accepted(self):
+        assert parse_dimacs(b"p cnf 2 1\n+1 2 0\n").to_ints() == ((1, 2),)
+
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(DimacsParseError) as err:
             parse_dimacs("1 -2 0\n")

@@ -9,11 +9,12 @@ Layers, lowest first:
                 assignments and formula reduction
 * ``decompose`` clause-pivot and variable-partition decomposition into
                 independent work items, plus the cost model
-* ``allsat``    enumerating leaf solver and solution gathering
+* ``allsat``    enumerating leaf solver, solution gathering, and cube counting
 * ``cli``       command-line driver; leaves are solved serially
 """
 
-from .allsat import LeafResult, all_solutions, gather, solve_leaf
+from .allsat import (LeafResult, all_solutions, count_and_witness, gather,
+                     solve_leaf)
 from .boolfn import (
     BaseSet,
     CapacityError,
@@ -82,5 +83,5 @@ __all__ = [
     "clause_pivot_decompose", "clause_pivot_tree", "choose_var_subset",
     "enumerate_c1_assignments", "var_partition_decompose", "estimate_cost",
     # allsat
-    "LeafResult", "all_solutions", "solve_leaf", "gather",
+    "LeafResult", "all_solutions", "solve_leaf", "gather", "count_and_witness",
 ]

@@ -1,13 +1,21 @@
 """All-solutions enumeration for leaf formulas, and solution gathering.
 
-``all_solutions`` is a unit-propagating backtracker intended for the small
-leaf formulas a decomposition produces; it is deliberately a different code
-path from the dense truth-table evaluation in ``cnf.to_truth_table``, so the
-two can cross-check each other.  ``gather`` reassembles a root-level
-solution set from per-leaf results: each leaf's rows are moved to their
-root positions together with the leaf's prefix in one bit scatter, widened
-over any variables the branch left unconstrained, then merged into one
-canonical (sorted, deduplicated) set.
+Every answer comes from one search, ``cnf._models``, which returns the
+cubes of a formula: disjoint partial assignments, each standing for every
+row that agrees with it.  It is deliberately a different code path from
+the dense truth-table evaluation in ``cnf.to_truth_table``, so the two can
+cross-check each other.
+
+Callers pick what to do with a tree's cubes.  ``count_and_witness`` adds
+up cube counts and takes the least root row, building no rows: the leaves
+of a variable-partition tree are disjoint, so their counts add, and the
+overlapping branches of a clause pivot are counted by inclusion-exclusion.
+``all_solutions`` and ``solve_leaf`` expand a formula's cubes to rows, and
+``gather`` reassembles the root-level solution set from those per-leaf
+rows: each leaf's rows are moved to their root positions together with
+the leaf's prefix in one bit scatter, widened over any variables the
+branch left unconstrained, then merged into one canonical (sorted,
+deduplicated) set.
 """
 
 from __future__ import annotations
@@ -15,12 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cnf import CnfFormula, SolutionSet, _models, _scatter
+from .boolfn import CapacityError
+from .cnf import (MAX_ENUM_VARS, CnfFormula, SolutionSet, _model_rows,
+                  _models, _scatter)
 # Never called here; bench/tracing.py counts calls of ``allsat.substitute``.
 from .cnf import substitute  # noqa: F401
-from .decompose import DEAD, SOLVABLE, DecompositionTree, WorkItem
+from .decompose import (DEAD, SOLVABLE, DecompositionTree, TreeNode,
+                        WorkItem)
 
-__all__ = ["LeafResult", "all_solutions", "gather", "solve_leaf"]
+__all__ = ["LeafResult", "all_solutions", "count_and_witness", "gather",
+           "solve_leaf"]
 
 
 @dataclass(frozen=True)
@@ -40,14 +52,13 @@ class LeafResult:
 def all_solutions(formula: CnfFormula) -> SolutionSet:
     """Every satisfying full assignment over the formula's universe.
 
-    Backtracking search (``cnf._models``) that propagates unit clauses and
-    branches on the variable in the most 2-literal clauses; variables the
-    clauses never touch are expanded to both values.  The
+    The cubes of the backtracking search (``cnf._models``), expanded to
+    rows; variables the clauses never touch take both values, so the
     empty formula over k variables yields all 2**k rows.  More than
     ``cnf.MAX_ENUM_VARS`` variables raise ``CapacityError``.
     """
     universe = formula.universe
-    return SolutionSet(universe, _models(formula.to_ints(), universe))
+    return SolutionSet(universe, _model_rows(formula.to_ints(), universe))
 
 
 def solve_leaf(item: WorkItem) -> LeafResult:
@@ -55,6 +66,67 @@ def solve_leaf(item: WorkItem) -> LeafResult:
     if item.formula is None:
         raise ValueError("cannot solve a dead work item")
     return LeafResult(item, all_solutions(item.formula))
+
+
+def _placement(
+    tree: DecompositionTree, position: dict[int, int], leaf: TreeNode
+) -> tuple[int, int, list[int], list[int]]:
+    """``(sign, base, targets, free)`` of a live leaf, given each root
+    variable's bit ``position``.
+
+    A leaf row over the leaf's universe becomes a root row by moving bit j
+    to bit ``targets[j]`` and OR-ing in ``base``, the prefix's true bits;
+    the root positions in ``free`` are bound by neither the prefix nor the
+    leaf, so each leaf row stands for ``2**len(free)`` root rows.  A
+    trivial leaf has no targets: its whole universe is free.  ``sign`` is
+    the leaf's weight in the root's model count: 1, or (-1)**(|prefix|+1)
+    in an overlapping tree.
+    """
+    prefix = leaf.item.prefix
+    over = leaf.item.formula.universe if leaf.status == SOLVABLE else ()
+    base = 0
+    for v, value in prefix.items():
+        if value:
+            base |= 1 << position[v]
+    bound = set(prefix)
+    bound.update(over)
+    free = [j for v, j in position.items() if v not in bound]
+    sign = -1 if tree.overlapping and not len(prefix) % 2 else 1
+    return sign, base, [position[v] for v in over], free
+
+
+def count_and_witness(tree: DecompositionTree) -> tuple[int, int | None]:
+    """The root formula's model count and its least model, as a row over
+    the root universe (None when there is none), from the leaves' cubes.
+
+    No rows are built, so neither the count nor the size of the root
+    universe is capped.  A leaf's least row is its least cube's ``bits``
+    (free bits 0); the map from leaf rows to root rows keeps their order,
+    so the least of the mapped leaf minima is the root's least row.
+    """
+    position = {v: j for j, v in enumerate(tree.root_universe)}
+    count = 0
+    least = None
+    for leaf in tree.leaves():
+        if leaf.status == DEAD:
+            continue
+        if leaf.status == SOLVABLE:
+            formula = leaf.item.formula
+            cubes = _models(formula.to_ints(), formula.universe)
+            if not cubes:
+                continue
+            width = len(formula.universe)
+            leaf_count = sum(1 << width - fixed.bit_count()
+                             for _, fixed in cubes)
+            least_bits = min(bits for bits, _ in cubes)
+        else:  # trivial: every assignment over the leaf universe works
+            leaf_count, least_bits = 1, 0
+        sign, base, targets, free = _placement(tree, position, leaf)
+        count += sign * leaf_count << len(free)
+        row = _scatter((least_bits,), targets, (), base)[0]
+        if least is None or row < least:
+            least = row
+    return count, least
 
 
 def gather(
@@ -65,14 +137,17 @@ def gather(
     Every solvable leaf must appear in ``leaf_results`` (order and
     duplicates are irrelevant); trivial leaves need no result, their
     unconstrained variables are expanded directly.  Dead leaves contribute
-    nothing, so an all-dead tree gathers to the empty set.
+    nothing, so an all-dead tree gathers to the empty set.  The size of the
+    result is counted from the leaves' row counts first: more than
+    ``2**cnf.MAX_ENUM_VARS`` rows raise ``CapacityError`` before any root
+    row is built.
     """
     by_item: dict[WorkItem, SolutionSet] = {}
     for result in leaf_results:
         by_item[result.item] = result.solutions
-    root_over = tree.root_universe
-    position = {v: j for j, v in enumerate(root_over)}
-    rows: list[int] = []
+    position = {v: j for j, v in enumerate(tree.root_universe)}
+    placed = []
+    total = 0
     for leaf in tree.leaves():
         if leaf.status == DEAD:
             continue
@@ -83,18 +158,17 @@ def gather(
                     f"missing result for solvable leaf {leaf.node_id}")
             if not solutions.rows:
                 continue
-            over, leaf_rows = solutions.over, solutions.rows
+            leaf_rows = solutions.rows
         else:  # trivial: every assignment over the leaf universe works
-            over, leaf_rows = (), (0,)
-        prefix = leaf.item.prefix
-        bound = set(prefix)
-        # Place the leaf's bits and the prefix's true bits at their root
-        # positions; root variables bound by neither take both values.
-        base = 0
-        for v, value in prefix.items():
-            if value:
-                base |= 1 << position[v]
-        bound.update(over)
-        free = [position[v] for v in root_over if v not in bound]
-        rows.extend(_scatter(leaf_rows, [position[v] for v in over], free, base))
-    return SolutionSet(root_over, rows)
+            leaf_rows = (0,)
+        sign, base, targets, free = _placement(tree, position, leaf)
+        total += sign * len(leaf_rows) << len(free)
+        placed.append((leaf_rows, targets, free, base))
+    if total > 1 << MAX_ENUM_VARS:
+        raise CapacityError(
+            f"output capped at {1 << MAX_ENUM_VARS} rows, formula has "
+            f"{total} models")
+    rows: list[int] = []
+    for leaf_rows, targets, free, base in placed:
+        rows.extend(_scatter(leaf_rows, targets, free, base))
+    return SolutionSet(tree.root_universe, rows)

@@ -129,12 +129,15 @@ class TruthTable:
         return bin(self._bits).count("1")
 
     def support(self) -> Iterator[int]:
-        """Yield the encoded assignments at which the function is 1."""
-        bits = self._bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        """Yield the encoded assignments at which the function is 1, in
+        ascending order."""
+        # One pass over the binary text, least significant digit first:
+        # peeling the low bit off a big int copies it each time.
+        digits = bin(self._bits)[:1:-1]
+        point = digits.find("1")
+        while point >= 0:
+            yield point
+            point = digits.find("1", point + 1)
 
     def evaluate(self, point: int) -> bool:
         if not 0 <= point < (1 << self._num_vars):

@@ -1,5 +1,9 @@
 """Command-line driver: parse DIMACS, decompose, solve the leaves, gather.
 
+``--mode count`` and ``--mode sat`` read the leaves' cubes through
+``allsat.count_and_witness`` and build no rows; ``--mode allsat`` and
+``--verify`` solve every leaf to rows and gather them.
+
 The leaves are independent work items, solved one after another on the
 calling thread: a thread pool measured slower, because the pure-Python leaf
 search holds the GIL.  ``--jobs`` is still accepted and validated, but
@@ -20,10 +24,10 @@ import warnings
 from dataclasses import dataclass
 from typing import IO
 
-from .allsat import LeafResult, gather, solve_leaf
+from .allsat import LeafResult, count_and_witness, gather, solve_leaf
 from .boolfn import MAX_VARS
-from .cnf import (DimacsParseError, NormalizationWarning, parse_dimacs,
-                  to_truth_table)
+from .cnf import (DimacsParseError, NormalizationWarning, SolutionSet,
+                  parse_dimacs, to_truth_table)
 from .decompose import (
     SOLVABLE,
     TRIVIAL,
@@ -146,16 +150,22 @@ def run(config: RunConfig, out: IO[str] | None = None,
                 out.write(tree.serialize())
             return EXIT_OK
 
-        results = parallel_leaf_solve(tree, config.jobs)
-        solutions = gather(tree, results)
+        verify = config.verify and formula.num_vars <= MAX_VARS
+        if config.mode == "allsat" or verify:
+            solutions = gather(tree, parallel_leaf_solve(tree, config.jobs))
+            count = solutions.count
+        else:  # count and sat read the leaves' cubes and build no rows
+            count, least = count_and_witness(tree)
+            solutions = SolutionSet(formula.universe,
+                                    () if least is None else (least,))
     except ValueError as exc:  # includes capacity errors
         print(f"error: {exc}", file=err)
         return EXIT_ERROR
 
-    if config.verify and formula.num_vars > MAX_VARS:
+    if config.verify and not verify:
         print(f"note: --verify skipped: {formula.num_vars} variables > "
               f"{MAX_VARS}", file=err)
-    elif config.verify:
+    elif verify:
         expected = tuple(to_truth_table(formula).support())
         if solutions.rows != expected:
             print(f"error: verification mismatch: solver found "
@@ -163,10 +173,19 @@ def run(config: RunConfig, out: IO[str] | None = None,
                   file=err)
             return EXIT_ERROR
 
-    sat = solutions.count > 0
+    sat = count > 0
     status = "SATISFIABLE" if sat else "UNSATISFIABLE"
+    if config.output_format == "json" or config.mode == "count":
+        try:
+            count_text = str(count)
+        except ValueError:
+            # The interpreter writes no int of more than
+            # sys.get_int_max_str_digits() decimal digits; 2**14284 has 4300.
+            print(f"error: model count has more than "
+                  f"{sys.get_int_max_str_digits()} decimal digits", file=err)
+            return EXIT_ERROR
     if config.output_format == "json":
-        payload: dict = {"status": status, "count": solutions.count}
+        payload: dict = {"status": status, "count": count}
         if config.mode == "sat" and sat:
             payload["solutions"] = [solutions.row_to_literals(solutions.rows[0])]
         elif config.mode == "allsat":
@@ -183,7 +202,7 @@ def run(config: RunConfig, out: IO[str] | None = None,
         elif config.mode == "allsat":
             out.write(solutions.to_text())
         else:  # count
-            print(solutions.count, file=out)
+            print(count_text, file=out)
     return EXIT_SAT if sat else EXIT_UNSAT
 
 

@@ -13,11 +13,16 @@ assignment making every literal of a clause true, ``partial_assignments``
 enumerates its 2**k - 1 nonempty subsets in a fixed order, and
 ``substitute`` reduces a formula under a partial assignment, returning the
 ``UNSAT`` marker when a clause is falsified outright.  ``_models`` is the
-one backtracking search over int clauses, shared by leaf solving and the
-X1 enumeration of variable-partition decomposition: it propagates unit
-clauses within each frame and branches on the variable in the most
-2-literal clauses.  Its one-literal step ``_reduce`` also does the work of
-``substitute``.
+one backtracking search over int clauses.  It yields cubes, not rows: a
+cube ``(bits, fixed)`` is the values the search fixed on one branch and
+the mask of which variables it fixed, and it stands for every row that
+agrees with it.  The cubes are disjoint, so callers count them without
+building rows, take the least row of a cube (its free bits 0), or expand
+them with ``_model_rows``: leaf solving, ``SolutionSet.complete`` and the
+X1 enumeration of variable-partition decomposition.  Each search frame
+propagates the unit clauses that its one-literal step ``_reduce``
+reports, then branches on the variable in the most 2-literal clauses.
+``_reduce`` also does the work of ``substitute``.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ __all__ = [
     "formula_vars",
 ]
 
-# Largest variable list ``_models`` enumerates (2**20 rows at most).
+# Largest variable list whose rows are expanded (2**20 rows at most): by
+# ``_model_rows`` for one formula, and by ``allsat.gather`` for a tree.
 MAX_ENUM_VARS = 20
 
 
@@ -358,7 +364,7 @@ class SolutionSet:
     def complete(cls, over: Iterable[int]) -> "SolutionSet":
         """All assignments over the variable list."""
         over = tuple(sorted(set(over)))
-        return cls(over, _models((), over))
+        return cls(over, _model_rows((), over))
 
     @property
     def over(self) -> tuple[int, ...]:
@@ -550,68 +556,103 @@ def substitute(
     """
     clauses = formula._clauses
     for var, value in bindings.items():
-        clauses = _reduce(clauses, var if value else -var)
-        if clauses is None:
+        reduced = _reduce(clauses, var if value else -var)
+        if reduced is None:
             return UNSAT
+        clauses = reduced[0]
     remaining = tuple(v for v in formula._universe if v not in bindings)
     return CnfFormula._normalized(tuple(dict.fromkeys(clauses)), remaining)
 
 
-def _models(clauses: Iterable[tuple[int, ...]], over: Sequence[int]) -> list[int]:
-    """Rows (bit j = value of ``over[j]``) of every assignment over ``over``
-    satisfying the int clauses, each once, in search order.
+def _models(clauses: Iterable[tuple[int, ...]], over: Sequence[int]
+            ) -> list[tuple[int, int]]:
+    """Cubes ``(bits, fixed)`` covering every assignment over ``over`` that
+    satisfies the int clauses, in search order.
 
-    Backtracking search.  Each frame first sets unit clauses' literals in a
-    loop, until none is left or a clause is falsified.  It then branches,
-    False first, on the variable occurring in the most 2-literal clauses
-    (ties to the first such variable in clause order), or, with no
-    2-literal clause left, on the smallest occurring variable.  Variables
-    left free when every clause is satisfied are expanded to both values.
-    More than ``MAX_ENUM_VARS`` variables raise ``CapacityError``.
+    Bit j of ``fixed`` is set when the search bound ``over[j]``, and bit j
+    of ``bits`` then holds its value; every row that agrees with ``bits``
+    on ``fixed`` is a model, whatever its free bits.  The cubes are
+    pairwise disjoint (two of them differ in some branch variable), so a
+    model count is the sum of ``2**(len(over) - popcount(fixed))``.
+
+    Backtracking search over an explicit stack, so its depth is not bounded
+    by the interpreter's recursion limit.  Each frame sets the literals of
+    the unit clauses that ``_reduce`` reported, until none is left or a
+    clause is falsified.  It then branches, False first, on the variable
+    occurring in the most 2-literal clauses (ties to the first such
+    variable in clause order), or, with no 2-literal clause left, on the
+    smallest occurring variable.  A frame with every clause satisfied
+    yields its cube.  No rows are built: ``_model_rows`` expands the cubes.
+    """
+    position = {v: j for j, v in enumerate(over)}
+    cubes: list[tuple[int, int]] = []
+    clauses = list(clauses)
+    if not all(clauses):
+        return cubes
+    stack = [(clauses, [c[0] for c in clauses if len(c) == 1], 0, 0)]
+    while stack:
+        clauses, units, bits, fixed = stack.pop()
+        while units:
+            unit = units.pop()
+            bit = 1 << position[abs(unit)]
+            if fixed & bit:
+                # Set already, and to this value: a unit clause stays in
+                # ``clauses`` until its variable is set, and the other
+                # value would have falsified it.
+                continue
+            reduced = _reduce(clauses, unit)
+            if reduced is None:
+                break
+            clauses, new = reduced
+            units += new
+            fixed |= bit
+            if unit > 0:
+                bits |= bit
+        else:  # no unit clause was falsified
+            if not clauses:
+                cubes.append((bits, fixed))
+                continue
+            binary = Counter([abs(x) for c in clauses if len(c) == 2
+                              for x in c])
+            var = (max(binary, key=binary.__getitem__) if binary
+                   else min(abs(c[0]) for c in clauses))
+            bit = 1 << position[var]
+            # Pushed True first, so the False branch is searched first.
+            for lit, value in ((var, bit), (-var, 0)):
+                reduced = _reduce(clauses, lit)
+                if reduced is not None:
+                    stack.append((*reduced, bits | value, fixed | bit))
+    return cubes
+
+
+def _model_rows(clauses: Iterable[tuple[int, ...]], over: Sequence[int]
+                ) -> list[int]:
+    """Rows (bit j = value of ``over[j]``) of every assignment over
+    ``over`` satisfying the int clauses, each once: the cubes of
+    ``_models`` expanded over their free bits, in search order.
+
+    More than ``MAX_ENUM_VARS`` variables raise ``CapacityError`` before
+    the search starts.
     """
     if len(over) > MAX_ENUM_VARS:
         raise CapacityError(
             f"enumeration capped at {MAX_ENUM_VARS} variables, "
             f"formula has {len(over)}")
-    position = {v: j for j, v in enumerate(over)}
+    width = range(len(over))
     rows: list[int] = []
-
-    def search(clauses: list[tuple[int, ...]], bits: int, fixed: int) -> None:
-        while True:
-            unit = next((c[0] for c in clauses if len(c) == 1), 0)
-            if not unit:
-                break
-            clauses = _reduce(clauses, unit)
-            if clauses is None:
-                return
-            bit = 1 << position[abs(unit)]
-            fixed |= bit
-            if unit > 0:
-                bits |= bit
-        if not clauses:
-            free = [j for j in range(len(over)) if not fixed >> j & 1]
-            rows.extend(_scatter((0,), (), free, bits))
-            return
-        binary = Counter([abs(x) for c in clauses if len(c) == 2 for x in c])
-        var = (max(binary, key=binary.__getitem__) if binary
-               else min(abs(c[0]) for c in clauses))
-        bit = 1 << position[var]
-        for lit, value in ((-var, 0), (var, bit)):
-            reduced = _reduce(clauses, lit)
-            if reduced is not None:
-                search(reduced, bits | value, fixed | bit)
-
-    clauses = list(clauses)
-    if all(clauses):
-        search(clauses, 0, 0)
+    for bits, fixed in _models(clauses, over):
+        free = [j for j in width if not fixed >> j & 1]
+        rows.extend(_scatter((0,), (), free, bits))
     return rows
 
 
 def _reduce(clauses: Sequence[tuple[int, ...]], lit: int
-            ) -> list[tuple[int, ...]] | None:
-    """The clauses with ``lit`` set true: satisfied clauses dropped, ``-lit``
-    cut from the rest; None when a clause loses its last literal."""
+            ) -> tuple[list[tuple[int, ...]], list[int]] | None:
+    """The clauses with ``lit`` set true (satisfied clauses dropped,
+    ``-lit`` cut from the rest) and the literals of the unit clauses the
+    cut made; None when a clause loses its last literal."""
     out = []
+    units = []
     neg = -lit
     for clause in clauses:
         if lit in clause:
@@ -620,8 +661,10 @@ def _reduce(clauses: Sequence[tuple[int, ...]], lit: int
             if len(clause) == 1:
                 return None
             clause = tuple([x for x in clause if x != neg])
+            if len(clause) == 1:
+                units.append(clause[0])
         out.append(clause)
-    return out
+    return out, units
 
 
 def _scatter(rows: Iterable[int], targets: Sequence[int],

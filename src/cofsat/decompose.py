@@ -27,7 +27,7 @@ from .cnf import (
     Clause,
     CnfFormula,
     PartialAssignment,
-    _models,
+    _model_rows,
     partial_assignments,
     substitute,
 )
@@ -89,12 +89,20 @@ class TreeNode:
 
 
 class DecompositionTree:
-    """Nodes in preorder; node 0 is the root, parent links define the shape."""
+    """Nodes in preorder; node 0 is the root, parent links define the shape.
 
-    def __init__(self, nodes: Sequence[TreeNode]):
+    ``overlapping`` says that sibling leaves may share models, as the
+    2**k - 1 branches of a clause pivot do.  The root's models are then
+    counted by inclusion-exclusion over the leaves, each signed by the
+    parity of its prefix; otherwise the leaves are disjoint and their
+    counts add.
+    """
+
+    def __init__(self, nodes: Sequence[TreeNode], overlapping: bool = False):
         if not nodes or nodes[0].parent != -1:
             raise ValueError("first node must be the root with parent -1")
         self._nodes = tuple(nodes)
+        self._overlapping = overlapping
 
     @property
     def nodes(self) -> tuple[TreeNode, ...]:
@@ -103,6 +111,10 @@ class DecompositionTree:
     @property
     def root(self) -> TreeNode:
         return self._nodes[0]
+
+    @property
+    def overlapping(self) -> bool:
+        return self._overlapping
 
     @property
     def root_universe(self) -> tuple[int, ...]:
@@ -211,19 +223,20 @@ def clause_pivot_tree(formula: CnfFormula, pivot_index: int) -> DecompositionTre
     """One-level tree around clause_pivot_decompose, for tracing and solving.
 
     Every live branch is a terminal leaf regardless of size, so leaves are
-    flagged solvable (or trivial/dead) with no variable bound.
+    flagged solvable (or trivial/dead) with no variable bound.  The
+    branches overlap, so the tree is marked ``overlapping``.  A formula
+    with no clauses has no pivot: its tree is the root alone, a trivial
+    leaf, whatever ``pivot_index`` says.
     """
-    items = clause_pivot_decompose(formula, pivot_index)
-    root = TreeNode(
-        node_id=0, parent=-1,
-        item=WorkItem(PartialAssignment(), formula, 0),
-        status=INTERNAL)
-    nodes = [root]
-    for item in items:
+    root = WorkItem(PartialAssignment(), formula, 0)
+    if formula.is_empty:
+        return DecompositionTree([TreeNode(0, -1, root, TRIVIAL)])
+    nodes = [TreeNode(node_id=0, parent=-1, item=root, status=INTERNAL)]
+    for item in clause_pivot_decompose(formula, pivot_index):
         nodes.append(TreeNode(
             node_id=len(nodes), parent=0, item=item,
             status=_leaf_status(item.formula, None)))
-    return DecompositionTree(nodes)
+    return DecompositionTree(nodes, overlapping=True)
 
 
 def choose_var_subset(formula: CnfFormula, n0: int) -> tuple[int, ...]:
@@ -301,7 +314,8 @@ def enumerate_c1_assignments(
     Canonical ascending order of the assignments' bit encodings over the
     sorted block.  An empty result means the clauses are unsatisfiable over
     x1, which kills the whole subproblem.  The assignments come from the
-    backtracking search that also solves leaves (``cnf._models``).
+    backtracking search that also solves leaves (``cnf._models``), expanded
+    to rows.
     """
     x1 = tuple(sorted(set(x1)))
     clauses = tuple(clauses)
@@ -310,7 +324,7 @@ def enumerate_c1_assignments(
         if stray:
             raise ValueError(
                 f"clause {clause} touches variables {sorted(stray)} outside the block")
-    rows = _models([c.to_ints() for c in clauses], x1)
+    rows = _model_rows([c.to_ints() for c in clauses], x1)
     return [PartialAssignment((v, bool(row >> j & 1)) for j, v in enumerate(x1))
             for row in sorted(rows)]
 
@@ -348,7 +362,7 @@ def var_partition_decompose(formula: CnfFormula, n0: int) -> DecompositionTree:
         x1 = choose_var_subset(f, n0)
         clauses = f.to_ints()
         split = _split(clauses, x1)
-        rows = sorted(_models(
+        rows = sorted(_model_rows(
             [c for c, (_, _, rest) in zip(clauses, split) if not rest], x1))
         if not rows:
             nodes.append(TreeNode(node_id, parent, item, DEAD))

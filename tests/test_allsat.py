@@ -13,11 +13,13 @@ from cofsat import (
     WorkItem,
     all_solutions,
     clause_pivot_tree,
+    count_and_witness,
     gather,
     solve_leaf,
     to_truth_table,
     var_partition_decompose,
 )
+from cofsat import allsat
 from cofsat.decompose import DecompositionTree, TreeNode
 
 from helpers import brute_force_rows, example2_formula, random_formula
@@ -197,3 +199,44 @@ class TestGather:
                         encoded |= 1 << j
                 return encoded in sols.rows
             assert any(row_in_branch(leaf) for leaf in live)
+
+    def test_oversized_output_is_refused(self):
+        root_formula = CnfFormula([], universe=range(1, 22))
+        root = TreeNode(0, -1, WorkItem(PartialAssignment(), root_formula, 0),
+                        "trivial")
+        with pytest.raises(CapacityError, match=(
+                "output capped at 1048576 rows, formula has 2097152 models")):
+            gather(DecompositionTree([root]), [])
+
+    def test_cap_counts_overlapping_rows_once(self, monkeypatch):
+        # One clause (1 2 3): its 7 branches gather 38 rows over 4 variables
+        # before deduplication, but only 14 models.
+        monkeypatch.setattr(allsat, "MAX_ENUM_VARS", 4)
+        tree = clause_pivot_tree(CnfFormula([[1, 2, 3]], universe=range(1, 5)), 0)
+        assert gather(tree, []).count == 14
+        tree = clause_pivot_tree(CnfFormula([[1, 2, 3]], universe=range(1, 6)), 0)
+        with pytest.raises(CapacityError, match="formula has 28 models"):
+            gather(tree, [])
+
+
+class TestCountAndWitness:
+    def test_matches_gather_on_both_trees(self):
+        rng = random.Random(83)
+        for _ in range(30):
+            f = random_formula(rng, rng.randint(5, 9), rng.randint(4, 30))
+            for tree in (clause_pivot_tree(f, rng.randrange(len(f.clauses))),
+                         var_partition_decompose(f, 3)):
+                results = [solve_leaf(n.item) for n in tree.solvable_leaves()]
+                rows = gather(tree, results).rows
+                assert count_and_witness(tree) == (
+                    len(rows), rows[0] if rows else None)
+
+    def test_all_dead_tree(self):
+        f = CnfFormula([[1, 2], [-1], [-2]], universe=[1, 2])
+        assert count_and_witness(clause_pivot_tree(f, 0)) == (0, None)
+
+    def test_wide_formula_is_counted_not_enumerated(self):
+        # 9/16 of the 2**40 rows; the least model sets only variable 1.
+        f = CnfFormula([[1, 2], [-3, 4]], universe=range(1, 41))
+        for tree in (clause_pivot_tree(f, 0), var_partition_decompose(f, 8)):
+            assert count_and_witness(tree) == (9 << 36, 1)

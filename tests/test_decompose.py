@@ -106,6 +106,21 @@ class TestClausePivot:
         tree = clause_pivot_tree(example2_formula(), 0)
         assert tree.serialize() == (GOLDEN / "example2_pivot_tree.txt").read_text()
 
+    def test_branches_are_marked_overlapping(self):
+        f = example2_formula()
+        assert clause_pivot_tree(f, 0).overlapping
+        assert not var_partition_decompose(f, 2).overlapping
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_formula_without_clauses_is_one_trivial_leaf(self, index):
+        f = CnfFormula([], universe=[1, 2])
+        tree = clause_pivot_tree(f, index)
+        assert [(n.status, n.item.formula) for n in tree.nodes] == [
+            ("trivial", f)]
+        assert not tree.overlapping
+        with pytest.raises(ValueError, match="pivot index 0 out of range"):
+            clause_pivot_decompose(f, 0)
+
 
 class TestChooseVarSubset:
     def test_example2_n0_2_locked(self):

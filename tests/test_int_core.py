@@ -2,12 +2,14 @@
 
 Formulas store their clauses as tuples of signed ints; a ``Clause`` is a
 view of one of them and iterates its ints.  Each test here holds one
-int-level path (``substitute``, the leaf search ``_models`` behind
-``all_solutions`` and ``enumerate_c1_assignments``, the projection masks
+int-level path (``substitute``, the leaf search ``_models`` and its row
+expansion ``_model_rows`` behind ``all_solutions`` and
+``enumerate_c1_assignments``, the projection masks
 behind ``to_truth_table``) to a plain reference written over raw ints in
 this file or in ``helpers``.
 """
 
+import sys
 import warnings
 
 import hypothesis.strategies as st
@@ -24,7 +26,7 @@ from cofsat import (
     substitute,
     to_truth_table,
 )
-from cofsat.cnf import _models
+from cofsat.cnf import _model_rows, _models
 
 from helpers import brute_force_rows
 
@@ -170,9 +172,24 @@ class TestSearchAgainstBruteForce:
     @given(binary_heavy_formulas())
     def test_models_against_truth_table(self, f):
         # Each row once: SolutionSet would hide a duplicate.
-        rows = _models(f.to_ints(), f.universe)
+        rows = _model_rows(f.to_ints(), f.universe)
         assert len(rows) == len(set(rows))
         assert sorted(rows) == list(to_truth_table(f).support())
+        # The cubes alone count the rows.
+        n = f.num_vars
+        assert sum(1 << n - fixed.bit_count()
+                   for _, fixed in _models(f.to_ints(), f.universe)
+                   ) == len(rows)
+
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        # (x_i + z_i)(x_i + z_i'): each frame sets one x_i, and its False
+        # branch dies at once, so the search is one path n frames deep.
+        n = sys.getrecursionlimit() + 100
+        clauses = [c for i in range(1, n + 1)
+                   for c in ((i, n + i), (i, -(n + i)))]
+        everything = (1 << n) - 1
+        assert _models(clauses, range(1, 2 * n + 1)) == [
+            (everything, everything)]
 
     @settings(max_examples=100, deadline=None)
     @given(formulas(max_n=8, max_clauses=20))

@@ -6,16 +6,17 @@ row that agrees with it.  It is deliberately a different code path from
 the dense truth-table evaluation in ``cnf.to_truth_table``, so the two can
 cross-check each other.
 
-Callers pick what to do with a tree's cubes.  ``count_and_witness`` adds
-up cube counts and takes the least root row, building no rows: the leaves
-of a variable-partition tree are disjoint, so their counts add, and the
-overlapping branches of a clause pivot are counted by inclusion-exclusion.
-``all_solutions`` and ``solve_leaf`` expand a formula's cubes to rows, and
-``gather`` reassembles the root-level solution set from those per-leaf
-rows: each leaf's rows are moved to their root positions together with
-the leaf's prefix in one bit scatter, widened over any variables the
-branch left unconstrained, then merged into one canonical (sorted,
-deduplicated) set.
+Both read a tree through ``DecompositionTree.disjoint_leaves``: the live
+leaves of a variable-partition tree, or the k orthonormal branches l1;
+-l1 l2; ...; -l1 ... -l(k-1) lk that refine the singleton branches of a
+clause pivot.  Their models are disjoint, so counts add and no row is
+built twice.  ``count_and_witness`` adds up cube counts and takes the
+least root row, building no rows.  ``all_solutions`` and ``solve_leaf``
+expand a formula's cubes to rows, and ``gather`` reassembles the
+root-level solution set from those per-leaf rows: each leaf's rows are
+moved to their root positions together with the leaf's prefix in one bit
+scatter, widened over any variables the branch left unconstrained, then
+sorted into one canonical set.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from .cnf import (MAX_ENUM_VARS, CnfFormula, SolutionSet, _model_rows,
                   _models, _scatter)
 # Never called here; bench/tracing.py counts calls of ``allsat.substitute``.
 from .cnf import substitute  # noqa: F401
-from .decompose import (DEAD, SOLVABLE, DecompositionTree, TreeNode,
-                        WorkItem)
+from .decompose import SOLVABLE, DecompositionTree, TreeNode, WorkItem
 
 __all__ = ["LeafResult", "all_solutions", "count_and_witness", "gather",
            "solve_leaf"]
@@ -69,18 +69,16 @@ def solve_leaf(item: WorkItem) -> LeafResult:
 
 
 def _placement(
-    tree: DecompositionTree, position: dict[int, int], leaf: TreeNode
-) -> tuple[int, int, list[int], list[int]]:
-    """``(sign, base, targets, free)`` of a live leaf, given each root
-    variable's bit ``position``.
+    position: dict[int, int], leaf: TreeNode
+) -> tuple[int, list[int], list[int]]:
+    """``(base, targets, free)`` of a live leaf, given each root variable's
+    bit ``position``.
 
     A leaf row over the leaf's universe becomes a root row by moving bit j
     to bit ``targets[j]`` and OR-ing in ``base``, the prefix's true bits;
     the root positions in ``free`` are bound by neither the prefix nor the
     leaf, so each leaf row stands for ``2**len(free)`` root rows.  A
-    trivial leaf has no targets: its whole universe is free.  ``sign`` is
-    the leaf's weight in the root's model count: 1, or (-1)**(|prefix|+1)
-    in an overlapping tree.
+    trivial leaf has no targets: its whole universe is free.
     """
     prefix = leaf.item.prefix
     over = leaf.item.formula.universe if leaf.status == SOLVABLE else ()
@@ -91,13 +89,13 @@ def _placement(
     bound = set(prefix)
     bound.update(over)
     free = [j for v, j in position.items() if v not in bound]
-    sign = -1 if tree.overlapping and not len(prefix) % 2 else 1
-    return sign, base, [position[v] for v in over], free
+    return base, [position[v] for v in over], free
 
 
 def count_and_witness(tree: DecompositionTree) -> tuple[int, int | None]:
     """The root formula's model count and its least model, as a row over
-    the root universe (None when there is none), from the leaves' cubes.
+    the root universe (None when there is none), from the cubes of the
+    tree's disjoint leaves.
 
     No rows are built, so neither the count nor the size of the root
     universe is capped.  A leaf's least row is its least cube's ``bits``
@@ -107,9 +105,7 @@ def count_and_witness(tree: DecompositionTree) -> tuple[int, int | None]:
     position = {v: j for j, v in enumerate(tree.root_universe)}
     count = 0
     least = None
-    for leaf in tree.leaves():
-        if leaf.status == DEAD:
-            continue
+    for leaf in tree.disjoint_leaves():
         if leaf.status == SOLVABLE:
             formula = leaf.item.formula
             cubes = _models(formula.to_ints(), formula.universe)
@@ -121,8 +117,8 @@ def count_and_witness(tree: DecompositionTree) -> tuple[int, int | None]:
             least_bits = min(bits for bits, _ in cubes)
         else:  # trivial: every assignment over the leaf universe works
             leaf_count, least_bits = 1, 0
-        sign, base, targets, free = _placement(tree, position, leaf)
-        count += sign * leaf_count << len(free)
+        base, targets, free = _placement(position, leaf)
+        count += leaf_count << len(free)
         row = _scatter((least_bits,), targets, (), base)[0]
         if least is None or row < least:
             least = row
@@ -134,10 +130,11 @@ def gather(
 ) -> SolutionSet:
     """Merge per-leaf solutions into the root-universe solution set.
 
-    Every solvable leaf must appear in ``leaf_results`` (order and
-    duplicates are irrelevant); trivial leaves need no result, their
-    unconstrained variables are expanded directly.  Dead leaves contribute
-    nothing, so an all-dead tree gathers to the empty set.  The size of the
+    Every solvable node of ``tree.disjoint_leaves()`` must appear in
+    ``leaf_results`` (order and duplicates are irrelevant); trivial nodes
+    need no result, their unconstrained variables are expanded directly.
+    Those nodes are disjoint, so exactly the rows of the result are built.
+    A tree with no live leaf gathers to the empty set.  The size of the
     result is counted from the leaves' row counts first: more than
     ``2**cnf.MAX_ENUM_VARS`` rows raise ``CapacityError`` before any root
     row is built.
@@ -148,9 +145,7 @@ def gather(
     position = {v: j for j, v in enumerate(tree.root_universe)}
     placed = []
     total = 0
-    for leaf in tree.leaves():
-        if leaf.status == DEAD:
-            continue
+    for leaf in tree.disjoint_leaves():
         if leaf.status == SOLVABLE:
             solutions = by_item.get(leaf.item)
             if solutions is None:
@@ -161,8 +156,8 @@ def gather(
             leaf_rows = solutions.rows
         else:  # trivial: every assignment over the leaf universe works
             leaf_rows = (0,)
-        sign, base, targets, free = _placement(tree, position, leaf)
-        total += sign * len(leaf_rows) << len(free)
+        base, targets, free = _placement(position, leaf)
+        total += len(leaf_rows) << len(free)
         placed.append((leaf_rows, targets, free, base))
     if total > 1 << MAX_ENUM_VARS:
         raise CapacityError(

@@ -1,8 +1,11 @@
 """Command-line driver: parse DIMACS, decompose, solve the leaves, gather.
 
-``--mode count`` and ``--mode sat`` read the leaves' cubes through
-``allsat.count_and_witness`` and build no rows; ``--mode allsat`` and
-``--verify`` solve every leaf to rows and gather them.
+Solving reads the tree's disjoint leaves (``disjoint_leaves``): on a
+clause pivot, the k orthonormal branches rather than the 2**k - 1
+overlapping ones that ``--mode decompose`` prints.  ``--mode count`` and
+``--mode sat`` read their cubes through ``allsat.count_and_witness`` and
+build no rows; ``--mode allsat`` and ``--verify`` solve them to rows and
+gather them.
 
 The leaves are independent work items, solved one after another on the
 calling thread: a thread pool measured slower, because the pure-Python leaf
@@ -84,13 +87,15 @@ class RunConfig:
 
 
 def parallel_leaf_solve(tree: DecompositionTree, jobs: int) -> list[LeafResult]:
-    """Solve every solvable leaf, in tree order, on the calling thread.
+    """Solve every solvable node of ``tree.disjoint_leaves()``, in order,
+    on the calling thread: the results ``gather`` needs.
 
     ``jobs`` is validated but selects nothing (see the module docstring).
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    return [solve_leaf(n.item) for n in tree.solvable_leaves()]
+    return [solve_leaf(n.item) for n in tree.disjoint_leaves()
+            if n.status == SOLVABLE]
 
 
 def _tree_as_json(tree: DecompositionTree) -> list[dict]:

@@ -2,14 +2,18 @@
 
 Two strategies are provided.  Clause-pivot decomposition branches on the
 2**k - 1 partial assignments of one pivot clause: the input is satisfiable
-iff at least one branch is, and the branch solution sets together (after
-deduplication) recover the full solution set.  Variable-partition
-decomposition repeatedly picks a block X1 of at most ``n0`` variables and
-splits the clauses once per node into bit masks over X1: the only-X1
-clauses give the allowed X1 assignments, and every child (one per allowed
-assignment) is read off the masks of the other clauses, without
-substituting into the whole formula.  It recurses on the children until
-every live leaf has at most ``n0`` variables.
+iff at least one branch is, and the branches' models together are the
+input's, but they overlap.  Solving reads the tree's ``disjoint_leaves``
+instead: the k branches l1; -l1 l2; ...; -l1 ... -l(k-1) lk that refine
+the singleton branches form an orthonormal base, disjoint and covering
+the clause, so their counts add and no model is found twice.
+
+Variable-partition decomposition repeatedly picks a block X1 of at most
+``n0`` variables and splits the clauses once per node into bit masks over
+X1: the only-X1 clauses give the allowed X1 assignments, and every child
+(one per allowed assignment) is read off the masks of the other clauses,
+without substituting into the whole formula.  It recurses on the children
+until every live leaf has at most ``n0`` variables.
 
 Each subproblem is an immutable WorkItem (prefix assignment + reduced
 formula) that can be shipped to any worker; the tree records how the items
@@ -92,10 +96,9 @@ class DecompositionTree:
     """Nodes in preorder; node 0 is the root, parent links define the shape.
 
     ``overlapping`` says that sibling leaves may share models, as the
-    2**k - 1 branches of a clause pivot do.  The root's models are then
-    counted by inclusion-exclusion over the leaves, each signed by the
-    parity of its prefix; otherwise the leaves are disjoint and their
-    counts add.
+    2**k - 1 branches of a clause pivot do; otherwise the leaves are
+    disjoint.  Either way ``disjoint_leaves`` gives the live work nodes
+    whose models partition the root's, which is what solving reads.
     """
 
     def __init__(self, nodes: Sequence[TreeNode], overlapping: bool = False):
@@ -103,6 +106,7 @@ class DecompositionTree:
             raise ValueError("first node must be the root with parent -1")
         self._nodes = tuple(nodes)
         self._overlapping = overlapping
+        self._disjoint: tuple[TreeNode, ...] | None = None
 
     @property
     def nodes(self) -> tuple[TreeNode, ...]:
@@ -126,6 +130,44 @@ class DecompositionTree:
 
     def solvable_leaves(self) -> list[TreeNode]:
         return [n for n in self._nodes if n.status == SOLVABLE]
+
+    def disjoint_leaves(self) -> list[TreeNode]:
+        """Live work nodes whose models partition the root's models.
+
+        On a variable-partition tree these are the live leaves, in node
+        order.  On an ``overlapping`` (clause-pivot) tree the singleton
+        leaves' prefixes are the pivot literals l1 ... lk, in node order,
+        and the nodes are the orthonormal refinement of those leaves: for
+        each live singleton leaf li, one node with prefix li, -l1 ...
+        -l(i-1) and that leaf's formula reduced by the negations (one
+        ``substitute``), under the leaf's id.  A dead singleton leaf adds
+        no node but still adds its negation to the later branches, and a
+        branch the negations kill is left out.  So there are at most k
+        nodes, against 2**k - 1 overlapping leaves, and their model counts
+        add up to the root's.  Computed once per tree.
+        """
+        if self._disjoint is None:
+            if not self._overlapping:
+                nodes = [n for n in self.leaves() if n.status != DEAD]
+            else:
+                nodes = []
+                negated: dict[int, bool] = {}
+                for leaf in self.leaves():
+                    item = leaf.item
+                    if len(item.prefix) != 1:
+                        continue
+                    (var, value), = item.prefix.items()
+                    if leaf.status != DEAD:
+                        reduced = substitute(item.formula, negated)
+                        if reduced is not UNSAT:
+                            prefix = PartialAssignment({**negated, var: value})
+                            nodes.append(TreeNode(
+                                leaf.node_id, leaf.parent,
+                                WorkItem(prefix, reduced, item.depth),
+                                _leaf_status(reduced, None)))
+                    negated[var] = not value
+            self._disjoint = tuple(nodes)
+        return list(self._disjoint)
 
     @property
     def all_dead(self) -> bool:
@@ -200,8 +242,9 @@ def clause_pivot_decompose(
 
     Returns one WorkItem per assignment, in canonical assignment order.
     Branches whose reduction falsifies a clause are kept, flagged dead.
-    The input is satisfiable iff some branch is satisfiable; branch
-    solution sets may overlap, so gathering deduplicates.
+    The input is satisfiable iff some branch is satisfiable.  Branch
+    solution sets may overlap; ``clause_pivot_tree`` and its
+    ``disjoint_leaves`` give the k disjoint branches that solving uses.
     """
     clauses = formula.to_ints()
     if not 0 <= pivot_index < len(clauses):
@@ -224,9 +267,11 @@ def clause_pivot_tree(formula: CnfFormula, pivot_index: int) -> DecompositionTre
 
     Every live branch is a terminal leaf regardless of size, so leaves are
     flagged solvable (or trivial/dead) with no variable bound.  The
-    branches overlap, so the tree is marked ``overlapping``.  A formula
-    with no clauses has no pivot: its tree is the root alone, a trivial
-    leaf, whatever ``pivot_index`` says.
+    branches overlap, so the tree is marked ``overlapping``; solving reads
+    its ``disjoint_leaves``, the orthonormal refinement of the singleton
+    branches, while the tree itself (and so ``--mode decompose``) keeps all
+    2**k - 1 branches.  A formula with no clauses has no pivot: its tree
+    is the root alone, a trivial leaf, whatever ``pivot_index`` says.
     """
     root = WorkItem(PartialAssignment(), formula, 0)
     if formula.is_empty:

@@ -1,5 +1,6 @@
 """Enumerating leaf solver and gathering."""
 
+import io
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from cofsat import (
     var_partition_decompose,
 )
 from cofsat import allsat
+from cofsat.cli import EXIT_SAT, RunConfig, run
 from cofsat.decompose import DecompositionTree, TreeNode
 
 from helpers import brute_force_rows, example2_formula, random_formula
@@ -121,8 +123,8 @@ class TestGather:
     def test_unsat_everywhere_gathers_empty(self):
         f = CnfFormula([[1], [-1], [2, 3]], universe=[1, 2, 3])
         tree = clause_pivot_tree(f, 2)
-        live = tree.solvable_leaves()
-        results = [solve_leaf(n.item) for n in live]
+        results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
+                   if n.status == "solvable"]
         # branches bind 2 or 3; units on 1 kill each branch during solving
         assert gather(tree, results).count == 0
 
@@ -135,16 +137,20 @@ class TestGather:
     def test_example2_clause_pivot(self):
         f = example2_formula()
         tree = clause_pivot_tree(f, 0)
-        results = [solve_leaf(n.item) for n in tree.solvable_leaves()]
+        results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
+                   if n.status == "solvable"]
         gathered = gather(tree, results)
         assert gathered.over == (1, 2, 3, 4)
         assert list(gathered.rows) == [0, 2, 3, 4, 6, 7, 9, 13, 15]
 
     def test_missing_result_rejected(self):
         tree = clause_pivot_tree(example2_formula(), 0)
-        results = [solve_leaf(n.item) for n in tree.solvable_leaves()][:-1]
-        with pytest.raises(ValueError):
-            gather(tree, results)
+        results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
+                   if n.status == "solvable"]
+        assert len(results) == 2
+        for dropped in range(len(results)):
+            with pytest.raises(ValueError, match="missing result"):
+                gather(tree, results[:dropped] + results[dropped + 1:])
 
     def test_order_independence(self):
         rng = random.Random(71)
@@ -165,7 +171,8 @@ class TestGather:
                 [list(c.to_ints()) for c in f.clauses], f.universe)
             for tree in (clause_pivot_tree(f, 0),
                          var_partition_decompose(f, 3)):
-                results = [solve_leaf(n.item) for n in tree.solvable_leaves()]
+                results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
+                           if n.status == "solvable"]
                 got = gather(tree, results)
                 assert list(got.rows) == expected
             if not expected:
@@ -209,14 +216,37 @@ class TestGather:
             gather(DecompositionTree([root]), [])
 
     def test_cap_counts_overlapping_rows_once(self, monkeypatch):
-        # One clause (1 2 3): its 7 branches gather 38 rows over 4 variables
-        # before deduplication, but only 14 models.
+        # One clause (1 2 3) has 14 models over 4 variables: its 7 printed
+        # branches hold 38 rows, its 3 orthonormal branches exactly 14.
         monkeypatch.setattr(allsat, "MAX_ENUM_VARS", 4)
         tree = clause_pivot_tree(CnfFormula([[1, 2, 3]], universe=range(1, 5)), 0)
         assert gather(tree, []).count == 14
         tree = clause_pivot_tree(CnfFormula([[1, 2, 3]], universe=range(1, 6)), 0)
         with pytest.raises(CapacityError, match="formula has 28 models"):
             gather(tree, [])
+
+    def test_clause_pivot_builds_only_printed_rows(self, tmp_path,
+                                                   monkeypatch):
+        # (1 2 3 4 5 6) over 16 variables has 2**16 - 2**10 models.  Its 63
+        # overlapping branches hold about 681k rows; its 6 orthonormal
+        # branches hold exactly the 64,512 that get printed.
+        path = tmp_path / "wide_clause.cnf"
+        path.write_text("p cnf 16 1\n1 2 3 4 5 6 0\n")
+        scatter, built = allsat._scatter, []
+
+        def counting_scatter(*args):
+            rows = scatter(*args)
+            built.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(allsat, "_scatter", counting_scatter)
+        out, err = io.StringIO(), io.StringIO()
+        status = run(RunConfig(str(path), mode="allsat",
+                               pivot_strategy="clause"), out=out, err=err)
+        assert (status, err.getvalue()) == (EXIT_SAT, "")
+        printed = len(out.getvalue().splitlines())
+        assert printed == (1 << 16) - (1 << 10)
+        assert sum(built) == printed
 
 
 class TestCountAndWitness:
@@ -226,7 +256,8 @@ class TestCountAndWitness:
             f = random_formula(rng, rng.randint(5, 9), rng.randint(4, 30))
             for tree in (clause_pivot_tree(f, rng.randrange(len(f.clauses))),
                          var_partition_decompose(f, 3)):
-                results = [solve_leaf(n.item) for n in tree.solvable_leaves()]
+                results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
+                           if n.status == "solvable"]
                 rows = gather(tree, results).rows
                 assert count_and_witness(tree) == (
                     len(rows), rows[0] if rows else None)

@@ -219,10 +219,14 @@ class TestParallelism:
         assert gather(tree, serial) == gather(tree, parallel)
 
     def test_single_leaf_any_jobs(self):
+        # The pivot (x1' + x2 + x4) prints 7 branches.  Its 3 orthonormal
+        # branches are what gets solved, and x1 x2' x4 leaves no clause.
         tree = clause_pivot_tree(example2_formula(), 0)
+        assert [n.status for n in tree.disjoint_leaves()] == [
+            "solvable", "solvable", "trivial"]
         for jobs in (1, 8):
             results = parallel_leaf_solve(tree, jobs)
-            assert len(results) == 7
+            assert len(results) == 2
 
     def test_bad_jobs_rejected(self):
         tree = clause_pivot_tree(example2_formula(), 0)
@@ -238,7 +242,9 @@ class TestParallelism:
             return item
 
         monkeypatch.setattr("cofsat.cli.solve_leaf", recorder)
-        expected = [n.item for n in tree.solvable_leaves()]
+        expected = [n.item for n in tree.disjoint_leaves()
+                    if n.status == "solvable"]
+        assert len(expected) == 3
         assert parallel_leaf_solve(tree, 8) == expected
         assert calls == [(threading.get_ident(), item) for item in expected]
 

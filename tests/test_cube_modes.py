@@ -38,8 +38,10 @@ def _literals(row, n):
 
 
 def _tree_models(out, output_format, n):
-    """Root rows of the live leaves of a printed tree, as a list (one entry
-    per leaf row, so overlapping leaves repeat rows)."""
+    """Root rows of the live leaves of a printed tree, as a list with one
+    entry per leaf row.  A printed clause-pivot tree keeps the 2**k - 1
+    overlapping branches (the solver reads their k disjoint refinements
+    instead), so there a row may repeat."""
     if output_format == "json":
         nodes = [(e["status"], e["prefix"], e.get("universe", []),
                   e.get("clauses", []))

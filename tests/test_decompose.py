@@ -1,11 +1,15 @@
 """Clause-pivot and variable-partition decomposition, plus the cost model."""
 
+import itertools
 import random
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from cofsat import (
     CapacityError,
@@ -22,6 +26,7 @@ from cofsat import (
     estimate_cost,
     gather,
     solve_leaf,
+    substitute,
     var_partition_decompose,
 )
 
@@ -86,7 +91,8 @@ class TestClausePivot:
                 [list(c.to_ints()) for c in f.clauses], f.universe)
             pivot = rng.randrange(len(f.clauses))
             tree = clause_pivot_tree(f, pivot)
-            results = [solve_leaf(n.item) for n in tree.solvable_leaves()]
+            results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
+                       if n.status == "solvable"]
             got = gather(tree, results)
             assert list(got.rows) == expected
 
@@ -120,6 +126,79 @@ class TestClausePivot:
         assert not tree.overlapping
         with pytest.raises(ValueError, match="pivot index 0 out of range"):
             clause_pivot_decompose(f, 0)
+
+
+@st.composite
+def pivoted_three_cnf(draw):
+    """A random 3-CNF over 1..n, 3 <= n <= 12, with at least one clause,
+    and the index of a pivot clause."""
+    n = draw(st.integers(3, 12))
+    clause = st.lists(st.integers(1, n), min_size=3, max_size=3,
+                      unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
+    raw = draw(st.lists(clause, min_size=1, max_size=5 * n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # repeated clauses are merged
+        f = CnfFormula(raw, universe=range(1, n + 1))
+    return f, draw(st.integers(0, len(f.to_ints()) - 1))
+
+
+def _root_rows(node, root):
+    """Rows over ``root`` of one live node: its prefix, each brute-force
+    model of its clauses, and both values of every variable left over."""
+    formula = node.item.formula
+    values = {v: int(b) for v, b in node.item.prefix.items()}
+    free = [v for v in root
+            if v not in values and v not in formula.universe]
+    rows = []
+    for leaf_row in brute_force_rows(formula.to_ints(), formula.universe):
+        values.update((v, leaf_row >> j & 1)
+                      for j, v in enumerate(formula.universe))
+        for fill in itertools.product((0, 1), repeat=len(free)):
+            values.update(zip(free, fill))
+            rows.append(sum(values[v] << j for j, v in enumerate(root)))
+    return rows
+
+
+class TestDisjointLeaves:
+    @settings(max_examples=100, deadline=None)
+    @given(pivoted_three_cnf())
+    def test_clause_branches_partition_the_models(self, case):
+        f, pivot = case
+        expected = brute_force_rows(f.to_ints(), f.universe)
+        k = len(f.to_ints()[pivot])
+        nodes = clause_pivot_tree(f, pivot).disjoint_leaves()
+        assert len(nodes) <= k
+        for a, b in itertools.combinations(nodes, 2):
+            assert any(b.item.prefix.get(v, value) != value
+                       for v, value in a.item.prefix.items())
+        per_node = [_root_rows(node, f.universe) for node in nodes]
+        assert sum(map(len, per_node)) == len(expected)
+        assert set().union(*per_node) == set(expected)
+        for node in nodes:
+            assert node.item.formula == substitute(f, node.item.prefix)
+
+    @settings(max_examples=50, deadline=None)
+    @given(pivoted_three_cnf())
+    def test_variable_partition_gives_its_live_leaves(self, case):
+        tree = var_partition_decompose(case[0], 3)
+        assert tree.disjoint_leaves() == [
+            n for n in tree.leaves() if n.status != "unsat"]
+
+    def test_dead_singleton_still_excludes_its_literal(self):
+        # F|x1 falsifies (x1'), so branch x1 is dead; the later branches
+        # still bind x1 false.  The models are x1' x3, with x2 free.
+        f = CnfFormula([[1, 2, 3], [-1], [-2, 3]])
+        tree = clause_pivot_tree(f, 0)
+        assert tree.nodes[1].item.prefix.to_literals() == (1,)
+        assert tree.nodes[1].status == "unsat"
+        nodes = tree.disjoint_leaves()
+        assert [(n.node_id, n.item.prefix.to_literals(), n.status,
+                 n.item.formula.to_ints()) for n in nodes] == [
+            (2, (-1, 2), "solvable", ((3,),)),
+            (3, (-1, -2, 3), "trivial", ())]
+        assert [_root_rows(n, f.universe) for n in nodes] == [[0b110],
+                                                              [0b100]]
 
 
 class TestChooseVarSubset:

@@ -2,10 +2,11 @@
 
 Solving reads the tree's disjoint leaves (``disjoint_leaves``): on a
 clause pivot, the k orthonormal branches rather than the 2**k - 1
-overlapping ones that ``--mode decompose`` prints.  ``--mode count`` and
-``--mode sat`` read their cubes through ``allsat.count_and_witness`` and
-build no rows; ``--mode allsat`` and ``--verify`` solve them to rows and
-gather them.
+overlapping ones that ``--mode decompose`` prints.  The mode alone picks
+the solver: ``--mode count`` and ``--mode sat`` read their cubes through
+``allsat.count_and_witness`` and build no rows; ``--mode allsat`` solves
+them to rows and gathers them.  ``--verify`` checks what the run prints
+(the count, the least model or every row) against the truth table.
 
 The leaves are independent work items, solved one after another on the
 calling thread: a thread pool measured slower, because the pure-Python leaf
@@ -25,6 +26,7 @@ import json
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from typing import IO
 
 from .allsat import LeafResult, count_and_witness, gather, solve_leaf
@@ -155,8 +157,9 @@ def run(config: RunConfig, out: IO[str] | None = None,
                 out.write(tree.serialize())
             return EXIT_OK
 
-        verify = config.verify and formula.num_vars <= MAX_VARS
-        if config.mode == "allsat" or verify:
+        # ``solutions`` holds the rows the mode prints: every row for
+        # allsat, the least model for sat (and count, which prints none).
+        if config.mode == "allsat":
             solutions = gather(tree, parallel_leaf_solve(tree, config.jobs))
             count = solutions.count
         else:  # count and sat read the leaves' cubes and build no rows
@@ -167,15 +170,15 @@ def run(config: RunConfig, out: IO[str] | None = None,
         print(f"error: {exc}", file=err)
         return EXIT_ERROR
 
-    if config.verify and not verify:
+    if config.verify and formula.num_vars > MAX_VARS:
         print(f"note: --verify skipped: {formula.num_vars} variables > "
               f"{MAX_VARS}", file=err)
-    elif verify:
-        expected = tuple(to_truth_table(formula).support())
-        if solutions.rows != expected:
-            print(f"error: verification mismatch: solver found "
-                  f"{solutions.count} solutions, oracle found {len(expected)}",
-                  file=err)
+    elif config.verify:
+        table = to_truth_table(formula)
+        if (count != table.support_size or solutions.rows
+                != tuple(islice(table.support(), len(solutions.rows)))):
+            print(f"error: verification mismatch: solver found {count} "
+                  f"solutions, oracle found {table.support_size}", file=err)
             return EXIT_ERROR
 
     sat = count > 0
@@ -191,23 +194,16 @@ def run(config: RunConfig, out: IO[str] | None = None,
             return EXIT_ERROR
     if config.output_format == "json":
         payload: dict = {"status": status, "count": count}
-        if config.mode == "sat" and sat:
-            payload["solutions"] = [solutions.row_to_literals(solutions.rows[0])]
-        elif config.mode == "allsat":
+        if config.mode == "allsat" or (config.mode == "sat" and sat):
             payload["solutions"] = [
                 solutions.row_to_literals(row) for row in solutions.rows]
         print(json.dumps(payload), file=out)
+    elif config.mode == "count":
+        print(count_text, file=out)
     else:
         if config.mode == "sat":
             print(status, file=out)
-            if sat:
-                witness = solutions.row_to_literals(solutions.rows[0])
-                print(" ".join([*(str(lit) for lit in witness), "0"]),
-                      file=out)
-        elif config.mode == "allsat":
-            out.write(solutions.to_text())
-        else:  # count
-            print(count_text, file=out)
+        out.write(solutions.to_text())
     return EXIT_SAT if sat else EXIT_UNSAT
 
 

@@ -128,9 +128,6 @@ class DecompositionTree:
     def leaves(self) -> list[TreeNode]:
         return [n for n in self._nodes if n.status != INTERNAL]
 
-    def solvable_leaves(self) -> list[TreeNode]:
-        return [n for n in self._nodes if n.status == SOLVABLE]
-
     def disjoint_leaves(self) -> list[TreeNode]:
         """Live work nodes whose models partition the root's models.
 

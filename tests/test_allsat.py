@@ -156,7 +156,8 @@ class TestGather:
         rng = random.Random(71)
         f = random_formula(rng, 9, 22)
         tree = var_partition_decompose(f, 3)
-        results = [solve_leaf(n.item) for n in tree.solvable_leaves()]
+        results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
+                   if n.status == "solvable"]
         baseline = gather(tree, results)
         for _ in range(6):
             rng.shuffle(results)
@@ -185,7 +186,8 @@ class TestGather:
         rng = random.Random(79)
         f = random_formula(rng, 10, 26)
         tree = var_partition_decompose(f, 4)
-        results = {n.item: solve_leaf(n.item) for n in tree.solvable_leaves()}
+        results = {n.item: solve_leaf(n.item) for n in tree.disjoint_leaves()
+                   if n.status == "solvable"}
         gathered = gather(tree, results.values())
         position = {v: j for j, v in enumerate(gathered.over)}
         live = [n for n in tree.leaves() if n.status != "unsat"]

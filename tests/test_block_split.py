@@ -168,7 +168,8 @@ class TestBlockSplit:
             results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
                        if n.status == "solvable"]
             rnd.shuffle(results)
-            printed = [solve_leaf(n.item) for n in tree.solvable_leaves()]
+            printed = [solve_leaf(n.item) for n in tree.leaves()
+                       if n.status == "solvable"]
             assert gather(tree, results) == reference_gather(tree, printed)
 
     @settings(max_examples=200, deadline=None)

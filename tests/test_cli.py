@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from cofsat import all_solutions, clause_pivot_tree, emit_dimacs, gather
+from cofsat import (SolutionSet, all_solutions, clause_pivot_tree,
+                    count_and_witness, emit_dimacs, gather)
 from cofsat.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -266,6 +267,55 @@ class TestVerify:
                        "--mode", "count", "--verify"])
         assert status == EXIT_SAT
         assert capsys.readouterr().out == "9\n"
+
+    @staticmethod
+    def _forbid(monkeypatch, *names):
+        def refuse(*args, **kwargs):
+            raise AssertionError("this mode must not call that solver")
+        for name in names:
+            monkeypatch.setattr(f"cofsat.cli.{name}", refuse)
+
+    @pytest.mark.parametrize("mode", ["count", "sat"])
+    @pytest.mark.parametrize("output_format", ["text", "json"])
+    def test_count_and_sat_verify_the_cube_path(self, monkeypatch, mode,
+                                                output_format):
+        self._forbid(monkeypatch, "gather", "parallel_leaf_solve")
+        path = str(GOLDEN / "example2.cnf")
+        plain = run_capture(RunConfig(path, mode=mode,
+                                      output_format=output_format))
+        assert plain[0] == EXIT_SAT
+        assert run_capture(RunConfig(path, mode=mode, verify=True,
+                                     output_format=output_format)) == plain
+
+    @pytest.mark.parametrize("mode", ["count", "sat"])
+    @pytest.mark.parametrize("wrong", ["count", "least"])
+    def test_cube_mismatch_fails_the_run(self, monkeypatch, mode, wrong):
+        self._forbid(monkeypatch, "gather", "parallel_leaf_solve")
+        last = all_solutions(example2_formula()).rows[-1]
+
+        def wrong_answer(tree):
+            count, least = count_and_witness(tree)
+            return (count + 1, least) if wrong == "count" else (count, last)
+
+        monkeypatch.setattr("cofsat.cli.count_and_witness", wrong_answer)
+        found = 10 if wrong == "count" else 9
+        assert run_capture(RunConfig(
+            str(GOLDEN / "example2.cnf"), mode=mode, verify=True)) == (
+            EXIT_ERROR, "", f"error: verification mismatch: solver found "
+                            f"{found} solutions, oracle found 9\n")
+
+    def test_allsat_mismatch_fails_the_run(self, monkeypatch):
+        self._forbid(monkeypatch, "count_and_witness")
+
+        def drop_a_row(tree, results):
+            solutions = gather(tree, results)
+            return SolutionSet(solutions.over, solutions.rows[1:])
+
+        monkeypatch.setattr("cofsat.cli.gather", drop_a_row)
+        assert run_capture(RunConfig(
+            str(GOLDEN / "example2.cnf"), mode="allsat", verify=True)) == (
+            EXIT_ERROR, "", "error: verification mismatch: solver found "
+                            "8 solutions, oracle found 9\n")
 
 
 class TestMain:

@@ -1,8 +1,8 @@
 """Every solve mode end to end, against the brute-force oracle.
 
-``count`` and ``sat`` add up the leaves' cubes and build no rows, while
-``allsat`` and ``--verify`` gather every row; both must print what
-``helpers.brute_force_rows`` implies, on either pivot.  Formulas too wide
+``count`` and ``sat`` add up the leaves' cubes and build no rows, with or
+without ``--verify``, while ``allsat`` gathers every row; both must print
+what ``helpers.brute_force_rows`` implies, on either pivot.  Formulas too wide
 to expand must still count in bounded time and memory, and output too
 large to print must be refused before it is built.
 """

@@ -288,14 +288,16 @@ class TestVarPartition:
             expected = brute_force_rows(
                 [list(c.to_ints()) for c in f.clauses], f.universe)
             tree = var_partition_decompose(f, 4)
-            results = [solve_leaf(n.item) for n in tree.solvable_leaves()]
+            results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
+                       if n.status == "solvable"]
             assert list(gather(tree, results).rows) == expected
 
     def test_solve_order_is_irrelevant(self):
         rng = random.Random(53)
         f = random_formula(rng, 10, 24)
         tree = var_partition_decompose(f, 3)
-        results = [solve_leaf(n.item) for n in tree.solvable_leaves()]
+        results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
+                   if n.status == "solvable"]
         baseline = gather(tree, results)
         for _ in range(5):
             shuffled = results[:]
@@ -329,8 +331,10 @@ class TestVarPartition:
         f = CnfFormula([[v] for v in range(1, n + 1)])
         tree = var_partition_decompose(f, 1)
         assert len(tree.nodes) == n
-        assert [leaf.node_id for leaf in tree.solvable_leaves()] == [n - 1]
-        results = [solve_leaf(leaf.item) for leaf in tree.solvable_leaves()]
+        solvable = [leaf for leaf in tree.disjoint_leaves()
+                    if leaf.status == "solvable"]
+        assert [leaf.node_id for leaf in solvable] == [n - 1]
+        results = [solve_leaf(leaf.item) for leaf in solvable]
         assert gather(tree, results).rows == ((1 << n) - 1,)
 
     def test_bad_n0(self):

@@ -21,8 +21,8 @@ sorted into one canonical set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .boolfn import CapacityError
 from .cnf import (MAX_ENUM_VARS, CnfFormula, SolutionSet, _model_rows,
@@ -35,18 +35,19 @@ __all__ = ["LeafResult", "all_solutions", "count_and_witness", "gather",
            "solve_leaf"]
 
 
-@dataclass(frozen=True)
-class LeafResult:
+class LeafResult(namedtuple("LeafResult", "item solutions")):
     """Solutions of one work item, over the item's formula universe."""
 
+    __slots__ = ()
     item: WorkItem
     solutions: SolutionSet
 
-    def __post_init__(self) -> None:
-        if self.item.formula is None:
+    def __new__(cls, item: WorkItem, solutions: SolutionSet) -> LeafResult:
+        if item.formula is None:
             raise ValueError("dead work items have no solutions to report")
-        if self.solutions.over != self.item.formula.universe:
+        if solutions.over != item.formula.universe:
             raise ValueError("solutions are not over the item's universe")
+        return tuple.__new__(cls, (item, solutions))
 
 
 def all_solutions(formula: CnfFormula) -> SolutionSet:

@@ -15,9 +15,9 @@ are immutable, so they can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from operator import and_, or_, xor
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 MAX_VARS = 16
 
@@ -280,34 +280,36 @@ class TruthTable:
         }
 
 
-@dataclass(frozen=True)
-class CofactorInterval:
+class CofactorInterval(namedtuple("CofactorInterval", "lower upper")):
     """The interval [f*g, f+g'] of all functions agreeing with f on supp(g)."""
 
+    __slots__ = ()
     lower: TruthTable
     upper: TruthTable
 
-    def __post_init__(self) -> None:
-        if not self.lower <= self.upper:
+    def __new__(cls, lower: TruthTable, upper: TruthTable) -> CofactorInterval:
+        if not lower <= upper:
             raise ValueError("interval endpoints out of order")
+        return tuple.__new__(cls, (lower, upper))
 
     def contains(self, alpha: TruthTable) -> bool:
         return self.lower <= alpha and alpha <= self.upper
 
 
-@dataclass(frozen=True)
-class BaseSet:
+class BaseSet(namedtuple("BaseSet", "members cover")):
     """A nonempty family of nonzero functions over one universe.
 
     ``cover``, the OR of all members, is stored on construction; expansion
     of ``f`` over the base requires ``f <= cover``.  Orthonormality is a
-    property, not a requirement.
+    property, not a requirement.  ``cover`` follows from ``members``, so
+    only they are compared, printed by repr and pickled.
     """
 
+    __slots__ = ()
     members: tuple[TruthTable, ...]
-    cover: TruthTable = field(init=False, repr=False, compare=False)
+    cover: TruthTable
 
-    def __init__(self, members: Iterable[TruthTable]):
+    def __new__(cls, members: Iterable[TruthTable]) -> BaseSet:
         members = tuple(members)
         if not members:
             raise ValueError("base set must be nonempty")
@@ -319,8 +321,13 @@ class BaseSet:
             if g.is_zero:
                 raise ValueError("base set members must be nonzero")
             cover |= g.bits
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "cover", TruthTable(n, cover))
+        return tuple.__new__(cls, (members, TruthTable(n, cover)))
+
+    def __repr__(self) -> str:
+        return f"BaseSet(members={self.members!r})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.members,)
 
     @classmethod
     def pair(cls, g: TruthTable) -> "BaseSet":
@@ -351,7 +358,7 @@ class BaseSet:
         return self.members[i]
 
 
-class Verdict(NamedTuple):
+class Verdict(namedtuple("Verdict", "sat witness_index witness_point")):
     """Outcome of a consistency check for ``f = 1`` over a base set.
 
     ``witness_index`` is the 0-based position of a base member whose paired
@@ -359,18 +366,21 @@ class Verdict(NamedTuple):
     witnessing it.  Both are None when unsatisfiable.
     """
 
+    __slots__ = ()
     sat: bool
     witness_index: int | None
     witness_point: int | None
 
 
-class OnVerdict(NamedTuple):
+class OnVerdict(namedtuple(
+        "OnVerdict", "sat witness_index witness_point exactly_one")):
     """Consistency verdict over an orthonormal base.
 
     ``exactly_one`` reports whether precisely one member is 1 at the witness
     point; it is vacuously True on unsatisfiable input.
     """
 
+    __slots__ = ()
     sat: bool
     witness_index: int | None
     witness_point: int | None

@@ -17,17 +17,17 @@ an error in the input or an option value the run rejects (``--n0 0``), and
 2 for a usage error that argparse reports (``--mode prove``, ``--n0 x``).
 ``run`` writes every message it makes (``error:``, ``warning:`` and
 ``note:`` lines) to its ``err`` stream, and nothing else to stderr.
+
+Start-up is part of every run: importing this module loads none of
+``dataclasses``, ``typing``, ``json``, ``argparse`` or ``re``.  ``main``
+imports ``argparse``, and ``--format json`` imports ``json``, when they run.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import warnings
-from dataclasses import dataclass
 from itertools import islice
-from typing import IO
 
 from .allsat import LeafResult, count_and_witness, gather, solve_leaf
 from .boolfn import MAX_VARS
@@ -40,6 +40,11 @@ from .decompose import (
     clause_pivot_tree,
     var_partition_decompose,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: a run loads neither module
+    import argparse
+    from typing import IO
 
 __all__ = [
     "EXIT_OK",
@@ -62,30 +67,48 @@ PIVOTS = ("clause", "vars")
 FORMATS = ("text", "json")
 
 
-@dataclass
 class RunConfig:
-    """One solver invocation."""
+    """One solver invocation: a mutable value, equal field by field.  The
+    class attributes are the option defaults that argparse reads."""
 
-    input_path: str
-    mode: str = "sat"
-    pivot_strategy: str = "vars"
-    pivot_clause: int = 0
-    n0: int = 8
-    jobs: int = 1
-    output_format: str = "text"
-    verify: bool = False
+    mode = "sat"
+    pivot_strategy = "vars"
+    pivot_clause = 0
+    n0 = 8
+    jobs = 1
+    output_format = "text"
+    verify = False
 
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
+    def __init__(self, input_path: str, mode: str = mode,
+                 pivot_strategy: str = pivot_strategy,
+                 pivot_clause: int = pivot_clause, n0: int = n0,
+                 jobs: int = jobs, output_format: str = output_format,
+                 verify: bool = verify) -> None:
+        if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.pivot_strategy not in PIVOTS:
+        if pivot_strategy not in PIVOTS:
             raise ValueError(f"pivot strategy must be one of {PIVOTS}")
-        if self.output_format not in FORMATS:
+        if output_format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}")
-        if self.n0 < 1:
+        if n0 < 1:
             raise ValueError("n0 must be at least 1")
-        if self.jobs < 1:
+        if jobs < 1:
             raise ValueError("jobs must be at least 1")
+        self.input_path = input_path
+        self.mode = mode
+        self.pivot_strategy = pivot_strategy
+        self.pivot_clause = pivot_clause
+        self.n0 = n0
+        self.jobs = jobs
+        self.output_format = output_format
+        self.verify = verify
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
 
 
 def parallel_leaf_solve(tree: DecompositionTree, jobs: int) -> list[LeafResult]:
@@ -151,6 +174,7 @@ def run(config: RunConfig, out: IO[str] | None = None,
                 print("note: --verify skipped: decompose mode solves nothing",
                       file=err)
             if config.output_format == "json":
+                import json
                 print(json.dumps({"status": "OK", "tree": _tree_as_json(tree)}),
                       file=out)
             else:
@@ -193,6 +217,7 @@ def run(config: RunConfig, out: IO[str] | None = None,
                   f"{sys.get_int_max_str_digits()} decimal digits", file=err)
             return EXIT_ERROR
     if config.output_format == "json":
+        import json
         payload: dict = {"status": status, "count": count}
         if config.mode == "allsat" or (config.mode == "sat" and sat):
             payload["solutions"] = [
@@ -208,6 +233,7 @@ def run(config: RunConfig, out: IO[str] | None = None,
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="cofsat",
         description="CNF satisfiability and all-solutions toolkit based on "

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .boolfn import MAX_VARS, CapacityError, TruthTable
 
@@ -263,7 +263,7 @@ class PartialAssignment(Mapping):
 
     def __init__(
         self,
-        bindings: Union[Mapping[int, bool], Iterable[tuple[int, bool]]] = (),
+        bindings: Mapping[int, bool] | Iterable[tuple[int, bool]] = (),
     ):
         items = bindings.items() if isinstance(bindings, Mapping) else bindings
         mapping: dict[int, bool] = {}
@@ -425,7 +425,7 @@ def _ints_are_dimacs(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-def parse_dimacs(source: Union[str, bytes]) -> CnfFormula:
+def parse_dimacs(source: str | bytes) -> CnfFormula:
     """Parse DIMACS CNF text into a formula over universe {1..nvars}.
 
     Comment lines start with 'c' and may hold any bytes; elsewhere a byte
@@ -544,7 +544,7 @@ def partial_assignments(clause: Clause) -> list[PartialAssignment]:
 
 def substitute(
     formula: CnfFormula, bindings: Mapping[int, bool]
-) -> Union[CnfFormula, UnsatMarker]:
+) -> CnfFormula | UnsatMarker:
     """Reduce a formula under a partial assignment.
 
     Each bound literal is set in turn by the search's ``_reduce``:

@@ -23,8 +23,8 @@ strategy is included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .cnf import (
     UNSAT,
@@ -55,8 +55,7 @@ TRIVIAL = "trivial"
 DEAD = "unsat"
 
 
-@dataclass(frozen=True)
-class WorkItem:
+class WorkItem(namedtuple("WorkItem", "prefix formula depth")):
     """A self-contained subproblem: accumulated prefix plus reduced formula.
 
     ``formula`` is None when the reduction that built the item falsified a
@@ -65,18 +64,21 @@ class WorkItem:
     keeps its formula.
     """
 
+    __slots__ = ()
     prefix: PartialAssignment
     formula: CnfFormula | None
     depth: int
 
-    def __post_init__(self) -> None:
-        if self.depth < 0:
+    def __new__(cls, prefix: PartialAssignment, formula: CnfFormula | None,
+                depth: int) -> WorkItem:
+        if depth < 0:
             raise ValueError("depth must be nonnegative")
-        if (self.formula is not None
-                and not self.prefix.keys().isdisjoint(self.formula.universe)):
-            overlap = set(self.prefix) & set(self.formula.universe)
+        if (formula is not None
+                and not prefix.keys().isdisjoint(formula.universe)):
+            overlap = set(prefix) & set(formula.universe)
             raise ValueError(
                 f"prefix binds formula variables {sorted(overlap)}")
+        return tuple.__new__(cls, (prefix, formula, depth))
 
     @property
     def is_dead(self) -> bool:
@@ -84,8 +86,8 @@ class WorkItem:
         return self.formula is None
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(namedtuple("TreeNode", "node_id parent item status")):
+    __slots__ = ()
     node_id: int
     parent: int  # -1 for the root
     item: WorkItem
@@ -203,8 +205,9 @@ class DecompositionTree:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class CostEstimate:
+class CostEstimate(namedtuple(
+        "CostEstimate", "total_vars threshold depth remainder "
+        "leaf_solve_time substitution_time total_time")):
     """Closed-form time estimate for solving by repeated decomposition.
 
     ``depth`` levels of decomposition, each removing ``threshold`` of the
@@ -213,6 +216,7 @@ class CostEstimate:
     substitution pass per level.
     """
 
+    __slots__ = ()
     total_vars: int
     threshold: int
     depth: int

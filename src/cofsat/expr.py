@@ -15,20 +15,18 @@ omitted it defaults to one past the highest index mentioned.
 
 from __future__ import annotations
 
-import re
-
 from .boolfn import TruthTable
 
 __all__ = ["parse_function"]
 
-_TOKEN = re.compile(r"\s*(x\d+|[01+*^'()])")
-
 
 def _tokenize(text: str) -> list[str]:
+    import re  # here, so importing cofsat skips it; re caches the pattern
+    token = re.compile(r"\s*(x\d+|[01+*^'()])")
     tokens = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = token.match(text, pos)
         if m is None:
             if text[pos:].strip():
                 raise ValueError(f"bad character at position {pos}: {text[pos:]!r}")

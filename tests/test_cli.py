@@ -40,15 +40,16 @@ class TestRunConfig:
         assert config.n0 == 8 and config.jobs == 1
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^mode must be one of "):
             RunConfig(input_path="x", mode="prove")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n0 must be at least 1$"):
             RunConfig(input_path="x", n0=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^jobs must be at least 1$"):
             RunConfig(input_path="x", jobs=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^pivot strategy must be one of "):
             RunConfig(input_path="x", pivot_strategy="magic")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^format must be one of "):
             RunConfig(input_path="x", output_format="xml")
 
 

@@ -11,29 +11,17 @@ Layers, lowest first:
                 independent work items, plus the cost model
 * ``allsat``    enumerating leaf solver, solution gathering, and cube counting
 * ``cli``       command-line driver; leaves are solved serially
+
+``limits`` holds the truth-table cap ``MAX_VARS`` and ``CapacityError``.
+Importing the package loads ``cnf``, ``decompose``, ``allsat`` and
+``limits``.  ``boolfn`` and ``expr`` load on first use of one of their
+names, here or in ``to_truth_table``, so a run that solves without
+``--verify`` never loads them, and solving cannot depend on the oracle it
+is checked against.
 """
 
 from .allsat import (LeafResult, all_solutions, count_and_witness, gather,
                      solve_leaf)
-from .boolfn import (
-    BaseSet,
-    CapacityError,
-    CofactorInterval,
-    OnVerdict,
-    TruthTable,
-    Verdict,
-    cofactor_interval,
-    cofactor_sample,
-    compose,
-    compose_via_expansion,
-    consistency_over_base,
-    consistency_over_on,
-    expand,
-    expansion_identity,
-    is_cofactor,
-    is_orthonormal,
-    term_expansions,
-)
 from .cnf import (
     UNSAT,
     Clause,
@@ -61,7 +49,37 @@ from .decompose import (
     estimate_cost,
     var_partition_decompose,
 )
-from .expr import parse_function
+from .limits import CapacityError
+
+# Names of ``boolfn`` and ``expr``, bound on first access (PEP 562), so that
+# importing the package, as every CLI run does, compiles neither module.
+_LAZY = {
+    "boolfn": ("TruthTable", "CofactorInterval", "BaseSet", "Verdict",
+               "OnVerdict", "cofactor_interval", "is_cofactor",
+               "cofactor_sample", "expand", "is_orthonormal",
+               "term_expansions", "expansion_identity", "compose",
+               "compose_via_expansion", "consistency_over_base",
+               "consistency_over_on"),
+    "expr": ("parse_function",),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = name if name in _LAZY else _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    value = importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_HOME})
+
 
 __version__ = "0.1.0"
 

@@ -24,12 +24,12 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .boolfn import CapacityError
 from .cnf import (MAX_ENUM_VARS, CnfFormula, SolutionSet, _model_rows,
                   _models, _scatter)
 # Never called here; bench/tracing.py counts calls of ``allsat.substitute``.
 from .cnf import substitute  # noqa: F401
 from .decompose import SOLVABLE, DecompositionTree, TreeNode, WorkItem
+from .limits import CapacityError
 
 __all__ = ["LeafResult", "all_solutions", "count_and_witness", "gather",
            "solve_leaf"]

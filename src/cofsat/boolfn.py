@@ -19,7 +19,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from operator import and_, or_, xor
 
-MAX_VARS = 16
+from .limits import MAX_VARS, CapacityError
 
 __all__ = [
     "MAX_VARS",
@@ -41,10 +41,6 @@ __all__ = [
     "consistency_over_base",
     "consistency_over_on",
 ]
-
-
-class CapacityError(ValueError):
-    """Raised when an operation would exceed a hard size cap."""
 
 
 class TruthTable:
@@ -192,6 +188,9 @@ class TruthTable:
     def __repr__(self) -> str:
         width = max(1, (1 << self._num_vars) // 4)
         return f"TruthTable({self._num_vars}, 0x{self._bits:0{width}x})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self._num_vars, self._bits)
 
     # -- substitution ------------------------------------------------------
 

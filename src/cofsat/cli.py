@@ -19,8 +19,10 @@ an error in the input or an option value the run rejects (``--n0 0``), and
 ``note:`` lines) to its ``err`` stream, and nothing else to stderr.
 
 Start-up is part of every run: importing this module loads none of
-``dataclasses``, ``typing``, ``json``, ``argparse`` or ``re``.  ``main``
-imports ``argparse``, and ``--format json`` imports ``json``, when they run.
+``dataclasses``, ``typing``, ``json``, ``argparse`` or ``re``, nor the
+truth-table layer ``boolfn`` or ``expr``.  ``main`` imports ``argparse``,
+``--format json`` imports ``json``, and ``--verify`` loads ``boolfn`` when
+it builds a truth table (at most ``MAX_VARS`` variables).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import warnings
 from itertools import islice
 
 from .allsat import LeafResult, count_and_witness, gather, solve_leaf
-from .boolfn import MAX_VARS
 from .cnf import (DimacsParseError, NormalizationWarning, SolutionSet,
                   parse_dimacs, to_truth_table)
 from .decompose import (
@@ -40,6 +41,7 @@ from .decompose import (
     clause_pivot_tree,
     var_partition_decompose,
 )
+from .limits import MAX_VARS
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: a run loads neither module

@@ -32,7 +32,11 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import combinations
 
-from .boolfn import MAX_VARS, CapacityError, TruthTable
+from .limits import MAX_VARS, CapacityError
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: to_truth_table loads boolfn on use
+    from .boolfn import TruthTable
 
 __all__ = [
     "MAX_ENUM_VARS",
@@ -140,6 +144,9 @@ class Clause:
     def __repr__(self) -> str:
         return f"Clause({list(self._ints)!r})"
 
+    def __reduce__(self) -> tuple:
+        return type(self), (self._ints,)
+
 
 class UnsatMarker:
     """Sentinel result of a substitution that falsified a clause."""
@@ -153,6 +160,9 @@ class UnsatMarker:
 
     def __repr__(self) -> str:
         return "UNSAT"
+
+    def __reduce__(self) -> str:
+        return "UNSAT"  # pickled by reference, so it stays the one marker
 
 
 UNSAT = UnsatMarker()
@@ -254,6 +264,9 @@ class CnfFormula:
         return (f"CnfFormula({[list(c) for c in self._clauses]!r}, "
                 f"universe={list(self._universe)!r})")
 
+    def __reduce__(self) -> tuple:
+        return type(self), (self._clauses, self._universe)
+
 
 class PartialAssignment(Mapping):
     """An immutable finite mapping from variables to truth values, kept in
@@ -323,6 +336,9 @@ class PartialAssignment(Mapping):
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}={int(b)}" for v, b in self._bindings.items())
         return f"PartialAssignment({{{inner}}})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self._bindings,)
 
 
 class SolutionSet:
@@ -413,6 +429,9 @@ class SolutionSet:
 
     def __repr__(self) -> str:
         return f"SolutionSet(over={self._over!r}, rows={len(self._rows)})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self._over, self._rows)
 
 
 # -- DIMACS ---------------------------------------------------------------
@@ -689,7 +708,9 @@ def to_truth_table(formula: CnfFormula) -> TruthTable:
 
     Variable at universe position j maps to table variable j.  This is the
     independent evaluation path used to cross-check the enumerating solver.
+    It loads ``boolfn``, which no solving path needs, on its first call.
     """
+    from .boolfn import TruthTable
     n = len(formula.universe)
     if n > MAX_VARS:
         raise CapacityError(

@@ -18,3 +18,34 @@ def test_every_exported_name_resolves(module):
     assert module.__all__, f"{module.__name__} exports nothing"
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from cofsat import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(cofsat.__all__)
+
+
+def test_lazy_names_are_the_originals():
+    # dir() lists them before they load: see test_cold_start.py.
+    from cofsat import boolfn, expr
+    lazy = {name: module for module in (boolfn, expr)
+            for name in module.__all__ if name in cofsat.__all__}
+    assert "TruthTable" in lazy and "parse_function" in lazy
+    for name, module in lazy.items():
+        assert name in dir(cofsat)
+        assert getattr(cofsat, name) is getattr(module, name), name
+    assert cofsat.boolfn is boolfn and cofsat.expr is expr
+
+
+def test_capacity_error_has_one_identity():
+    from cofsat import allsat, boolfn, cnf, limits
+    assert cofsat.CapacityError is boolfn.CapacityError is cnf.CapacityError \
+        is allsat.CapacityError is limits.CapacityError
+    assert boolfn.MAX_VARS is cnf.MAX_VARS is limits.MAX_VARS
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        cofsat.nope
+    assert not hasattr(cofsat, "MAX_VARS")

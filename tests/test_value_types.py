@@ -1,15 +1,16 @@
-"""The small record types: value equality and hashing, immutability where
-frozen, validation messages, repr field names and pickling."""
+"""The small record types and the values they hold: value equality and
+hashing, immutability where frozen, validation messages, repr field names
+and pickling under every protocol."""
 
 import pickle
 
 import pytest
 
-from cofsat import (BaseSet, CnfFormula, CofactorInterval, LeafResult,
-                    OnVerdict, PartialAssignment, TruthTable, Verdict,
-                    WorkItem, all_solutions, consistency_over_base,
-                    consistency_over_on, cofactor_interval, estimate_cost,
-                    var_partition_decompose)
+from cofsat import (UNSAT, BaseSet, Clause, CnfFormula, CofactorInterval,
+                    LeafResult, OnVerdict, PartialAssignment, SolutionSet,
+                    TruthTable, Verdict, WorkItem, all_solutions,
+                    consistency_over_base, consistency_over_on,
+                    cofactor_interval, estimate_cost, var_partition_decompose)
 from cofsat.cli import RunConfig
 from cofsat.decompose import TreeNode
 
@@ -82,16 +83,33 @@ def test_repr_names_the_fields(name):
     assert all(f", {field}=" in text for field in rest)
 
 
-@pytest.mark.parametrize("name", sorted(FROZEN))
-# From 2: TruthTable, PartialAssignment and SolutionSet use __slots__, which
-# protocols 0 and 1 cannot save.
-@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
+# The slotted value types the records hold.
+VALUES = {
+    "Clause": lambda: Clause([3, -1]),
+    "CnfFormula": lambda: CnfFormula([[1, -2], [3]], universe=[1, 2, 3, 5]),
+    "PartialAssignment": lambda: PartialAssignment({4: True, 2: False}),
+    "SolutionSet": lambda: SolutionSet([2, 1], [3, 0]),
+    "TruthTable": lambda: TruthTable(3, 0x5A),
+}
+PICKLED = {**FROZEN, **VALUES}
+
+
+@pytest.mark.parametrize("name", sorted(PICKLED))
+@pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_pickle_round_trip(name, protocol):
-    value = FROZEN[name]()
+    value = PICKLED[name]()
     copy = pickle.loads(pickle.dumps(value, protocol))
     assert type(copy) is type(value)
     assert copy == value and hash(copy) == hash(value)
     assert repr(copy) == repr(value)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_unsat_unpickles_as_itself(protocol):
+    assert pickle.loads(pickle.dumps(UNSAT, protocol)) is UNSAT
+    assert pickle.loads(pickle.dumps([UNSAT], protocol))[0] is UNSAT
 
 
 def test_verdict_repr_is_pinned():
@@ -211,8 +229,9 @@ class TestRunConfig:
 
 def test_decomposition_tree_pickles():
     tree = var_partition_decompose(example2_formula(), 3)
-    copy = pickle.loads(pickle.dumps(tree))
-    assert len(copy.nodes) == len(tree.nodes) > 1
-    assert copy.nodes == tree.nodes
-    assert copy.serialize() == tree.serialize()
-    assert copy.disjoint_leaves() == tree.disjoint_leaves()
+    for protocol in PROTOCOLS:
+        copy = pickle.loads(pickle.dumps(tree, protocol))
+        assert len(copy.nodes) == len(tree.nodes) > 1
+        assert copy.nodes == tree.nodes
+        assert copy.serialize() == tree.serialize()
+        assert copy.disjoint_leaves() == tree.disjoint_leaves()

@@ -5,7 +5,7 @@ Clause-pivot mode branches on the 2^k - 1 partial assignments that satisfy
 one pivot clause; every branch is a smaller CNF, and the original formula
 is satisfiable iff some branch is.  Those branches overlap; the k branches
 l1, l1'l2, ..., l1'...l(k-1)'lk are an orthonormal base of the same clause,
-disjoint and covering it, and they are what the solver works on.
+disjoint and covering it, and they are what the solver builds and works on.
 Variable-partition mode instead peels
 off a block of at most n0 variables per level until every live leaf is
 small.  A closed-form model estimates the cost of the latter.
@@ -13,8 +13,8 @@ small.  A closed-form model estimates the cost of the latter.
 
 from cofsat import (
     CnfFormula,
+    clause_branch_tree,
     clause_pivot_decompose,
-    clause_pivot_tree,
     estimate_cost,
     partial_assignments,
     sat_set,
@@ -39,7 +39,7 @@ for i, item in enumerate(clause_pivot_decompose(formula, 0), start=1):
     print(f"  {i}: prefix {item.prefix.to_literals()} -> {body}")
 
 print("\nthe same pivot's orthonormal branches (disjoint; solving reads these):")
-for node in clause_pivot_tree(formula, 0).disjoint_leaves():
+for node in clause_branch_tree(formula, 0).disjoint_leaves():
     body = str(node.item.formula) if node.status == "solvable" else "TRUE"
     print(f"  {node.node_id}: prefix {node.item.prefix.to_literals()} -> {body}")
 

@@ -43,6 +43,7 @@ from .decompose import (
     DecompositionTree,
     WorkItem,
     choose_var_subset,
+    clause_branch_tree,
     clause_pivot_decompose,
     clause_pivot_tree,
     enumerate_c1_assignments,
@@ -98,7 +99,8 @@ __all__ = [
     "to_truth_table", "formula_vars",
     # decompose
     "WorkItem", "DecompositionTree", "CostEstimate",
-    "clause_pivot_decompose", "clause_pivot_tree", "choose_var_subset",
+    "clause_branch_tree", "clause_pivot_decompose", "clause_pivot_tree",
+    "choose_var_subset",
     "enumerate_c1_assignments", "var_partition_decompose", "estimate_cost",
     # allsat
     "LeafResult", "all_solutions", "solve_leaf", "gather", "count_and_witness",

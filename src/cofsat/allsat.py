@@ -7,16 +7,18 @@ the dense truth-table evaluation in ``cnf.to_truth_table``, so the two can
 cross-check each other.
 
 Both read a tree through ``DecompositionTree.disjoint_leaves``: the live
-leaves of a variable-partition tree, or the k orthonormal branches l1;
--l1 l2; ...; -l1 ... -l(k-1) lk that refine the singleton branches of a
-clause pivot.  Their models are disjoint, so counts add and no row is
-built twice.  ``count_and_witness`` adds up cube counts and takes the
-least root row, building no rows.  ``all_solutions`` and ``solve_leaf``
-expand a formula's cubes to rows, and ``gather`` reassembles the
-root-level solution set from those per-leaf rows: each leaf's rows are
-moved to their root positions together with the leaf's prefix in one bit
-scatter, widened over any variables the branch left unconstrained, then
-sorted into one canonical set.
+leaves of a variable-partition tree, or of a clause pivot's k
+orthonormal branches l1; -l1 l2; ...; -l1 ... -l(k-1) lk, which the CLI
+builds directly (``clause_branch_tree``); the 2**k - 1 overlapping
+branches are built only for ``--mode decompose``.  Their models are
+disjoint, so counts add and no row is built twice.
+``count_and_witness`` adds up cube counts and takes the least root row,
+building no rows.  ``all_solutions`` and ``solve_leaf`` expand a
+formula's cubes to rows, and ``gather`` reassembles the root-level
+solution set from those per-leaf rows: each leaf's rows are moved to
+their root positions together with the leaf's prefix in one bit scatter,
+widened over any variables the branch left unconstrained, then sorted
+into one canonical set.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ def gather(
     A tree with no live leaf gathers to the empty set.  The size of the
     result is counted from the leaves' row counts first: more than
     ``2**cnf.MAX_ENUM_VARS`` rows raise ``CapacityError`` before any root
-    row is built.
+    row is built, stated as powers of two.
     """
     by_item: dict[WorkItem, SolutionSet] = {}
     for result in leaf_results:
@@ -161,9 +163,11 @@ def gather(
         total += len(leaf_rows) << len(free)
         placed.append((leaf_rows, targets, free, base))
     if total > 1 << MAX_ENUM_VARS:
+        # As powers of two: the interpreter writes no int of more than
+        # sys.get_int_max_str_digits() decimal digits.
         raise CapacityError(
-            f"output capped at {1 << MAX_ENUM_VARS} rows, formula has "
-            f"{total} models")
+            f"output capped at 2**{MAX_ENUM_VARS} rows, formula has at "
+            f"least 2**{total.bit_length() - 1} models")
     rows: list[int] = []
     for leaf_rows, targets, free, base in placed:
         rows.extend(_scatter(leaf_rows, targets, free, base))

@@ -1,12 +1,14 @@
 """Command-line driver: parse DIMACS, decompose, solve the leaves, gather.
 
-Solving reads the tree's disjoint leaves (``disjoint_leaves``): on a
-clause pivot, the k orthonormal branches rather than the 2**k - 1
-overlapping ones that ``--mode decompose`` prints.  The mode alone picks
-the solver: ``--mode count`` and ``--mode sat`` read their cubes through
-``allsat.count_and_witness`` and build no rows; ``--mode allsat`` solves
-them to rows and gathers them.  ``--verify`` checks what the run prints
-(the count, the least model or every row) against the truth table.
+Solving reads the tree's disjoint leaves (``disjoint_leaves``).  On a
+clause pivot, ``sat``, ``count`` and ``allsat`` build only the k
+orthonormal branches (``clause_branch_tree``); the 2**k - 1 overlapping
+branches are built only for ``--mode decompose``, which prints them.
+The mode alone picks the solver: ``--mode count`` and ``--mode sat``
+read their cubes through ``allsat.count_and_witness`` and build no rows;
+``--mode allsat`` solves them to rows and gathers them.  ``--verify``
+checks what the run prints (the count, the least model or every row)
+against the truth table.
 
 The leaves are independent work items, solved one after another on the
 calling thread: a thread pool measured slower, because the pure-Python leaf
@@ -38,6 +40,7 @@ from .decompose import (
     SOLVABLE,
     TRIVIAL,
     DecompositionTree,
+    clause_branch_tree,
     clause_pivot_tree,
     var_partition_decompose,
 )
@@ -167,10 +170,12 @@ def run(config: RunConfig, out: IO[str] | None = None,
         print(f"warning: {config.input_path}: {warning.message}", file=err)
 
     try:
-        if config.pivot_strategy == "clause":
+        if config.pivot_strategy == "vars":
+            tree = var_partition_decompose(formula, config.n0)
+        elif config.mode == "decompose":
             tree = clause_pivot_tree(formula, config.pivot_clause)
         else:
-            tree = var_partition_decompose(formula, config.n0)
+            tree = clause_branch_tree(formula, config.pivot_clause)
         if config.mode == "decompose":
             if config.verify:
                 print("note: --verify skipped: decompose mode solves nothing",

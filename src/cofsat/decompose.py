@@ -1,12 +1,14 @@
 """Decomposition of CNF formulas into independent subproblems.
 
-Two strategies are provided.  Clause-pivot decomposition branches on the
-2**k - 1 partial assignments of one pivot clause: the input is satisfiable
-iff at least one branch is, and the branches' models together are the
-input's, but they overlap.  Solving reads the tree's ``disjoint_leaves``
-instead: the k branches l1; -l1 l2; ...; -l1 ... -l(k-1) lk that refine
-the singleton branches form an orthonormal base, disjoint and covering
-the clause, so their counts add and no model is found twice.
+Two strategies are provided.  A clause pivot (l1 ... lk) has two trees.
+Solving builds ``clause_branch_tree``: the k branches l1; -l1 l2; ...;
+-l1 ... -l(k-1) lk, an orthonormal base, disjoint and covering the
+clause, so their counts add and no model is found twice; each branch is
+one ``substitute`` of the root.  ``clause_pivot_tree`` keeps the 2**k - 1
+overlapping branches, one per partial assignment of the clause, for
+``--mode decompose`` to print: the input is satisfiable iff at least one
+of them is.  Its ``disjoint_leaves`` are the live branches of
+``clause_branch_tree``, built only when asked for.
 
 Variable-partition decomposition repeatedly picks a block X1 of at most
 ``n0`` variables and splits the clauses once per node into bit masks over
@@ -41,6 +43,7 @@ __all__ = [
     "TreeNode",
     "DecompositionTree",
     "CostEstimate",
+    "clause_branch_tree",
     "clause_pivot_decompose",
     "clause_pivot_tree",
     "choose_var_subset",
@@ -97,17 +100,18 @@ class TreeNode(namedtuple("TreeNode", "node_id parent item status")):
 class DecompositionTree:
     """Nodes in preorder; node 0 is the root, parent links define the shape.
 
-    ``overlapping`` says that sibling leaves may share models, as the
-    2**k - 1 branches of a clause pivot do; otherwise the leaves are
-    disjoint.  Either way ``disjoint_leaves`` gives the live work nodes
-    whose models partition the root's, which is what solving reads.
+    ``pivot`` is the index of the pivot clause of a tree whose leaves are
+    the 2**k - 1 overlapping branches of that clause; otherwise it is None
+    and the leaves are disjoint.  Either way ``disjoint_leaves`` gives the
+    live work nodes whose models partition the root's, which is what
+    solving reads.
     """
 
-    def __init__(self, nodes: Sequence[TreeNode], overlapping: bool = False):
+    def __init__(self, nodes: Sequence[TreeNode], pivot: int | None = None):
         if not nodes or nodes[0].parent != -1:
             raise ValueError("first node must be the root with parent -1")
         self._nodes = tuple(nodes)
-        self._overlapping = overlapping
+        self._pivot = pivot
         self._disjoint: tuple[TreeNode, ...] | None = None
 
     @property
@@ -120,7 +124,7 @@ class DecompositionTree:
 
     @property
     def overlapping(self) -> bool:
-        return self._overlapping
+        return self._pivot is not None
 
     @property
     def root_universe(self) -> tuple[int, ...]:
@@ -133,39 +137,18 @@ class DecompositionTree:
     def disjoint_leaves(self) -> list[TreeNode]:
         """Live work nodes whose models partition the root's models.
 
-        On a variable-partition tree these are the live leaves, in node
-        order.  On an ``overlapping`` (clause-pivot) tree the singleton
-        leaves' prefixes are the pivot literals l1 ... lk, in node order,
-        and the nodes are the orthonormal refinement of those leaves: for
-        each live singleton leaf li, one node with prefix li, -l1 ...
-        -l(i-1) and that leaf's formula reduced by the negations (one
-        ``substitute``), under the leaf's id.  A dead singleton leaf adds
-        no node but still adds its negation to the later branches, and a
-        branch the negations kill is left out.  So there are at most k
-        nodes, against 2**k - 1 overlapping leaves, and their model counts
-        add up to the root's.  Computed once per tree.
+        These are the live leaves, in node order.  On an ``overlapping``
+        tree they are the live leaves of ``clause_branch_tree`` on the same
+        root and pivot: at most k nodes, against 2**k - 1 overlapping
+        leaves, each under the id of the singleton leaf of its literal.
+        Computed once per tree, on the first call.
         """
         if self._disjoint is None:
-            if not self._overlapping:
-                nodes = [n for n in self.leaves() if n.status != DEAD]
-            else:
-                nodes = []
-                negated: dict[int, bool] = {}
-                for leaf in self.leaves():
-                    item = leaf.item
-                    if len(item.prefix) != 1:
-                        continue
-                    (var, value), = item.prefix.items()
-                    if leaf.status != DEAD:
-                        reduced = substitute(item.formula, negated)
-                        if reduced is not UNSAT:
-                            prefix = PartialAssignment({**negated, var: value})
-                            nodes.append(TreeNode(
-                                leaf.node_id, leaf.parent,
-                                WorkItem(prefix, reduced, item.depth),
-                                _leaf_status(reduced, None)))
-                    negated[var] = not value
-            self._disjoint = tuple(nodes)
+            tree = self
+            if self._pivot is not None:
+                tree = clause_branch_tree(self.root.item.formula, self._pivot)
+            self._disjoint = tuple(
+                [n for n in tree.leaves() if n.status != DEAD])
         return list(self._disjoint)
 
     @property
@@ -236,6 +219,15 @@ def _leaf_status(formula: CnfFormula | None, n0: int | None) -> str:
     return INTERNAL
 
 
+def _pivot_clause(formula: CnfFormula, pivot_index: int) -> tuple[int, ...]:
+    clauses = formula.to_ints()
+    if not 0 <= pivot_index < len(clauses):
+        raise ValueError(
+            f"pivot index {pivot_index} out of range for "
+            f"{len(clauses)} clauses")
+    return clauses[pivot_index]
+
+
 def clause_pivot_decompose(
     formula: CnfFormula, pivot_index: int
 ) -> list[WorkItem]:
@@ -244,16 +236,12 @@ def clause_pivot_decompose(
     Returns one WorkItem per assignment, in canonical assignment order.
     Branches whose reduction falsifies a clause are kept, flagged dead.
     The input is satisfiable iff some branch is satisfiable.  Branch
-    solution sets may overlap; ``clause_pivot_tree`` and its
-    ``disjoint_leaves`` give the k disjoint branches that solving uses.
+    solution sets may overlap; ``clause_branch_tree`` gives the k disjoint
+    branches that solving uses.
     """
-    clauses = formula.to_ints()
-    if not 0 <= pivot_index < len(clauses):
-        raise ValueError(
-            f"pivot index {pivot_index} out of range for "
-            f"{len(clauses)} clauses")
     items = []
-    for q in partial_assignments(Clause._view(clauses[pivot_index])):
+    for q in partial_assignments(
+            Clause._view(_pivot_clause(formula, pivot_index))):
         reduced = substitute(formula, q)
         items.append(WorkItem(
             prefix=q,
@@ -264,15 +252,15 @@ def clause_pivot_decompose(
 
 
 def clause_pivot_tree(formula: CnfFormula, pivot_index: int) -> DecompositionTree:
-    """One-level tree around clause_pivot_decompose, for tracing and solving.
+    """One-level tree around clause_pivot_decompose, for ``--mode decompose``.
 
     Every live branch is a terminal leaf regardless of size, so leaves are
     flagged solvable (or trivial/dead) with no variable bound.  The
-    branches overlap, so the tree is marked ``overlapping``; solving reads
-    its ``disjoint_leaves``, the orthonormal refinement of the singleton
-    branches, while the tree itself (and so ``--mode decompose``) keeps all
-    2**k - 1 branches.  A formula with no clauses has no pivot: its tree
-    is the root alone, a trivial leaf, whatever ``pivot_index`` says.
+    branches overlap, so the tree records its pivot and is
+    ``overlapping``; its ``disjoint_leaves`` are those of
+    ``clause_branch_tree``, which is what solving builds instead.  A
+    formula with no clauses has no pivot: its tree is the root alone, a
+    trivial leaf, whatever ``pivot_index`` says.
     """
     root = WorkItem(PartialAssignment(), formula, 0)
     if formula.is_empty:
@@ -282,7 +270,37 @@ def clause_pivot_tree(formula: CnfFormula, pivot_index: int) -> DecompositionTre
         nodes.append(TreeNode(
             node_id=len(nodes), parent=0, item=item,
             status=_leaf_status(item.formula, None)))
-    return DecompositionTree(nodes, overlapping=True)
+    return DecompositionTree(nodes, pivot=pivot_index)
+
+
+def clause_branch_tree(formula: CnfFormula, pivot_index: int) -> DecompositionTree:
+    """The k orthonormal branches of the pivot clause (l1 ... lk), as a
+    one-level tree whose leaves are disjoint: what solving reads.
+
+    Node i (1 <= i <= k, the id of li's singleton leaf in
+    ``clause_pivot_tree``) has prefix -l1 ... -l(i-1) li and the root
+    reduced by it, one ``substitute`` each; a branch the prefix falsifies
+    is a dead leaf.  The branches' models partition the root's, so their
+    counts add.  An empty formula and an out-of-range index are treated
+    as in ``clause_pivot_tree``.
+    """
+    root = WorkItem(PartialAssignment(), formula, 0)
+    if formula.is_empty:
+        return DecompositionTree([TreeNode(0, -1, root, TRIVIAL)])
+    nodes = [TreeNode(node_id=0, parent=-1, item=root, status=INTERNAL)]
+    negated: dict[int, bool] = {}
+    for lit in _pivot_clause(formula, pivot_index):
+        var = abs(lit)
+        # The clause is in variable order, so every prefix is too.
+        prefix = PartialAssignment._sorted({**negated, var: lit > 0})
+        reduced = substitute(formula, prefix)
+        if reduced is UNSAT:
+            reduced = None
+        nodes.append(TreeNode(
+            node_id=len(nodes), parent=0, item=WorkItem(prefix, reduced, 1),
+            status=_leaf_status(reduced, None)))
+        negated[var] = lit < 0
+    return DecompositionTree(nodes)
 
 
 def choose_var_subset(formula: CnfFormula, n0: int) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cofsat import (SolutionSet, all_solutions, clause_pivot_tree,
-                    count_and_witness, emit_dimacs, gather)
+                    count_and_witness, decompose, emit_dimacs, gather)
 from cofsat.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -22,7 +22,7 @@ from cofsat.cli import (
     run,
 )
 
-from helpers import example2_formula, random_formula
+from helpers import brute_force_rows, example2_formula, random_formula
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -249,6 +249,45 @@ class TestParallelism:
         assert len(expected) == 3
         assert parallel_leaf_solve(tree, 8) == expected
         assert calls == [(threading.get_ident(), item) for item in expected]
+
+
+class TestClausePivotSubstitutes:
+    """Solving a k-literal pivot builds its k orthonormal branches straight
+    from the root: one ``substitute`` each, none for the 2**k - 1
+    overlapping branches that only ``--mode decompose`` prints."""
+
+    CLAUSES = [[1, 2, 3, 4, 5, 6, 7, 8], [-1, 9], [-2, -9, 10], [-8, -10]]
+
+    def _run_counting(self, tmp_path, monkeypatch, mode):
+        path = tmp_path / "clause8.cnf"
+        path.write_text("p cnf 10 4\n" + "".join(
+            " ".join(map(str, c)) + " 0\n" for c in self.CLAUSES))
+        calls = []
+        original = decompose.substitute
+        monkeypatch.setattr(decompose, "substitute",
+                            lambda f, q: calls.append(q) or original(f, q))
+        result = run_capture(RunConfig(str(path), mode=mode,
+                                       pivot_strategy="clause"))
+        return result, len(calls)
+
+    @pytest.mark.parametrize("mode", ["count", "sat", "allsat"])
+    def test_at_most_one_call_per_literal(self, tmp_path, monkeypatch, mode):
+        (status, out, err), calls = self._run_counting(
+            tmp_path, monkeypatch, mode)
+        rows = brute_force_rows(self.CLAUSES, range(1, 11))
+        assert (status, err) == (EXIT_SAT, "")
+        assert calls <= 8
+        if mode == "count":
+            assert out == f"{len(rows)}\n"
+        else:
+            assert len(out.splitlines()) == (2 if mode == "sat" else len(rows))
+
+    def test_decompose_builds_only_the_printed_branches(self, tmp_path,
+                                                         monkeypatch):
+        (status, out, err), calls = self._run_counting(
+            tmp_path, monkeypatch, "decompose")
+        assert (status, err) == (EXIT_OK, "")
+        assert calls == 255 == len(out.splitlines()) - 1
 
 
 class TestVerify:

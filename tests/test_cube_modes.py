@@ -248,5 +248,20 @@ def test_oversized_allsat_is_refused_before_any_row(tmp_path, pivot):
         preexec_fn=_limit_memory)
     assert proc.returncode == EXIT_ERROR
     assert proc.stdout == ""
-    assert proc.stderr == ("error: output capped at 1048576 rows, formula "
-                           f"has {1 << 64} models\n")
+    assert proc.stderr == ("error: output capped at 2**20 rows, formula "
+                           "has at least 2**64 models\n")
+
+
+@pytest.mark.parametrize("pivot", ["vars", "clause"])
+def test_allsat_refusal_states_a_huge_count_without_decimal_digits(
+        tmp_path, pivot):
+    # 2**14999 models: 4,516 decimal digits, past the 4,300 that
+    # sys.get_int_max_str_digits() allows by default.
+    path = tmp_path / "free.cnf"
+    path.write_text("p cnf 15000 1\n1 0\n")
+    out, err = io.StringIO(), io.StringIO()
+    status = run(RunConfig(str(path), mode="allsat", pivot_strategy=pivot),
+                 out=out, err=err)
+    assert (status, out.getvalue(), err.getvalue()) == (
+        EXIT_ERROR, "", "error: output capped at 2**20 rows, formula has at "
+        "least 2**14999 models\n")

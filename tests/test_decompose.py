@@ -1,7 +1,9 @@
 """Clause-pivot and variable-partition decomposition, plus the cost model."""
 
 import itertools
+import os
 import random
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
@@ -16,9 +18,11 @@ from cofsat import (
     Clause,
     CnfFormula,
     PartialAssignment,
+    UNSAT,
     WorkItem,
     all_solutions,
     choose_var_subset,
+    clause_branch_tree,
     clause_pivot_decompose,
     clause_pivot_tree,
     emit_dimacs,
@@ -29,9 +33,12 @@ from cofsat import (
     substitute,
     var_partition_decompose,
 )
+from cofsat import decompose
 
-from helpers import brute_force_rows, example2_formula, random_formula
+from helpers import (brute_force_rows, example2_formula, random_3cnf_clauses,
+                     random_formula)
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -73,10 +80,12 @@ class TestClausePivot:
             assert len(clause_pivot_decompose(f, index)) == 7
 
     def test_bad_pivot_index(self):
-        with pytest.raises(ValueError):
-            clause_pivot_decompose(example2_formula(), 4)
-        with pytest.raises(ValueError):
-            clause_pivot_decompose(example2_formula(), -1)
+        for build in (clause_pivot_decompose, clause_pivot_tree,
+                      clause_branch_tree):
+            for index in (4, -1):
+                with pytest.raises(ValueError, match=(
+                        f"^pivot index {index} out of range for 4 clauses$")):
+                    build(example2_formula(), index)
 
     def test_dead_branches_are_kept(self):
         f = CnfFormula([[1, 2], [-1], [-2]])
@@ -115,15 +124,18 @@ class TestClausePivot:
     def test_branches_are_marked_overlapping(self):
         f = example2_formula()
         assert clause_pivot_tree(f, 0).overlapping
+        assert not clause_branch_tree(f, 0).overlapping
         assert not var_partition_decompose(f, 2).overlapping
 
     @pytest.mark.parametrize("index", [0, 3])
     def test_formula_without_clauses_is_one_trivial_leaf(self, index):
         f = CnfFormula([], universe=[1, 2])
-        tree = clause_pivot_tree(f, index)
-        assert [(n.status, n.item.formula) for n in tree.nodes] == [
-            ("trivial", f)]
-        assert not tree.overlapping
+        for build in (clause_pivot_tree, clause_branch_tree):
+            tree = build(f, index)
+            assert [(n.status, n.item.formula) for n in tree.nodes] == [
+                ("trivial", f)]
+            assert tree.disjoint_leaves() == list(tree.nodes)
+            assert not tree.overlapping
         with pytest.raises(ValueError, match="pivot index 0 out of range"):
             clause_pivot_decompose(f, 0)
 
@@ -199,6 +211,95 @@ class TestDisjointLeaves:
             (3, (-1, -2, 3), "trivial", ())]
         assert [_root_rows(n, f.universe) for n in nodes] == [[0b110],
                                                               [0b100]]
+
+
+def _refined_singletons(f, pivot):
+    """The orthonormal branches as the singleton branches of
+    ``clause_pivot_decompose``, each reduced once more by the negations of
+    the literals before it: (id, prefix, formula) of the live ones."""
+    out = []
+    negated = {}
+    singletons = [item for item in clause_pivot_decompose(f, pivot)
+                  if len(item.prefix) == 1]
+    for node_id, item in enumerate(singletons, start=1):
+        (var, value), = item.prefix.items()
+        if not item.is_dead:
+            reduced = substitute(item.formula, negated)
+            if reduced is not UNSAT:
+                out.append((node_id, {**negated, var: value}, reduced))
+        negated[var] = not value
+    return out
+
+
+def _mixed_formula(rng, n):
+    """Random 3-CNF over 1..n plus a few 1- and 2-literal clauses, so that
+    some pivot branches die."""
+    clauses = random_3cnf_clauses(rng, n, rng.randint(1, 3 * n))
+    for _ in range(rng.randint(0, 3)):
+        vs = rng.sample(range(1, n + 1), rng.randint(1, 2))
+        clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # repeated clauses are merged
+        return CnfFormula(clauses, universe=range(1, n + 1))
+
+
+class TestClauseBranchTree:
+    def test_matches_pivot_tree_and_refined_singletons(self):
+        rng = random.Random(151)
+        dead = 0
+        for _ in range(60):
+            f = _mixed_formula(rng, rng.randint(3, 8))
+            expected = len(brute_force_rows(f.to_ints(), f.universe))
+            for pivot in range(len(f.to_ints())):
+                tree = clause_branch_tree(f, pivot)
+                lits = f.to_ints()[pivot]
+                assert [(n.node_id, n.parent, n.item.depth)
+                        for n in tree.nodes] == [
+                    (0, -1, 0), *((i, 0, 1) for i in range(1, len(lits) + 1))]
+                assert [n.item.prefix.to_literals() for n in tree.nodes[1:]] \
+                    == [(*(-x for x in lits[:i]), lits[i])
+                        for i in range(len(lits))]
+                live = tree.disjoint_leaves()
+                dead += len(tree.nodes) - 1 - len(live)
+                assert live == clause_pivot_tree(f, pivot).disjoint_leaves()
+                assert [(n.node_id, dict(n.item.prefix), n.item.formula)
+                        for n in live] == _refined_singletons(f, pivot)
+                per_node = [_root_rows(n, f.universe) for n in live]
+                assert sum(map(len, per_node)) == expected
+        assert dead > 0
+
+    def test_dead_nodes_keep_their_prefix(self):
+        # F|x1 falsifies (x1'): branch 1 dies; -x1 x2 kills (x2') too.
+        f = CnfFormula([[1, 2, 3], [-1], [-2, 4]], universe=range(1, 5))
+        tree = clause_branch_tree(f, 0)
+        assert [(n.item.prefix.to_literals(), n.status, n.item.formula)
+                for n in tree.leaves()] == [
+            ((1,), "unsat", None),
+            ((-1, 2), "solvable", CnfFormula([[4]], universe=[3, 4])),
+            ((-1, -2, 3), "trivial", CnfFormula([], universe=[4]))]
+
+    def test_pivot_tree_builds_its_branches_on_demand(self, monkeypatch):
+        calls = []
+        original = decompose.substitute
+        monkeypatch.setattr(decompose, "substitute",
+                            lambda f, q: calls.append(q) or original(f, q))
+        tree = clause_pivot_tree(example2_formula(), 0)
+        assert len(calls) == 7
+        tree.serialize()
+        assert len(calls) == 7
+        nodes = tree.disjoint_leaves()
+        assert len(calls) == 10 and tree.disjoint_leaves() == nodes
+        assert len(calls) == 10
+
+    def test_demo_output_unchanged(self):
+        demo = "04_decomposing_a_formula"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            ROOT / "demos" / "expected" / f"{demo}.txt").read_text()
 
 
 class TestChooseVarSubset:

@@ -19,10 +19,11 @@ the mask of which variables it fixed, and it stands for every row that
 agrees with it.  The cubes are disjoint, so callers count them without
 building rows, take the least row of a cube (its free bits 0), or expand
 them with ``_model_rows``: leaf solving, ``SolutionSet.complete`` and the
-X1 enumeration of variable-partition decomposition.  Each search frame
-propagates the unit clauses that its one-literal step ``_reduce``
-reports, then branches on the variable in the most 2-literal clauses.
-``_reduce`` also does the work of ``substitute``.
+X1 enumeration of variable-partition decomposition.  The search sets the
+root's unit clauses in one pass and indexes the clauses left by literal,
+so each later unit touches only the clauses that hold its variable; a
+frame then branches on the variable in the most 2-literal clauses.
+``substitute`` reduces one bound literal at a time with ``_reduce``.
 """
 
 from __future__ import annotations
@@ -566,19 +567,18 @@ def substitute(
 ) -> CnfFormula | UnsatMarker:
     """Reduce a formula under a partial assignment.
 
-    Each bound literal is set in turn by the search's ``_reduce``:
-    satisfied clauses are dropped, falsified literals removed.  Surviving
-    duplicates are then merged, first occurrence kept.  A clause losing all
-    its literals means the reduced formula is unsatisfiable: the UNSAT
-    marker is returned.  The universe of the result is the unbound remainder
-    of the input universe.
+    Each bound literal is set in turn by ``_reduce``, one pass over the
+    clauses left: satisfied clauses are dropped, falsified literals
+    removed.  Surviving duplicates are then merged, first occurrence kept.
+    A clause losing all its literals means the reduced formula is
+    unsatisfiable: the UNSAT marker is returned.  The universe of the
+    result is the unbound remainder of the input universe.
     """
     clauses = formula._clauses
     for var, value in bindings.items():
-        reduced = _reduce(clauses, var if value else -var)
-        if reduced is None:
+        clauses = _reduce(clauses, var if value else -var)
+        if clauses is None:
             return UNSAT
-        clauses = reduced[0]
     remaining = tuple(v for v in formula._universe if v not in bindings)
     return CnfFormula._normalized(tuple(dict.fromkeys(clauses)), remaining)
 
@@ -595,52 +595,101 @@ def _models(clauses: Iterable[tuple[int, ...]], over: Sequence[int]
     model count is the sum of ``2**(len(over) - popcount(fixed))``.
 
     Backtracking search over an explicit stack, so its depth is not bounded
-    by the interpreter's recursion limit.  Each frame sets the literals of
-    the unit clauses that ``_reduce`` reported, until none is left or a
-    clause is falsified.  It then branches, False first, on the variable
-    occurring in the most 2-literal clauses (ties to the first such
-    variable in clause order), or, with no 2-literal clause left, on the
-    smallest occurring variable.  A frame with every clause satisfied
-    yields its cube.  No rows are built: ``_model_rows`` expands the cubes.
+    by the interpreter's recursion limit.  The root's unit clauses are set
+    in one pass over the clauses, and the clauses left are indexed by
+    literal.  A frame owns a list of them, one slot per clause: a satisfied
+    clause is an empty slot, and setting a literal touches only the clauses
+    that hold it or its negation.  Each frame sets its unit literals until
+    none is left or a clause is falsified.  It then branches, False first,
+    on the variable occurring in the most 2-literal clauses (ties to the
+    first such variable in clause order), or, with no 2-literal clause
+    left, on the smallest occurring variable; one branch takes a copy of
+    the list.  A frame with every clause satisfied yields its cube.  No
+    rows are built: ``_model_rows`` expands the cubes.
     """
     position = {v: j for j, v in enumerate(over)}
     cubes: list[tuple[int, int]] = []
     clauses = list(clauses)
     if not all(clauses):
         return cubes
-    stack = [(clauses, [c[0] for c in clauses if len(c) == 1], 0, 0)]
+    # The root's unit clauses are set in one pass of set operations; the
+    # units that pass makes go through the occurrence lists, since
+    # repeating the pass until none is left is quadratic on a chain.
+    units = {c[0] for c in clauses if len(c) == 1}
+    bits = fixed = 0
+    for lit in units:
+        if -lit in units:
+            return cubes
+        bit = 1 << position[abs(lit)]
+        fixed |= bit
+        if lit > 0:
+            bits |= bit
+    new: list[int] = []
+    if units:
+        cut = {-lit for lit in units}
+        kept = []
+        for clause in clauses:
+            if not units.isdisjoint(clause):
+                continue
+            if not cut.isdisjoint(clause):
+                clause = tuple([x for x in clause if x not in cut])
+                if not clause:
+                    return cubes
+                if len(clause) == 1:
+                    new.append(clause[0])
+            kept.append(clause)
+        clauses = kept
+    # A slot keeps each of its literals until the clause is satisfied or
+    # the literal's variable is set, so one index serves every frame.
+    occurs: dict[int, list[int]] = {}
+    for i, clause in enumerate(clauses):
+        for x in clause:
+            if x in occurs:
+                occurs[x].append(i)
+            else:
+                occurs[x] = [i]
+    stack = [(clauses, new, bits, fixed)]
     while stack:
         clauses, units, bits, fixed = stack.pop()
         while units:
-            unit = units.pop()
-            bit = 1 << position[abs(unit)]
+            lit = units.pop()
+            bit = 1 << position[abs(lit)]
             if fixed & bit:
-                # Set already, and to this value: a unit clause stays in
-                # ``clauses`` until its variable is set, and the other
-                # value would have falsified it.
+                # Set already, and to this value: the other value would
+                # have falsified the clause that made this unit.
                 continue
-            reduced = _reduce(clauses, unit)
-            if reduced is None:
-                break
-            clauses, new = reduced
-            units += new
             fixed |= bit
-            if unit > 0:
+            if lit > 0:
                 bits |= bit
-        else:  # no unit clause was falsified
-            if not clauses:
+            for i in occurs.get(lit, ()):
+                clauses[i] = ()
+            neg = -lit
+            for i in occurs.get(neg, ()):
+                clause = clauses[i]
+                if not clause:
+                    continue
+                if len(clause) == 1:
+                    break
+                if len(clause) == 2:
+                    other = clause[1] if clause[0] == neg else clause[0]
+                    units.append(other)
+                    clauses[i] = (other,)
+                else:
+                    clauses[i] = tuple([x for x in clause if x != neg])
+            else:
+                continue
+            break  # a clause was falsified
+        else:  # no clause was falsified
+            if not any(clauses):
                 cubes.append((bits, fixed))
                 continue
             binary = Counter([abs(x) for c in clauses if len(c) == 2
                               for x in c])
             var = (max(binary, key=binary.__getitem__) if binary
-                   else min(abs(c[0]) for c in clauses))
-            bit = 1 << position[var]
+                   else min(abs(c[0]) for c in clauses if c))
             # Pushed True first, so the False branch is searched first.
-            for lit, value in ((var, bit), (-var, 0)):
-                reduced = _reduce(clauses, lit)
-                if reduced is not None:
-                    stack.append((*reduced, bits | value, fixed | bit))
+            stack.append((clauses.copy(), [var], bits, fixed))
+            stack.append((clauses, [-var], bits, fixed))
     return cubes
 
 
@@ -666,12 +715,11 @@ def _model_rows(clauses: Iterable[tuple[int, ...]], over: Sequence[int]
 
 
 def _reduce(clauses: Sequence[tuple[int, ...]], lit: int
-            ) -> tuple[list[tuple[int, ...]], list[int]] | None:
-    """The clauses with ``lit`` set true (satisfied clauses dropped,
-    ``-lit`` cut from the rest) and the literals of the unit clauses the
-    cut made; None when a clause loses its last literal."""
+            ) -> list[tuple[int, ...]] | None:
+    """The clauses with ``lit`` set true: satisfied clauses dropped,
+    ``-lit`` cut from the rest; None when a clause loses its last
+    literal."""
     out = []
-    units = []
     neg = -lit
     for clause in clauses:
         if lit in clause:
@@ -680,10 +728,8 @@ def _reduce(clauses: Sequence[tuple[int, ...]], lit: int
             if len(clause) == 1:
                 return None
             clause = tuple([x for x in clause if x != neg])
-            if len(clause) == 1:
-                units.append(clause[0])
         out.append(clause)
-    return out, units
+    return out
 
 
 def _scatter(rows: Iterable[int], targets: Sequence[int],

@@ -4,7 +4,8 @@ Two strategies are provided.  A clause pivot (l1 ... lk) has two trees.
 Solving builds ``clause_branch_tree``: the k branches l1; -l1 l2; ...;
 -l1 ... -l(k-1) lk, an orthonormal base, disjoint and covering the
 clause, so their counts add and no model is found twice; each branch is
-one ``substitute`` of the root.  ``clause_pivot_tree`` keeps the 2**k - 1
+one ``substitute`` of the root reduced by the negations before it, which
+are carried forward.  ``clause_pivot_tree`` keeps the 2**k - 1
 overlapping branches, one per partial assignment of the clause, for
 ``--mode decompose`` to print: the input is satisfiable iff at least one
 of them is.  Its ``disjoint_leaves`` are the live branches of
@@ -34,6 +35,7 @@ from .cnf import (
     CnfFormula,
     PartialAssignment,
     _model_rows,
+    _reduce,
     partial_assignments,
     substitute,
 )
@@ -279,27 +281,42 @@ def clause_branch_tree(formula: CnfFormula, pivot_index: int) -> DecompositionTr
 
     Node i (1 <= i <= k, the id of li's singleton leaf in
     ``clause_pivot_tree``) has prefix -l1 ... -l(i-1) li and the root
-    reduced by it, one ``substitute`` each; a branch the prefix falsifies
-    is a dead leaf.  The branches' models partition the root's, so their
-    counts add.  An empty formula and an out-of-range index are treated
-    as in ``clause_pivot_tree``.
+    reduced by it; a branch the prefix falsifies is a dead leaf.  The
+    root reduced by -l1 ... -l(i-1) is carried from branch to branch, one
+    ``_reduce`` pass per literal but the last, and each live branch is
+    one ``substitute`` of it by li, so a k-literal pivot costs at most
+    2k - 1 clause passes.  The branches' models partition the root's, so
+    their counts add.  An empty formula and an out-of-range index are
+    treated as in ``clause_pivot_tree``.
     """
     root = WorkItem(PartialAssignment(), formula, 0)
     if formula.is_empty:
         return DecompositionTree([TreeNode(0, -1, root, TRIVIAL)])
     nodes = [TreeNode(node_id=0, parent=-1, item=root, status=INTERNAL)]
     negated: dict[int, bool] = {}
-    for lit in _pivot_clause(formula, pivot_index):
+    # The root under the negations so far, None once they falsify a clause;
+    # its duplicates are merged by the ``substitute`` that reads it.
+    clauses = formula.to_ints()
+    universe = formula.universe
+    pivot = _pivot_clause(formula, pivot_index)
+    for lit in pivot:
         var = abs(lit)
         # The clause is in variable order, so every prefix is too.
         prefix = PartialAssignment._sorted({**negated, var: lit > 0})
-        reduced = substitute(formula, prefix)
-        if reduced is UNSAT:
-            reduced = None
+        reduced = None
+        if clauses is not None:
+            reduced = substitute(
+                CnfFormula._normalized(tuple(clauses), universe),
+                {var: lit > 0})
+            if reduced is UNSAT:
+                reduced = None
         nodes.append(TreeNode(
             node_id=len(nodes), parent=0, item=WorkItem(prefix, reduced, 1),
             status=_leaf_status(reduced, None)))
         negated[var] = lit < 0
+        if clauses is not None and len(negated) < len(pivot):
+            clauses = _reduce(clauses, -lit)
+            universe = tuple([v for v in universe if v != var])
     return DecompositionTree(nodes)
 
 

@@ -8,6 +8,8 @@ code, so it can arbitrate between them.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from collections.abc import Iterable
 from typing import Sequence
 
 from cofsat import BaseSet, CnfFormula, TruthTable
@@ -80,3 +82,91 @@ EXAMPLE2_CLAUSES = [[-1, 2, 4], [-2, 3, -4], [1, 3, -4], [1, -3, -4]]
 
 def example2_formula() -> CnfFormula:
     return CnfFormula(EXAMPLE2_CLAUSES, universe=[1, 2, 3, 4])
+
+
+# -- the search as it was before occurrence lists --------------------------
+# ``cnf._models`` must return exactly these cubes, in this order.  Both
+# functions are kept verbatim from the version that re-scanned every clause
+# for each unit literal.
+
+
+def reference_models(clauses: Iterable[tuple[int, ...]], over: Sequence[int]
+                     ) -> list[tuple[int, int]]:
+    """Cubes ``(bits, fixed)`` covering every assignment over ``over`` that
+    satisfies the int clauses, in search order.
+
+    Bit j of ``fixed`` is set when the search bound ``over[j]``, and bit j
+    of ``bits`` then holds its value; every row that agrees with ``bits``
+    on ``fixed`` is a model, whatever its free bits.  The cubes are
+    pairwise disjoint (two of them differ in some branch variable), so a
+    model count is the sum of ``2**(len(over) - popcount(fixed))``.
+
+    Backtracking search over an explicit stack, so its depth is not bounded
+    by the interpreter's recursion limit.  Each frame sets the literals of
+    the unit clauses that ``reference_reduce`` reported, until none is left
+    or a clause is falsified.  It then branches, False first, on the variable
+    occurring in the most 2-literal clauses (ties to the first such
+    variable in clause order), or, with no 2-literal clause left, on the
+    smallest occurring variable.  A frame with every clause satisfied
+    yields its cube.  No rows are built: ``_model_rows`` expands the cubes.
+    """
+    position = {v: j for j, v in enumerate(over)}
+    cubes: list[tuple[int, int]] = []
+    clauses = list(clauses)
+    if not all(clauses):
+        return cubes
+    stack = [(clauses, [c[0] for c in clauses if len(c) == 1], 0, 0)]
+    while stack:
+        clauses, units, bits, fixed = stack.pop()
+        while units:
+            unit = units.pop()
+            bit = 1 << position[abs(unit)]
+            if fixed & bit:
+                # Set already, and to this value: a unit clause stays in
+                # ``clauses`` until its variable is set, and the other
+                # value would have falsified it.
+                continue
+            reduced = reference_reduce(clauses, unit)
+            if reduced is None:
+                break
+            clauses, new = reduced
+            units += new
+            fixed |= bit
+            if unit > 0:
+                bits |= bit
+        else:  # no unit clause was falsified
+            if not clauses:
+                cubes.append((bits, fixed))
+                continue
+            binary = Counter([abs(x) for c in clauses if len(c) == 2
+                              for x in c])
+            var = (max(binary, key=binary.__getitem__) if binary
+                   else min(abs(c[0]) for c in clauses))
+            bit = 1 << position[var]
+            # Pushed True first, so the False branch is searched first.
+            for lit, value in ((var, bit), (-var, 0)):
+                reduced = reference_reduce(clauses, lit)
+                if reduced is not None:
+                    stack.append((*reduced, bits | value, fixed | bit))
+    return cubes
+
+
+def reference_reduce(clauses: Sequence[tuple[int, ...]], lit: int
+                     ) -> tuple[list[tuple[int, ...]], list[int]] | None:
+    """The clauses with ``lit`` set true (satisfied clauses dropped,
+    ``-lit`` cut from the rest) and the literals of the unit clauses the
+    cut made; None when a clause loses its last literal."""
+    out = []
+    units = []
+    neg = -lit
+    for clause in clauses:
+        if lit in clause:
+            continue
+        if neg in clause:
+            if len(clause) == 1:
+                return None
+            clause = tuple([x for x in clause if x != neg])
+            if len(clause) == 1:
+                units.append(clause[0])
+        out.append(clause)
+    return out, units

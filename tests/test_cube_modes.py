@@ -265,3 +265,42 @@ def test_allsat_refusal_states_a_huge_count_without_decimal_digits(
     assert (status, out.getvalue(), err.getvalue()) == (
         EXIT_ERROR, "", "error: output capped at 2**20 rows, formula has at "
         "least 2**14999 models\n")
+
+
+# An implication chain (x1)(x1' + x2)...(x(n-1)' + xn) has one model, all
+# true, found by unit propagation alone: each unit touches the two clauses
+# that hold its variable, so the search is linear in n.  Re-scanning every
+# clause for each unit took over a minute at this size.
+_CHAIN = """
+import io, json, sys
+from cofsat.cli import RunConfig, run
+from cofsat.cnf import _models
+n = int(sys.argv[2])
+clauses = [(1,)] + [(-i, i + 1) for i in range(1, n)]
+cubes = _models(clauses, range(1, n + 1))
+out, err = io.StringIO(), io.StringIO()
+status = run(RunConfig(sys.argv[1], mode="count", pivot_strategy="clause"),
+             out=out, err=err)
+print(json.dumps({"one_full_cube": cubes == [((1 << n) - 1,) * 2],
+                  "run": [status, out.getvalue(), err.getvalue()]}))
+"""
+
+
+def _limit_chain_memory():
+    limit = 256 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_implication_chain_propagates_in_linear_time(tmp_path):
+    n = 20_000
+    path = tmp_path / "chain.cnf"
+    path.write_text(f"p cnf {n} {n}\n1 0\n" + "".join(
+        f"-{i} {i + 1} 0\n" for i in range(1, n)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHAIN, str(path), str(n)],
+        capture_output=True, text=True, timeout=20, env=_child_env(),
+        preexec_fn=_limit_chain_memory)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["one_full_cube"]
+    assert report["run"] == [EXIT_SAT, "1\n", ""]

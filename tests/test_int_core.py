@@ -28,7 +28,7 @@ from cofsat import (
 )
 from cofsat.cnf import _model_rows, _models
 
-from helpers import brute_force_rows
+from helpers import brute_force_rows, reference_models
 
 MAX_N = 7
 
@@ -63,6 +63,21 @@ def binary_heavy_formulas(draw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return CnfFormula(raw, universe=range(1, n + 1))
+
+
+@st.composite
+def unit_heavy_clauses(draw):
+    """Raw int clauses over 1..n, n from 1 to 12, half of them units and
+    most of the rest 2-literal, with literals in drawn order and duplicate
+    clauses kept, and the variable list in a drawn order: what the search
+    is given, unnormalized."""
+    n = draw(st.integers(1, 12))
+    clause = st.sampled_from((1, 1, 1, 2, 2, 3)).flatmap(
+        lambda k: st.lists(st.integers(1, n), min_size=min(k, n),
+                           max_size=min(k, n), unique=True)).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
+    clauses = draw(st.lists(clause, max_size=3 * n))
+    return clauses, draw(st.permutations(range(1, n + 1)))
 
 
 @st.composite
@@ -197,6 +212,33 @@ class TestSearchAgainstBruteForce:
         table = to_truth_table(f)
         assert list(table.support()) == brute_force_rows(
             public_ints(f), f.universe)
+
+
+class TestSearchAgainstReference:
+    """``_models`` returns the very cubes, in the very order, of the search
+    that re-scanned every clause for each unit literal
+    (``helpers.reference_models``), so every count, witness and row built
+    from them is unchanged."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas())
+    def test_formulas(self, f):
+        clauses = f.to_ints()
+        assert (_models(clauses, f.universe)
+                == reference_models(clauses, f.universe))
+
+    @settings(max_examples=100, deadline=None)
+    @given(binary_heavy_formulas())
+    def test_binary_heavy_formulas(self, f):
+        clauses = f.to_ints()
+        assert (_models(clauses, f.universe)
+                == reference_models(clauses, f.universe))
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_heavy_clauses())
+    def test_unit_heavy_clauses(self, case):
+        clauses, over = case
+        assert _models(clauses, over) == reference_models(clauses, over)
 
 
 class TestBitHelpers:

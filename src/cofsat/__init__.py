@@ -23,7 +23,6 @@ is checked against.
 from .allsat import (LeafResult, all_solutions, count_and_witness, gather,
                      solve_leaf)
 from .cnf import (
-    UNSAT,
     Clause,
     CnfFormula,
     DimacsParseError,
@@ -31,7 +30,6 @@ from .cnf import (
     PartialAssignment,
     SolutionSet,
     emit_dimacs,
-    formula_vars,
     parse_dimacs,
     partial_assignments,
     sat_set,
@@ -93,10 +91,10 @@ __all__ = [
     "compose", "compose_via_expansion", "consistency_over_base",
     "consistency_over_on", "parse_function",
     # cnf
-    "Clause", "CnfFormula", "PartialAssignment", "SolutionSet", "UNSAT",
+    "Clause", "CnfFormula", "PartialAssignment", "SolutionSet",
     "NormalizationWarning", "DimacsParseError", "parse_dimacs",
     "emit_dimacs", "sat_set", "partial_assignments", "substitute",
-    "to_truth_table", "formula_vars",
+    "to_truth_table",
     # decompose
     "WorkItem", "DecompositionTree", "CostEstimate",
     "clause_branch_tree", "clause_pivot_decompose", "clause_pivot_tree",

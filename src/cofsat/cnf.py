@@ -11,18 +11,18 @@ returns a new formula, so everything here is safe to share across threads.
 The key operations mirror the decomposition machinery: ``sat_set`` gives the
 assignment making every literal of a clause true, ``partial_assignments``
 enumerates its 2**k - 1 nonempty subsets in a fixed order, and
-``substitute`` reduces a formula under a partial assignment, returning the
-``UNSAT`` marker when a clause is falsified outright.  ``_models`` is the
-one backtracking search over int clauses.  It yields cubes, not rows: a
-cube ``(bits, fixed)`` is the values the search fixed on one branch and
-the mask of which variables it fixed, and it stands for every row that
-agrees with it.  The cubes are disjoint, so callers count them without
-building rows, take the least row of a cube (its free bits 0), or expand
-them with ``_model_rows``: leaf solving, ``SolutionSet.complete`` and the
-X1 enumeration of variable-partition decomposition.  The search sets the
-root's unit clauses in one pass and indexes the clauses left by literal,
-so each later unit touches only the clauses that hold its variable; a
-frame then branches on the variable in the most 2-literal clauses.
+``substitute`` reduces a formula under a partial assignment, returning
+``None`` when a clause is falsified outright.  ``_models`` is the one
+backtracking search over int clauses.  It yields cubes, not rows: a cube
+``(bits, fixed)`` is the values the search fixed on one branch and the
+mask of which variables it fixed, and it stands for every row that agrees
+with it.  The cubes are disjoint, so callers count them without building
+rows, take the least row of a cube (its free bits 0), or expand them with
+``_model_rows``: leaf solving and the X1 enumeration of
+variable-partition decomposition.  The search sets the root's unit
+clauses in one pass and indexes the clauses left by literal, so each
+later unit touches only the clauses that hold its variable; a frame then
+branches on the variable in the most 2-literal clauses.
 ``substitute`` reduces one bound literal at a time with ``_reduce``.
 """
 
@@ -47,15 +47,12 @@ __all__ = [
     "CnfFormula",
     "PartialAssignment",
     "SolutionSet",
-    "UNSAT",
-    "UnsatMarker",
     "parse_dimacs",
     "emit_dimacs",
     "sat_set",
     "partial_assignments",
     "substitute",
     "to_truth_table",
-    "formula_vars",
 ]
 
 # Largest variable list whose rows are expanded (2**20 rows at most): by
@@ -109,20 +106,11 @@ class Clause:
         return not self._ints
 
     @property
-    def is_tautology(self) -> bool:
-        return _is_tautology(self._ints)
-
-    @property
     def vars(self) -> tuple[int, ...]:
         return tuple(sorted({abs(x) for x in self._ints}))
 
     def to_ints(self) -> tuple[int, ...]:
         return self._ints
-
-    def satisfied_by(self, bindings: Mapping[int, bool]) -> bool:
-        return any(
-            abs(x) in bindings and bindings[abs(x)] == (x > 0)
-            for x in self._ints)
 
     def __len__(self) -> int:
         return len(self._ints)
@@ -147,26 +135,6 @@ class Clause:
 
     def __reduce__(self) -> tuple:
         return type(self), (self._ints,)
-
-
-class UnsatMarker:
-    """Sentinel result of a substitution that falsified a clause."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNSAT"
-
-    def __reduce__(self) -> str:
-        return "UNSAT"  # pickled by reference, so it stays the one marker
-
-
-UNSAT = UnsatMarker()
 
 
 class CnfFormula:
@@ -360,29 +328,6 @@ class SolutionSet:
                 raise ValueError(f"row {row} out of range for {len(self._over)} variables")
         self._rows = tuple(unique)
 
-    @classmethod
-    def from_assignments(
-        cls, over: Iterable[int], assignments: Iterable[Mapping[int, bool]]
-    ) -> "SolutionSet":
-        over = tuple(sorted(set(over)))
-        position = {v: j for j, v in enumerate(over)}
-        rows = []
-        for assignment in assignments:
-            if set(assignment) != set(over):
-                raise ValueError("assignment does not match the variable list")
-            row = 0
-            for v, value in assignment.items():
-                if value:
-                    row |= 1 << position[v]
-            rows.append(row)
-        return cls(over, rows)
-
-    @classmethod
-    def complete(cls, over: Iterable[int]) -> "SolutionSet":
-        """All assignments over the variable list."""
-        over = tuple(sorted(set(over)))
-        return cls(over, _model_rows((), over))
-
     @property
     def over(self) -> tuple[int, ...]:
         return self._over
@@ -398,11 +343,6 @@ class SolutionSet:
     def row_to_literals(self, row: int) -> tuple[int, ...]:
         return tuple(
             v if row >> j & 1 else -v for j, v in enumerate(self._over))
-
-    def assignments(self) -> Iterator[PartialAssignment]:
-        for row in self._rows:
-            yield PartialAssignment(
-                (v, bool(row >> j & 1)) for j, v in enumerate(self._over))
 
     def to_text(self) -> str:
         """One row per line as 0-terminated signed literals."""
@@ -564,21 +504,21 @@ def partial_assignments(clause: Clause) -> list[PartialAssignment]:
 
 def substitute(
     formula: CnfFormula, bindings: Mapping[int, bool]
-) -> CnfFormula | UnsatMarker:
+) -> CnfFormula | None:
     """Reduce a formula under a partial assignment.
 
     Each bound literal is set in turn by ``_reduce``, one pass over the
     clauses left: satisfied clauses are dropped, falsified literals
     removed.  Surviving duplicates are then merged, first occurrence kept.
     A clause losing all its literals means the reduced formula is
-    unsatisfiable: the UNSAT marker is returned.  The universe of the
-    result is the unbound remainder of the input universe.
+    unsatisfiable: ``None`` is returned.  The universe of the result is
+    the unbound remainder of the input universe.
     """
     clauses = formula._clauses
     for var, value in bindings.items():
         clauses = _reduce(clauses, var if value else -var)
         if clauses is None:
-            return UNSAT
+            return None
     remaining = tuple(v for v in formula._universe if v not in bindings)
     return CnfFormula._normalized(tuple(dict.fromkeys(clauses)), remaining)
 
@@ -771,8 +711,3 @@ def to_truth_table(formula: CnfFormula) -> TruthTable:
             acc |= projection[x] if x > 0 else full ^ projection[-x]
         bits &= acc
     return TruthTable(n, bits)
-
-
-def formula_vars(formula: CnfFormula) -> tuple[int, ...]:
-    """Sorted distinct variables occurring in the formula's clauses."""
-    return tuple(sorted({abs(x) for c in formula._clauses for x in c}))

@@ -30,7 +30,6 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from .cnf import (
-    UNSAT,
     Clause,
     CnfFormula,
     PartialAssignment,
@@ -153,10 +152,6 @@ class DecompositionTree:
                 [n for n in tree.leaves() if n.status != DEAD])
         return list(self._disjoint)
 
-    @property
-    def all_dead(self) -> bool:
-        return all(n.status == DEAD for n in self.leaves())
-
     def serialize(self) -> str:
         """Line-oriented text form, one node per line.
 
@@ -241,16 +236,9 @@ def clause_pivot_decompose(
     solution sets may overlap; ``clause_branch_tree`` gives the k disjoint
     branches that solving uses.
     """
-    items = []
-    for q in partial_assignments(
-            Clause._view(_pivot_clause(formula, pivot_index))):
-        reduced = substitute(formula, q)
-        items.append(WorkItem(
-            prefix=q,
-            formula=None if reduced is UNSAT else reduced,
-            depth=1,
-        ))
-    return items
+    pivot = Clause._view(_pivot_clause(formula, pivot_index))
+    return [WorkItem(q, substitute(formula, q), 1)
+            for q in partial_assignments(pivot)]
 
 
 def clause_pivot_tree(formula: CnfFormula, pivot_index: int) -> DecompositionTree:
@@ -303,13 +291,8 @@ def clause_branch_tree(formula: CnfFormula, pivot_index: int) -> DecompositionTr
         var = abs(lit)
         # The clause is in variable order, so every prefix is too.
         prefix = PartialAssignment._sorted({**negated, var: lit > 0})
-        reduced = None
-        if clauses is not None:
-            reduced = substitute(
-                CnfFormula._normalized(tuple(clauses), universe),
-                {var: lit > 0})
-            if reduced is UNSAT:
-                reduced = None
+        reduced = None if clauses is None else substitute(
+            CnfFormula._normalized(tuple(clauses), universe), {var: lit > 0})
         nodes.append(TreeNode(
             node_id=len(nodes), parent=0, item=WorkItem(prefix, reduced, 1),
             status=_leaf_status(reduced, None)))

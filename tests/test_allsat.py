@@ -132,7 +132,7 @@ class TestGather:
     def test_all_dead_tree_gathers_empty(self):
         f = CnfFormula([[1, 2], [-1], [-2]], universe=[1, 2])
         tree = clause_pivot_tree(f, 0)
-        assert tree.all_dead
+        assert all(n.status == "unsat" for n in tree.leaves())
         assert gather(tree, []).count == 0
 
     def test_example2_clause_pivot(self):

@@ -17,7 +17,6 @@ import hypothesis.strategies as st
 from hypothesis import Phase, given, settings
 
 from cofsat import (
-    UNSAT,
     CnfFormula,
     DecompositionTree,
     PartialAssignment,
@@ -101,10 +100,9 @@ def reference_tree(formula, n0):
             return
         nodes.append(TreeNode(node_id, parent, item, INTERNAL))
         for q in allowed:
-            reduced = substitute(item.formula, q)
             build(WorkItem(
                 prefix=PartialAssignment({**item.prefix, **q}),
-                formula=None if reduced is UNSAT else reduced,
+                formula=substitute(item.formula, q),
                 depth=item.depth + 1), node_id)
 
     build(WorkItem(PartialAssignment(), formula, 0), -1)

@@ -101,7 +101,7 @@ class TestModes:
         witness = [int(v) for v in lines[1].split()[:-1]]
         assignment = {abs(v): v > 0 for v in witness}
         for clause in example2_formula().clauses:
-            assert clause.satisfied_by(assignment)
+            assert any(assignment[abs(x)] == (x > 0) for x in clause)
 
     def test_count_example2(self):
         status, out, _ = run_capture(
@@ -123,6 +123,20 @@ class TestModes:
             pivot_strategy="clause", pivot_clause=0))
         assert status == EXIT_OK
         assert out == (GOLDEN / "example2_pivot_tree.txt").read_text()
+
+    # Branches whose prefix falsifies a clause print as dead leaves with
+    # no formula: the literal 1 falsifies the unit clause -1.
+    @pytest.mark.parametrize("output_format, golden", [
+        ("text", "dead_branch_pivot_tree.txt"),
+        ("json", "dead_branch_pivot_tree.json"),
+    ])
+    def test_decompose_clause_pivot_dead_branches_golden(
+            self, output_format, golden):
+        status, out, err = run_capture(RunConfig(
+            str(GOLDEN / "dead_branch.cnf"), mode="decompose",
+            pivot_strategy="clause", output_format=output_format))
+        assert (status, err) == (EXIT_OK, "")
+        assert out == (GOLDEN / golden).read_text()
 
     # Trees of a random 3-CNF (n=11, m=44), written by the implementation
     # that built every child prefix through the checked constructor.  At

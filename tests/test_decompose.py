@@ -18,7 +18,6 @@ from cofsat import (
     Clause,
     CnfFormula,
     PartialAssignment,
-    UNSAT,
     WorkItem,
     all_solutions,
     choose_var_subset,
@@ -225,7 +224,7 @@ def _refined_singletons(f, pivot):
         (var, value), = item.prefix.items()
         if not item.is_dead:
             reduced = substitute(item.formula, negated)
-            if reduced is not UNSAT:
+            if reduced is not None:
                 out.append((node_id, {**negated, var: value}, reduced))
         negated[var] = not value
     return out
@@ -361,7 +360,7 @@ class TestVarPartition:
         f = CnfFormula([[1], [-1], [2, 3], [3, 4], [-2, 4], [1, 4, 5]],
                        universe=range(1, 6))
         tree = var_partition_decompose(f, 2)
-        assert tree.all_dead
+        assert all(n.status == "unsat" for n in tree.leaves())
         assert gather(tree, []).count == 0
         # Dead through its status; the root keeps its formula for
         # root_universe, so its item is not dead.

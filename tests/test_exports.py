@@ -49,3 +49,30 @@ def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         cofsat.nope
     assert not hasattr(cofsat, "MAX_VARS")
+
+
+def test_public_names_are_pinned():
+    # An addition to or deletion from either list shows in this diff.
+    from cofsat import cnf
+    assert sorted(cofsat.__all__) == [
+        "BaseSet", "CapacityError", "Clause", "CnfFormula",
+        "CofactorInterval", "CostEstimate", "DecompositionTree",
+        "DimacsParseError", "LeafResult", "NormalizationWarning",
+        "OnVerdict", "PartialAssignment", "SolutionSet", "TruthTable",
+        "Verdict", "WorkItem", "__version__", "all_solutions",
+        "choose_var_subset", "clause_branch_tree", "clause_pivot_decompose",
+        "clause_pivot_tree", "cofactor_interval", "cofactor_sample",
+        "compose", "compose_via_expansion", "consistency_over_base",
+        "consistency_over_on", "count_and_witness", "emit_dimacs",
+        "enumerate_c1_assignments", "estimate_cost", "expand",
+        "expansion_identity", "gather", "is_cofactor", "is_orthonormal",
+        "parse_dimacs", "parse_function", "partial_assignments", "sat_set",
+        "solve_leaf", "substitute", "term_expansions", "to_truth_table",
+        "var_partition_decompose",
+    ]
+    assert sorted(cnf.__all__) == [
+        "Clause", "CnfFormula", "DimacsParseError", "MAX_ENUM_VARS",
+        "NormalizationWarning", "PartialAssignment", "SolutionSet",
+        "emit_dimacs", "parse_dimacs", "partial_assignments", "sat_set",
+        "substitute", "to_truth_table",
+    ]

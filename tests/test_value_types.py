@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from cofsat import (UNSAT, BaseSet, Clause, CnfFormula, CofactorInterval,
+from cofsat import (BaseSet, Clause, CnfFormula, CofactorInterval,
                     LeafResult, OnVerdict, PartialAssignment, SolutionSet,
                     TruthTable, Verdict, WorkItem, all_solutions,
                     consistency_over_base, consistency_over_on,
@@ -104,12 +104,6 @@ def test_pickle_round_trip(name, protocol):
     assert type(copy) is type(value)
     assert copy == value and hash(copy) == hash(value)
     assert repr(copy) == repr(value)
-
-
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_unsat_unpickles_as_itself(protocol):
-    assert pickle.loads(pickle.dumps(UNSAT, protocol)) is UNSAT
-    assert pickle.loads(pickle.dumps([UNSAT], protocol))[0] is UNSAT
 
 
 def test_verdict_repr_is_pinned():

@@ -39,8 +39,9 @@ for i, item in enumerate(clause_pivot_decompose(formula, 0), start=1):
     print(f"  {i}: prefix {item.prefix.to_literals()} -> {body}")
 
 print("\nthe same pivot's orthonormal branches (disjoint; solving reads these):")
-for node in clause_branch_tree(formula, 0).disjoint_leaves():
-    body = str(node.item.formula) if node.status == "solvable" else "TRUE"
+for node in clause_branch_tree(formula, 0).leaves():
+    body = {"trivial": "TRUE", "unsat": "DEAD"}.get(
+        node.status, str(node.item.formula))
     print(f"  {node.node_id}: prefix {node.item.prefix.to_literals()} -> {body}")
 
 print("\nvariable-partition tree with n0 = 2:")

@@ -43,7 +43,6 @@ from .decompose import (
     choose_var_subset,
     clause_branch_tree,
     clause_pivot_decompose,
-    clause_pivot_tree,
     enumerate_c1_assignments,
     estimate_cost,
     var_partition_decompose,
@@ -97,8 +96,7 @@ __all__ = [
     "to_truth_table",
     # decompose
     "WorkItem", "DecompositionTree", "CostEstimate",
-    "clause_branch_tree", "clause_pivot_decompose", "clause_pivot_tree",
-    "choose_var_subset",
+    "clause_branch_tree", "clause_pivot_decompose", "choose_var_subset",
     "enumerate_c1_assignments", "var_partition_decompose", "estimate_cost",
     # allsat
     "LeafResult", "all_solutions", "solve_leaf", "gather", "count_and_witness",

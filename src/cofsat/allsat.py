@@ -6,12 +6,10 @@ row that agrees with it.  It is deliberately a different code path from
 the dense truth-table evaluation in ``cnf.to_truth_table``, so the two can
 cross-check each other.
 
-Both read a tree through ``DecompositionTree.disjoint_leaves``: the live
-leaves of a variable-partition tree, or of a clause pivot's k
-orthonormal branches l1; -l1 l2; ...; -l1 ... -l(k-1) lk, which the CLI
-builds directly (``clause_branch_tree``); the 2**k - 1 overlapping
-branches are built only for ``--mode decompose``.  Their models are
-disjoint, so counts add and no row is built twice.
+Both read the live leaves of a tree (``DecompositionTree.leaves``): of a
+variable-partition tree, or of a clause pivot's k orthonormal branches
+l1; -l1 l2; ...; -l1 ... -l(k-1) lk (``clause_branch_tree``).  Their
+models are disjoint, so counts add and no row is built twice.
 ``count_and_witness`` adds up cube counts and takes the least root row,
 building no rows.  ``all_solutions`` and ``solve_leaf`` expand a
 formula's cubes to rows, and ``gather`` reassembles the root-level
@@ -24,13 +22,13 @@ into one canonical set.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 
 from .cnf import (MAX_ENUM_VARS, CnfFormula, SolutionSet, _model_rows,
                   _models, _scatter)
 # Never called here; bench/tracing.py counts calls of ``allsat.substitute``.
 from .cnf import substitute  # noqa: F401
-from .decompose import SOLVABLE, DecompositionTree, TreeNode, WorkItem
+from .decompose import DEAD, SOLVABLE, DecompositionTree, TreeNode, WorkItem
 from .limits import CapacityError
 
 __all__ = ["LeafResult", "all_solutions", "count_and_witness", "gather",
@@ -71,11 +69,12 @@ def solve_leaf(item: WorkItem) -> LeafResult:
     return LeafResult(item, all_solutions(item.formula))
 
 
-def _placement(
-    position: dict[int, int], leaf: TreeNode
-) -> tuple[int, list[int], list[int]]:
-    """``(base, targets, free)`` of a live leaf, given each root variable's
-    bit ``position``.
+def _placed_leaves(
+    tree: DecompositionTree, read: Callable[[TreeNode], object]
+) -> Iterator[tuple[object, int, list[int], list[int]]]:
+    """``(read(leaf), base, targets, free)`` for each live leaf of ``tree``
+    that ``read`` does not map to None (a leaf without models), in node
+    order.
 
     A leaf row over the leaf's universe becomes a root row by moving bit j
     to bit ``targets[j]`` and OR-ing in ``base``, the prefix's true bits;
@@ -83,44 +82,50 @@ def _placement(
     leaf, so each leaf row stands for ``2**len(free)`` root rows.  A
     trivial leaf has no targets: its whole universe is free.
     """
-    prefix = leaf.item.prefix
-    over = leaf.item.formula.universe if leaf.status == SOLVABLE else ()
-    base = 0
-    for v, value in prefix.items():
-        if value:
-            base |= 1 << position[v]
-    bound = set(prefix)
-    bound.update(over)
-    free = [j for v, j in position.items() if v not in bound]
-    return base, [position[v] for v in over], free
+    position = {v: j for j, v in enumerate(tree.root_universe)}
+    for leaf in tree.leaves():
+        if leaf.status == DEAD:
+            continue
+        value = read(leaf)
+        if value is None:
+            continue
+        prefix = leaf.item.prefix
+        over = leaf.item.formula.universe if leaf.status == SOLVABLE else ()
+        base = 0
+        for v, bit in prefix.items():
+            if bit:
+                base |= 1 << position[v]
+        bound = set(prefix)
+        bound.update(over)
+        free = [j for v, j in position.items() if v not in bound]
+        yield value, base, [position[v] for v in over], free
 
 
 def count_and_witness(tree: DecompositionTree) -> tuple[int, int | None]:
     """The root formula's model count and its least model, as a row over
     the root universe (None when there is none), from the cubes of the
-    tree's disjoint leaves.
+    tree's live leaves.
 
     No rows are built, so neither the count nor the size of the root
     universe is capped.  A leaf's least row is its least cube's ``bits``
     (free bits 0); the map from leaf rows to root rows keeps their order,
     so the least of the mapped leaf minima is the root's least row.
     """
-    position = {v: j for j, v in enumerate(tree.root_universe)}
+    def count_and_least(leaf: TreeNode) -> tuple[int, int] | None:
+        if leaf.status != SOLVABLE:  # trivial: every assignment works
+            return 1, 0
+        formula = leaf.item.formula
+        cubes = _models(formula.to_ints(), formula.universe)
+        if not cubes:
+            return None
+        width = len(formula.universe)
+        return (sum(1 << width - fixed.bit_count() for _, fixed in cubes),
+                min(bits for bits, _ in cubes))
+
     count = 0
     least = None
-    for leaf in tree.disjoint_leaves():
-        if leaf.status == SOLVABLE:
-            formula = leaf.item.formula
-            cubes = _models(formula.to_ints(), formula.universe)
-            if not cubes:
-                continue
-            width = len(formula.universe)
-            leaf_count = sum(1 << width - fixed.bit_count()
-                             for _, fixed in cubes)
-            least_bits = min(bits for bits, _ in cubes)
-        else:  # trivial: every assignment over the leaf universe works
-            leaf_count, least_bits = 1, 0
-        base, targets, free = _placement(position, leaf)
+    for (leaf_count, least_bits), base, targets, free in _placed_leaves(
+            tree, count_and_least):
         count += leaf_count << len(free)
         row = _scatter((least_bits,), targets, (), base)[0]
         if least is None or row < least:
@@ -133,7 +138,7 @@ def gather(
 ) -> SolutionSet:
     """Merge per-leaf solutions into the root-universe solution set.
 
-    Every solvable node of ``tree.disjoint_leaves()`` must appear in
+    Every solvable node of ``tree.leaves()`` must appear in
     ``leaf_results`` (order and duplicates are irrelevant); trivial nodes
     need no result, their unconstrained variables are expanded directly.
     Those nodes are disjoint, so exactly the rows of the result are built.
@@ -145,23 +150,19 @@ def gather(
     by_item: dict[WorkItem, SolutionSet] = {}
     for result in leaf_results:
         by_item[result.item] = result.solutions
-    position = {v: j for j, v in enumerate(tree.root_universe)}
-    placed = []
-    total = 0
-    for leaf in tree.disjoint_leaves():
-        if leaf.status == SOLVABLE:
-            solutions = by_item.get(leaf.item)
-            if solutions is None:
-                raise ValueError(
-                    f"missing result for solvable leaf {leaf.node_id}")
-            if not solutions.rows:
-                continue
-            leaf_rows = solutions.rows
-        else:  # trivial: every assignment over the leaf universe works
-            leaf_rows = (0,)
-        base, targets, free = _placement(position, leaf)
-        total += len(leaf_rows) << len(free)
-        placed.append((leaf_rows, targets, free, base))
+
+    def rows_of(leaf: TreeNode) -> tuple[int, ...] | None:
+        if leaf.status != SOLVABLE:  # trivial: every assignment works
+            return (0,)
+        solutions = by_item.get(leaf.item)
+        if solutions is None:
+            raise ValueError(
+                f"missing result for solvable leaf {leaf.node_id}")
+        return solutions.rows or None
+
+    placed = list(_placed_leaves(tree, rows_of))
+    total = sum(len(leaf_rows) << len(free)
+                for leaf_rows, _, _, free in placed)
     if total > 1 << MAX_ENUM_VARS:
         # As powers of two: the interpreter writes no int of more than
         # sys.get_int_max_str_digits() decimal digits.
@@ -169,6 +170,6 @@ def gather(
             f"output capped at 2**{MAX_ENUM_VARS} rows, formula has at "
             f"least 2**{total.bit_length() - 1} models")
     rows: list[int] = []
-    for leaf_rows, targets, free, base in placed:
+    for leaf_rows, base, targets, free in placed:
         rows.extend(_scatter(leaf_rows, targets, free, base))
     return SolutionSet(tree.root_universe, rows)

@@ -1,9 +1,10 @@
 """Command-line driver: parse DIMACS, decompose, solve the leaves, gather.
 
-Solving reads the tree's disjoint leaves (``disjoint_leaves``).  On a
+Solving reads the tree's live leaves, whose models are disjoint.  On a
 clause pivot, ``sat``, ``count`` and ``allsat`` build only the k
-orthonormal branches (``clause_branch_tree``); the 2**k - 1 overlapping
-branches are built only for ``--mode decompose``, which prints them.
+orthonormal branches (``clause_branch_tree``); ``--mode decompose``
+prints the 2**k - 1 overlapping branches of ``clause_pivot_decompose``
+instead, as a tree that only this module builds and nothing solves.
 The mode alone picks the solver: ``--mode count`` and ``--mode sat``
 read their cubes through ``allsat.count_and_witness`` and build no rows;
 ``--mode allsat`` solves them to rows and gathers them.  ``--verify``
@@ -34,14 +35,18 @@ import warnings
 from itertools import islice
 
 from .allsat import LeafResult, count_and_witness, gather, solve_leaf
-from .cnf import (DimacsParseError, NormalizationWarning, SolutionSet,
-                  parse_dimacs, to_truth_table)
+from .cnf import (CnfFormula, DimacsParseError, NormalizationWarning,
+                  PartialAssignment, SolutionSet, parse_dimacs, to_truth_table)
 from .decompose import (
+    INTERNAL,
     SOLVABLE,
     TRIVIAL,
     DecompositionTree,
+    TreeNode,
+    WorkItem,
+    _leaf_status,
     clause_branch_tree,
-    clause_pivot_tree,
+    clause_pivot_decompose,
     var_partition_decompose,
 )
 from .limits import MAX_VARS
@@ -117,15 +122,37 @@ class RunConfig:
 
 
 def parallel_leaf_solve(tree: DecompositionTree, jobs: int) -> list[LeafResult]:
-    """Solve every solvable node of ``tree.disjoint_leaves()``, in order,
-    on the calling thread: the results ``gather`` needs.
+    """Solve every solvable node of ``tree.leaves()``, in order, on the
+    calling thread: the results ``gather`` needs.
 
     ``jobs`` is validated but selects nothing (see the module docstring).
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    return [solve_leaf(n.item) for n in tree.disjoint_leaves()
+    return [solve_leaf(n.item) for n in tree.leaves()
             if n.status == SOLVABLE]
+
+
+def clause_pivot_tree(formula: CnfFormula,
+                      pivot_index: int) -> DecompositionTree:
+    """The tree that ``--mode decompose --pivot clause`` prints: the root
+    and one leaf per branch of ``clause_pivot_decompose``.
+
+    Every live branch is a terminal leaf regardless of size, so leaves are
+    flagged solvable (or trivial/dead) with no variable bound.  The
+    branches overlap, so nothing solves this tree.  A formula with no
+    clauses has no pivot: its tree is the root alone, a trivial leaf,
+    whatever ``pivot_index`` says.
+    """
+    root = WorkItem(PartialAssignment(), formula, 0)
+    if formula.is_empty:
+        return DecompositionTree([TreeNode(0, -1, root, TRIVIAL)])
+    nodes = [TreeNode(node_id=0, parent=-1, item=root, status=INTERNAL)]
+    for item in clause_pivot_decompose(formula, pivot_index):
+        nodes.append(TreeNode(
+            node_id=len(nodes), parent=0, item=item,
+            status=_leaf_status(item.formula, None)))
+    return DecompositionTree(nodes)
 
 
 def _tree_as_json(tree: DecompositionTree) -> list[dict]:

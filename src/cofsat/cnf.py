@@ -323,9 +323,10 @@ class SolutionSet:
         self._over = tuple(sorted(set(over)))
         limit = 1 << len(self._over)
         unique = sorted(set(rows))
-        for row in unique:
-            if not 0 <= row < limit:
-                raise ValueError(f"row {row} out of range for {len(self._over)} variables")
+        # Sorted, so the ends bound every row; only a failure scans them.
+        if unique and (unique[0] < 0 or unique[-1] >= limit):
+            row = next(r for r in unique if not 0 <= r < limit)
+            raise ValueError(f"row {row} out of range for {len(self._over)} variables")
         self._rows = tuple(unique)
 
     @property

@@ -1,15 +1,14 @@
 """Decomposition of CNF formulas into independent subproblems.
 
-Two strategies are provided.  A clause pivot (l1 ... lk) has two trees.
-Solving builds ``clause_branch_tree``: the k branches l1; -l1 l2; ...;
--l1 ... -l(k-1) lk, an orthonormal base, disjoint and covering the
-clause, so their counts add and no model is found twice; each branch is
-one ``substitute`` of the root reduced by the negations before it, which
-are carried forward.  ``clause_pivot_tree`` keeps the 2**k - 1
-overlapping branches, one per partial assignment of the clause, for
-``--mode decompose`` to print: the input is satisfiable iff at least one
-of them is.  Its ``disjoint_leaves`` are the live branches of
-``clause_branch_tree``, built only when asked for.
+The live leaves of every tree built here partition the root's models:
+their counts add and no model is found twice.  Two strategies are
+provided.  A clause pivot (l1 ... lk) is solved through
+``clause_branch_tree``: the k branches l1; -l1 l2; ...; -l1 ... -l(k-1) lk,
+an orthonormal base, disjoint and covering the clause; each branch is one
+``substitute`` of the root reduced by the negations before it, which are
+carried forward.  ``clause_pivot_decompose`` keeps the paper's 2**k - 1
+overlapping branches, one per partial assignment of the clause: the input
+is satisfiable iff at least one of them is.
 
 Variable-partition decomposition repeatedly picks a block X1 of at most
 ``n0`` variables and splits the clauses once per node into bit masks over
@@ -46,7 +45,6 @@ __all__ = [
     "CostEstimate",
     "clause_branch_tree",
     "clause_pivot_decompose",
-    "clause_pivot_tree",
     "choose_var_subset",
     "enumerate_c1_assignments",
     "var_partition_decompose",
@@ -101,19 +99,15 @@ class TreeNode(namedtuple("TreeNode", "node_id parent item status")):
 class DecompositionTree:
     """Nodes in preorder; node 0 is the root, parent links define the shape.
 
-    ``pivot`` is the index of the pivot clause of a tree whose leaves are
-    the 2**k - 1 overlapping branches of that clause; otherwise it is None
-    and the leaves are disjoint.  Either way ``disjoint_leaves`` gives the
-    live work nodes whose models partition the root's, which is what
-    solving reads.
+    The live ``leaves`` of a tree that ``clause_branch_tree`` or
+    ``var_partition_decompose`` builds partition the root's models, which
+    is what solving reads.
     """
 
-    def __init__(self, nodes: Sequence[TreeNode], pivot: int | None = None):
+    def __init__(self, nodes: Sequence[TreeNode]):
         if not nodes or nodes[0].parent != -1:
             raise ValueError("first node must be the root with parent -1")
         self._nodes = tuple(nodes)
-        self._pivot = pivot
-        self._disjoint: tuple[TreeNode, ...] | None = None
 
     @property
     def nodes(self) -> tuple[TreeNode, ...]:
@@ -124,33 +118,13 @@ class DecompositionTree:
         return self._nodes[0]
 
     @property
-    def overlapping(self) -> bool:
-        return self._pivot is not None
-
-    @property
     def root_universe(self) -> tuple[int, ...]:
         assert self.root.item.formula is not None
         return self.root.item.formula.universe
 
     def leaves(self) -> list[TreeNode]:
+        """The nodes without children, dead ones included, in node order."""
         return [n for n in self._nodes if n.status != INTERNAL]
-
-    def disjoint_leaves(self) -> list[TreeNode]:
-        """Live work nodes whose models partition the root's models.
-
-        These are the live leaves, in node order.  On an ``overlapping``
-        tree they are the live leaves of ``clause_branch_tree`` on the same
-        root and pivot: at most k nodes, against 2**k - 1 overlapping
-        leaves, each under the id of the singleton leaf of its literal.
-        Computed once per tree, on the first call.
-        """
-        if self._disjoint is None:
-            tree = self
-            if self._pivot is not None:
-                tree = clause_branch_tree(self.root.item.formula, self._pivot)
-            self._disjoint = tuple(
-                [n for n in tree.leaves() if n.status != DEAD])
-        return list(self._disjoint)
 
     def serialize(self) -> str:
         """Line-oriented text form, one node per line.
@@ -241,41 +215,20 @@ def clause_pivot_decompose(
             for q in partial_assignments(pivot)]
 
 
-def clause_pivot_tree(formula: CnfFormula, pivot_index: int) -> DecompositionTree:
-    """One-level tree around clause_pivot_decompose, for ``--mode decompose``.
-
-    Every live branch is a terminal leaf regardless of size, so leaves are
-    flagged solvable (or trivial/dead) with no variable bound.  The
-    branches overlap, so the tree records its pivot and is
-    ``overlapping``; its ``disjoint_leaves`` are those of
-    ``clause_branch_tree``, which is what solving builds instead.  A
-    formula with no clauses has no pivot: its tree is the root alone, a
-    trivial leaf, whatever ``pivot_index`` says.
-    """
-    root = WorkItem(PartialAssignment(), formula, 0)
-    if formula.is_empty:
-        return DecompositionTree([TreeNode(0, -1, root, TRIVIAL)])
-    nodes = [TreeNode(node_id=0, parent=-1, item=root, status=INTERNAL)]
-    for item in clause_pivot_decompose(formula, pivot_index):
-        nodes.append(TreeNode(
-            node_id=len(nodes), parent=0, item=item,
-            status=_leaf_status(item.formula, None)))
-    return DecompositionTree(nodes, pivot=pivot_index)
-
-
 def clause_branch_tree(formula: CnfFormula, pivot_index: int) -> DecompositionTree:
     """The k orthonormal branches of the pivot clause (l1 ... lk), as a
     one-level tree whose leaves are disjoint: what solving reads.
 
-    Node i (1 <= i <= k, the id of li's singleton leaf in
-    ``clause_pivot_tree``) has prefix -l1 ... -l(i-1) li and the root
+    Node i (1 <= i <= k; li's singleton branch is item i - 1 of
+    ``clause_pivot_decompose``) has prefix -l1 ... -l(i-1) li and the root
     reduced by it; a branch the prefix falsifies is a dead leaf.  The
     root reduced by -l1 ... -l(i-1) is carried from branch to branch, one
     ``_reduce`` pass per literal but the last, and each live branch is
     one ``substitute`` of it by li, so a k-literal pivot costs at most
     2k - 1 clause passes.  The branches' models partition the root's, so
-    their counts add.  An empty formula and an out-of-range index are
-    treated as in ``clause_pivot_tree``.
+    their counts add.  A formula with no clauses has no pivot: its tree
+    is the root alone, a trivial leaf, whatever ``pivot_index`` says.  An
+    out-of-range index raises ``ValueError``.
     """
     root = WorkItem(PartialAssignment(), formula, 0)
     if formula.is_empty:

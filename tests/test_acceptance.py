@@ -13,7 +13,7 @@ from pathlib import Path
 from cofsat import (
     BaseSet,
     TruthTable,
-    clause_pivot_tree,
+    clause_branch_tree,
     cofactor_interval,
     cofactor_sample,
     compose,
@@ -172,12 +172,12 @@ def test_criterion_5_decomposition():
         if not oracle_rows:
             unsat_seen += 1
 
-        trees = [clause_pivot_tree(
+        trees = [clause_branch_tree(
             formula, rng.randrange(len(formula.clauses)))]
         trees += [var_partition_decompose(formula, n0) for n0 in (3, 4, 6)]
         for tree in trees:
             results = [solve_leaf(node.item)
-                       for node in tree.disjoint_leaves()
+                       for node in tree.leaves()
                        if node.status == "solvable"]
             assert gather(tree, results).rows == oracle_rows
     assert unsat_seen > 0  # the suite exercised UNSAT agreement

@@ -14,7 +14,7 @@ from cofsat import (
     SolutionSet,
     WorkItem,
     all_solutions,
-    clause_pivot_tree,
+    clause_branch_tree,
     count_and_witness,
     gather,
     solve_leaf,
@@ -123,30 +123,30 @@ class TestGather:
 
     def test_unsat_everywhere_gathers_empty(self):
         f = CnfFormula([[1], [-1], [2, 3]], universe=[1, 2, 3])
-        tree = clause_pivot_tree(f, 2)
-        results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
+        tree = clause_branch_tree(f, 2)
+        results = [solve_leaf(n.item) for n in tree.leaves()
                    if n.status == "solvable"]
         # branches bind 2 or 3; units on 1 kill each branch during solving
         assert gather(tree, results).count == 0
 
     def test_all_dead_tree_gathers_empty(self):
         f = CnfFormula([[1, 2], [-1], [-2]], universe=[1, 2])
-        tree = clause_pivot_tree(f, 0)
+        tree = clause_branch_tree(f, 0)
         assert all(n.status == "unsat" for n in tree.leaves())
         assert gather(tree, []).count == 0
 
     def test_example2_clause_pivot(self):
         f = example2_formula()
-        tree = clause_pivot_tree(f, 0)
-        results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
+        tree = clause_branch_tree(f, 0)
+        results = [solve_leaf(n.item) for n in tree.leaves()
                    if n.status == "solvable"]
         gathered = gather(tree, results)
         assert gathered.over == (1, 2, 3, 4)
         assert list(gathered.rows) == [0, 2, 3, 4, 6, 7, 9, 13, 15]
 
     def test_missing_result_rejected(self):
-        tree = clause_pivot_tree(example2_formula(), 0)
-        results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
+        tree = clause_branch_tree(example2_formula(), 0)
+        results = [solve_leaf(n.item) for n in tree.leaves()
                    if n.status == "solvable"]
         assert len(results) == 2
         for dropped in range(len(results)):
@@ -157,7 +157,7 @@ class TestGather:
         rng = random.Random(71)
         f = random_formula(rng, 9, 22)
         tree = var_partition_decompose(f, 3)
-        results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
+        results = [solve_leaf(n.item) for n in tree.leaves()
                    if n.status == "solvable"]
         baseline = gather(tree, results)
         for _ in range(6):
@@ -171,9 +171,9 @@ class TestGather:
             f = random_formula(rng, 6, 28)
             expected = brute_force_rows(
                 [list(c.to_ints()) for c in f.clauses], f.universe)
-            for tree in (clause_pivot_tree(f, 0),
+            for tree in (clause_branch_tree(f, 0),
                          var_partition_decompose(f, 3)):
-                results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
+                results = [solve_leaf(n.item) for n in tree.leaves()
                            if n.status == "solvable"]
                 got = gather(tree, results)
                 assert list(got.rows) == expected
@@ -187,7 +187,7 @@ class TestGather:
         rng = random.Random(79)
         f = random_formula(rng, 10, 26)
         tree = var_partition_decompose(f, 4)
-        results = {n.item: solve_leaf(n.item) for n in tree.disjoint_leaves()
+        results = {n.item: solve_leaf(n.item) for n in tree.leaves()
                    if n.status == "solvable"}
         gathered = gather(tree, results.values())
         position = {v: j for j, v in enumerate(gathered.over)}
@@ -223,9 +223,9 @@ class TestGather:
         # One clause (1 2 3) has 14 models over 4 variables: its 7 printed
         # branches hold 38 rows, its 3 orthonormal branches exactly 14.
         monkeypatch.setattr(allsat, "MAX_ENUM_VARS", 4)
-        tree = clause_pivot_tree(CnfFormula([[1, 2, 3]], universe=range(1, 5)), 0)
+        tree = clause_branch_tree(CnfFormula([[1, 2, 3]], universe=range(1, 5)), 0)
         assert gather(tree, []).count == 14
-        tree = clause_pivot_tree(CnfFormula([[1, 2, 3]], universe=range(1, 6)), 0)
+        tree = clause_branch_tree(CnfFormula([[1, 2, 3]], universe=range(1, 6)), 0)
         # 28 models: at least 2**4; the 7 branches' 76 rows would be 2**6.
         with pytest.raises(CapacityError,
                            match=re.escape("formula has at least 2**4 models")):
@@ -260,9 +260,9 @@ class TestCountAndWitness:
         rng = random.Random(83)
         for _ in range(30):
             f = random_formula(rng, rng.randint(5, 9), rng.randint(4, 30))
-            for tree in (clause_pivot_tree(f, rng.randrange(len(f.clauses))),
+            for tree in (clause_branch_tree(f, rng.randrange(len(f.clauses))),
                          var_partition_decompose(f, 3)):
-                results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
+                results = [solve_leaf(n.item) for n in tree.leaves()
                            if n.status == "solvable"]
                 rows = gather(tree, results).rows
                 assert count_and_witness(tree) == (
@@ -270,10 +270,10 @@ class TestCountAndWitness:
 
     def test_all_dead_tree(self):
         f = CnfFormula([[1, 2], [-1], [-2]], universe=[1, 2])
-        assert count_and_witness(clause_pivot_tree(f, 0)) == (0, None)
+        assert count_and_witness(clause_branch_tree(f, 0)) == (0, None)
 
     def test_wide_formula_is_counted_not_enumerated(self):
         # 9/16 of the 2**40 rows; the least model sets only variable 1.
         f = CnfFormula([[1, 2], [-3, 4]], universe=range(1, 41))
-        for tree in (clause_pivot_tree(f, 0), var_partition_decompose(f, 8)):
+        for tree in (clause_branch_tree(f, 0), var_partition_decompose(f, 8)):
             assert count_and_witness(tree) == (9 << 36, 1)

@@ -23,7 +23,7 @@ from cofsat import (
     SolutionSet,
     WorkItem,
     choose_var_subset,
-    clause_pivot_tree,
+    clause_branch_tree,
     gather,
     solve_leaf,
     substitute,
@@ -157,18 +157,14 @@ class TestBlockSplit:
     def test_gather_matches_patch_then_widen(self, f, n0, rnd):
         trees = [var_partition_decompose(f, n0)]
         if not f.is_empty:
-            trees.append(clause_pivot_tree(
+            trees.append(clause_branch_tree(
                 f, rnd.randrange(len(f.to_ints()))))
         for tree in trees:
-            # gather reads the disjoint leaves; the reference widens every
-            # printed leaf, which on a clause pivot are the 2**k - 1
-            # overlapping branches.
-            results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
+            results = [solve_leaf(n.item) for n in tree.leaves()
                        if n.status == "solvable"]
+            expected = reference_gather(tree, results)
             rnd.shuffle(results)
-            printed = [solve_leaf(n.item) for n in tree.leaves()
-                       if n.status == "solvable"]
-            assert gather(tree, results) == reference_gather(tree, printed)
+            assert gather(tree, results) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(three_cnf(), block_sizes)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cofsat import (SolutionSet, all_solutions, clause_pivot_tree,
+from cofsat import (SolutionSet, all_solutions, clause_branch_tree,
                     count_and_witness, decompose, emit_dimacs, gather)
 from cofsat.cli import (
     EXIT_ERROR,
@@ -229,7 +229,7 @@ class TestParallelism:
     def test_parallel_leaf_solve_matches_serial(self):
         rng = random.Random(89)
         f = random_formula(rng, 10, 24)
-        tree = clause_pivot_tree(f, 0)
+        tree = clause_branch_tree(f, 0)
         serial = parallel_leaf_solve(tree, 1)
         parallel = parallel_leaf_solve(tree, 4)
         assert gather(tree, serial) == gather(tree, parallel)
@@ -237,20 +237,20 @@ class TestParallelism:
     def test_single_leaf_any_jobs(self):
         # The pivot (x1' + x2 + x4) prints 7 branches.  Its 3 orthonormal
         # branches are what gets solved, and x1 x2' x4 leaves no clause.
-        tree = clause_pivot_tree(example2_formula(), 0)
-        assert [n.status for n in tree.disjoint_leaves()] == [
+        tree = clause_branch_tree(example2_formula(), 0)
+        assert [n.status for n in tree.leaves()] == [
             "solvable", "solvable", "trivial"]
         for jobs in (1, 8):
             results = parallel_leaf_solve(tree, jobs)
             assert len(results) == 2
 
     def test_bad_jobs_rejected(self):
-        tree = clause_pivot_tree(example2_formula(), 0)
+        tree = clause_branch_tree(example2_formula(), 0)
         with pytest.raises(ValueError):
             parallel_leaf_solve(tree, 0)
 
     def test_leaves_solved_in_order_on_calling_thread(self, monkeypatch):
-        tree = clause_pivot_tree(random_formula(random.Random(101), 10, 24), 0)
+        tree = clause_branch_tree(random_formula(random.Random(101), 10, 24), 0)
         calls = []
 
         def recorder(item):
@@ -258,7 +258,7 @@ class TestParallelism:
             return item
 
         monkeypatch.setattr("cofsat.cli.solve_leaf", recorder)
-        expected = [n.item for n in tree.disjoint_leaves()
+        expected = [n.item for n in tree.leaves()
                     if n.status == "solvable"]
         assert len(expected) == 3
         assert parallel_leaf_solve(tree, 8) == expected

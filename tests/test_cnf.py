@@ -383,6 +383,10 @@ class TestSolutionSet:
     def test_row_out_of_range(self):
         with pytest.raises(ValueError):
             SolutionSet([1], [2])
+        with pytest.raises(ValueError, match="^row -1 out of range"):
+            SolutionSet([1], [-1])
+        with pytest.raises(ValueError, match="^row 5 out of range"):
+            SolutionSet([1, 2], [1, 9, 5])
 
     def test_literals_and_text(self):
         s = SolutionSet([2, 5], [1, 2])

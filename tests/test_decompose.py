@@ -23,7 +23,6 @@ from cofsat import (
     choose_var_subset,
     clause_branch_tree,
     clause_pivot_decompose,
-    clause_pivot_tree,
     emit_dimacs,
     enumerate_c1_assignments,
     estimate_cost,
@@ -32,7 +31,7 @@ from cofsat import (
     substitute,
     var_partition_decompose,
 )
-from cofsat import decompose
+from cofsat import cli, decompose
 
 from helpers import (brute_force_rows, example2_formula, random_3cnf_clauses,
                      random_formula)
@@ -79,7 +78,7 @@ class TestClausePivot:
             assert len(clause_pivot_decompose(f, index)) == 7
 
     def test_bad_pivot_index(self):
-        for build in (clause_pivot_decompose, clause_pivot_tree,
+        for build in (clause_pivot_decompose, cli.clause_pivot_tree,
                       clause_branch_tree):
             for index in (4, -1):
                 with pytest.raises(ValueError, match=(
@@ -98,8 +97,8 @@ class TestClausePivot:
             expected = brute_force_rows(
                 [list(c.to_ints()) for c in f.clauses], f.universe)
             pivot = rng.randrange(len(f.clauses))
-            tree = clause_pivot_tree(f, pivot)
-            results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
+            tree = clause_branch_tree(f, pivot)
+            results = [solve_leaf(n.item) for n in tree.leaves()
                        if n.status == "solvable"]
             got = gather(tree, results)
             assert list(got.rows) == expected
@@ -117,24 +116,17 @@ class TestClausePivot:
             assert branch_sat == expected_sat
 
     def test_tree_serialization_golden(self):
-        tree = clause_pivot_tree(example2_formula(), 0)
+        tree = cli.clause_pivot_tree(example2_formula(), 0)
         assert tree.serialize() == (GOLDEN / "example2_pivot_tree.txt").read_text()
-
-    def test_branches_are_marked_overlapping(self):
-        f = example2_formula()
-        assert clause_pivot_tree(f, 0).overlapping
-        assert not clause_branch_tree(f, 0).overlapping
-        assert not var_partition_decompose(f, 2).overlapping
 
     @pytest.mark.parametrize("index", [0, 3])
     def test_formula_without_clauses_is_one_trivial_leaf(self, index):
         f = CnfFormula([], universe=[1, 2])
-        for build in (clause_pivot_tree, clause_branch_tree):
+        for build in (cli.clause_pivot_tree, clause_branch_tree):
             tree = build(f, index)
             assert [(n.status, n.item.formula) for n in tree.nodes] == [
                 ("trivial", f)]
-            assert tree.disjoint_leaves() == list(tree.nodes)
-            assert not tree.overlapping
+            assert tree.leaves() == list(tree.nodes)
         with pytest.raises(ValueError, match="pivot index 0 out of range"):
             clause_pivot_decompose(f, 0)
 
@@ -171,15 +163,21 @@ def _root_rows(node, root):
     return rows
 
 
+def _live_leaves(tree):
+    return [n for n in tree.leaves() if n.status != "unsat"]
+
+
 class TestDisjointLeaves:
+    @pytest.mark.parametrize("build", [
+        clause_branch_tree,
+        lambda f, pivot: var_partition_decompose(f, 3),
+    ], ids=["clause_branch_tree", "var_partition_decompose"])
     @settings(max_examples=100, deadline=None)
-    @given(pivoted_three_cnf())
-    def test_clause_branches_partition_the_models(self, case):
+    @given(case=pivoted_three_cnf())
+    def test_live_leaves_partition_the_models(self, build, case):
         f, pivot = case
         expected = brute_force_rows(f.to_ints(), f.universe)
-        k = len(f.to_ints()[pivot])
-        nodes = clause_pivot_tree(f, pivot).disjoint_leaves()
-        assert len(nodes) <= k
+        nodes = _live_leaves(build(f, pivot))
         for a, b in itertools.combinations(nodes, 2):
             assert any(b.item.prefix.get(v, value) != value
                        for v, value in a.item.prefix.items())
@@ -189,21 +187,14 @@ class TestDisjointLeaves:
         for node in nodes:
             assert node.item.formula == substitute(f, node.item.prefix)
 
-    @settings(max_examples=50, deadline=None)
-    @given(pivoted_three_cnf())
-    def test_variable_partition_gives_its_live_leaves(self, case):
-        tree = var_partition_decompose(case[0], 3)
-        assert tree.disjoint_leaves() == [
-            n for n in tree.leaves() if n.status != "unsat"]
-
     def test_dead_singleton_still_excludes_its_literal(self):
         # F|x1 falsifies (x1'), so branch x1 is dead; the later branches
         # still bind x1 false.  The models are x1' x3, with x2 free.
         f = CnfFormula([[1, 2, 3], [-1], [-2, 3]])
-        tree = clause_pivot_tree(f, 0)
+        tree = clause_branch_tree(f, 0)
         assert tree.nodes[1].item.prefix.to_literals() == (1,)
         assert tree.nodes[1].status == "unsat"
-        nodes = tree.disjoint_leaves()
+        nodes = _live_leaves(tree)
         assert [(n.node_id, n.item.prefix.to_literals(), n.status,
                  n.item.formula.to_ints()) for n in nodes] == [
             (2, (-1, 2), "solvable", ((3,),)),
@@ -258,9 +249,8 @@ class TestClauseBranchTree:
                 assert [n.item.prefix.to_literals() for n in tree.nodes[1:]] \
                     == [(*(-x for x in lits[:i]), lits[i])
                         for i in range(len(lits))]
-                live = tree.disjoint_leaves()
+                live = _live_leaves(tree)
                 dead += len(tree.nodes) - 1 - len(live)
-                assert live == clause_pivot_tree(f, pivot).disjoint_leaves()
                 assert [(n.node_id, dict(n.item.prefix), n.item.formula)
                         for n in live] == _refined_singletons(f, pivot)
                 per_node = [_root_rows(n, f.universe) for n in live]
@@ -278,16 +268,18 @@ class TestClauseBranchTree:
             ((-1, -2, 3), "trivial", CnfFormula([], universe=[4]))]
 
     def test_pivot_tree_builds_its_branches_on_demand(self, monkeypatch):
+        # The printed tree substitutes once per branch of the 3-literal
+        # pivot and serializing it substitutes nothing; the tree that
+        # solving reads is built on its own, one substitute per branch.
         calls = []
         original = decompose.substitute
         monkeypatch.setattr(decompose, "substitute",
                             lambda f, q: calls.append(q) or original(f, q))
-        tree = clause_pivot_tree(example2_formula(), 0)
+        tree = cli.clause_pivot_tree(example2_formula(), 0)
         assert len(calls) == 7
         tree.serialize()
         assert len(calls) == 7
-        nodes = tree.disjoint_leaves()
-        assert len(calls) == 10 and tree.disjoint_leaves() == nodes
+        clause_branch_tree(example2_formula(), 0)
         assert len(calls) == 10
 
     def test_demo_output_unchanged(self):
@@ -388,7 +380,7 @@ class TestVarPartition:
             expected = brute_force_rows(
                 [list(c.to_ints()) for c in f.clauses], f.universe)
             tree = var_partition_decompose(f, 4)
-            results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
+            results = [solve_leaf(n.item) for n in tree.leaves()
                        if n.status == "solvable"]
             assert list(gather(tree, results).rows) == expected
 
@@ -396,7 +388,7 @@ class TestVarPartition:
         rng = random.Random(53)
         f = random_formula(rng, 10, 24)
         tree = var_partition_decompose(f, 3)
-        results = [solve_leaf(n.item) for n in tree.disjoint_leaves()
+        results = [solve_leaf(n.item) for n in tree.leaves()
                    if n.status == "solvable"]
         baseline = gather(tree, results)
         for _ in range(5):
@@ -431,7 +423,7 @@ class TestVarPartition:
         f = CnfFormula([[v] for v in range(1, n + 1)])
         tree = var_partition_decompose(f, 1)
         assert len(tree.nodes) == n
-        solvable = [leaf for leaf in tree.disjoint_leaves()
+        solvable = [leaf for leaf in tree.leaves()
                     if leaf.status == "solvable"]
         assert [leaf.node_id for leaf in solvable] == [n - 1]
         results = [solve_leaf(leaf.item) for leaf in solvable]

@@ -61,7 +61,7 @@ def test_public_names_are_pinned():
         "OnVerdict", "PartialAssignment", "SolutionSet", "TruthTable",
         "Verdict", "WorkItem", "__version__", "all_solutions",
         "choose_var_subset", "clause_branch_tree", "clause_pivot_decompose",
-        "clause_pivot_tree", "cofactor_interval", "cofactor_sample",
+        "cofactor_interval", "cofactor_sample",
         "compose", "compose_via_expansion", "consistency_over_base",
         "consistency_over_on", "count_and_witness", "emit_dimacs",
         "enumerate_c1_assignments", "estimate_cost", "expand",

@@ -228,4 +228,4 @@ def test_decomposition_tree_pickles():
         assert len(copy.nodes) == len(tree.nodes) > 1
         assert copy.nodes == tree.nodes
         assert copy.serialize() == tree.serialize()
-        assert copy.disjoint_leaves() == tree.disjoint_leaves()
+        assert copy.leaves() == tree.leaves()

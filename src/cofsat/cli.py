@@ -5,6 +5,11 @@ clause pivot, ``sat``, ``count`` and ``allsat`` build only the k
 orthonormal branches (``clause_branch_tree``); ``--mode decompose``
 prints the 2**k - 1 overlapping branches of ``clause_pivot_decompose``
 instead, as a tree that only this module builds and nothing solves.
+On ``--pivot vars``, the three solving modes build the tree whose
+children come from the propagating block search
+(``var_partition_decompose(..., propagate=True)``), and ``--mode
+decompose`` prints the tree with one child per allowed block row.  Both
+have the same models, so only the printed tree tells them apart.
 The mode alone picks the solver: ``--mode count`` and ``--mode sat``
 read their cubes through ``allsat.count_and_witness`` and build no rows;
 ``--mode allsat`` solves them to rows and gathers them.  ``--verify``
@@ -198,7 +203,8 @@ def run(config: RunConfig, out: IO[str] | None = None,
 
     try:
         if config.pivot_strategy == "vars":
-            tree = var_partition_decompose(formula, config.n0)
+            tree = var_partition_decompose(
+                formula, config.n0, propagate=config.mode != "decompose")
         elif config.mode == "decompose":
             tree = clause_pivot_tree(formula, config.pivot_clause)
         else:

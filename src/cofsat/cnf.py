@@ -12,17 +12,20 @@ The key operations mirror the decomposition machinery: ``sat_set`` gives the
 assignment making every literal of a clause true, ``partial_assignments``
 enumerates its 2**k - 1 nonempty subsets in a fixed order, and
 ``substitute`` reduces a formula under a partial assignment, returning
-``None`` when a clause is falsified outright.  ``_models`` is the one
-backtracking search over int clauses.  It yields cubes, not rows: a cube
-``(bits, fixed)`` is the values the search fixed on one branch and the
-mask of which variables it fixed, and it stands for every row that agrees
-with it.  The cubes are disjoint, so callers count them without building
-rows, take the least row of a cube (its free bits 0), or expand them with
-``_model_rows``: leaf solving and the X1 enumeration of
-variable-partition decomposition.  The search sets the root's unit
-clauses in one pass and indexes the clauses left by literal, so each
-later unit touches only the clauses that hold its variable; a frame then
-branches on the variable in the most 2-literal clauses.
+``None`` when a clause is falsified outright.  ``_search`` is the one
+backtracking search over int clauses.  ``_models`` takes its cubes, not
+rows: a cube ``(bits, fixed)`` is the values the search fixed on one
+branch and the mask of which variables it fixed, and it stands for every
+row that agrees with it.  The cubes are disjoint, so callers count them
+without building rows, take the least row of a cube (its free bits 0), or
+expand them with ``_model_rows``: leaf solving and the X1 enumeration of
+the decomposition tree that ``--mode decompose`` prints.  Restricted to a
+block of variables, the search stops each branch once the block is set
+and hands back the clauses left: the children of the variable-partition
+tree that solving reads.  The search sets the root's unit clauses in one
+pass and indexes the clauses left by literal, so each later unit touches
+only the clauses that hold its variable; a frame then branches on the
+variable in the most 2-literal clauses.
 ``substitute`` reduces one bound literal at a time with ``_reduce``.
 """
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from itertools import combinations
 
 from .limits import MAX_VARS, CapacityError
@@ -534,6 +537,26 @@ def _models(clauses: Iterable[tuple[int, ...]], over: Sequence[int]
     on ``fixed`` is a model, whatever its free bits.  The cubes are
     pairwise disjoint (two of them differ in some branch variable), so a
     model count is the sum of ``2**(len(over) - popcount(fixed))``.
+    They are the stopped frames of ``_search`` over the whole of ``over``,
+    each of which has every clause satisfied.
+    """
+    return [(bits, fixed) for bits, fixed, _ in _search(clauses, over)]
+
+
+def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
+            block: Collection[int] | None = None
+            ) -> Iterator[tuple[int, int, list[tuple[int, ...]]]]:
+    """The stopped frames ``(bits, fixed, slots)`` of the one backtracking
+    search, in search order: each binds the variables of ``fixed`` (bit j
+    for ``over[j]``) to the values in ``bits``.
+
+    The search branches only on the variables of ``block`` (all of
+    ``over`` when None) and propagates unit clauses through every clause.
+    A frame stops when every block variable is set or no clause is left;
+    ``slots`` then holds, one slot per clause in clause order, the clause
+    reduced by the frame's bindings, or ``()`` once it is satisfied.  The
+    stopped frames are disjoint and cover every model over ``over``; a
+    refuted branch stops no frame.  The caller owns each ``slots`` list.
 
     Backtracking search over an explicit stack, so its depth is not bounded
     by the interpreter's recursion limit.  The root's unit clauses are set
@@ -542,17 +565,20 @@ def _models(clauses: Iterable[tuple[int, ...]], over: Sequence[int]
     clause is an empty slot, and setting a literal touches only the clauses
     that hold it or its negation.  Each frame sets its unit literals until
     none is left or a clause is falsified.  It then branches, False first,
-    on the variable occurring in the most 2-literal clauses (ties to the
-    first such variable in clause order), or, with no 2-literal clause
-    left, on the smallest occurring variable; one branch takes a copy of
-    the list.  A frame with every clause satisfied yields its cube.  No
-    rows are built: ``_model_rows`` expands the cubes.
+    on the block variable occurring in the most 2-literal clauses (ties to
+    the first such variable in clause order), or, with none in a 2-literal
+    clause, on the smallest block variable that occurs, or on the smallest
+    unset one; one branch takes a copy of the list.
     """
     position = {v: j for j, v in enumerate(over)}
-    cubes: list[tuple[int, int]] = []
+    if block is None:
+        mask = (1 << len(over)) - 1
+    else:
+        block = set(block)
+        mask = sum(1 << position[v] for v in block)
     clauses = list(clauses)
     if not all(clauses):
-        return cubes
+        return
     # The root's unit clauses are set in one pass of set operations; the
     # units that pass makes go through the occurrence lists, since
     # repeating the pass until none is left is quadratic on a chain.
@@ -560,7 +586,7 @@ def _models(clauses: Iterable[tuple[int, ...]], over: Sequence[int]
     bits = fixed = 0
     for lit in units:
         if -lit in units:
-            return cubes
+            return
         bit = 1 << position[abs(lit)]
         fixed |= bit
         if lit > 0:
@@ -575,7 +601,7 @@ def _models(clauses: Iterable[tuple[int, ...]], over: Sequence[int]
             if not cut.isdisjoint(clause):
                 clause = tuple([x for x in clause if x not in cut])
                 if not clause:
-                    return cubes
+                    return
                 if len(clause) == 1:
                     new.append(clause[0])
             kept.append(clause)
@@ -621,17 +647,26 @@ def _models(clauses: Iterable[tuple[int, ...]], over: Sequence[int]
                 continue
             break  # a clause was falsified
         else:  # no clause was falsified
-            if not any(clauses):
-                cubes.append((bits, fixed))
+            if fixed & mask == mask or not any(clauses):
+                yield bits, fixed, clauses
                 continue
+            # Every literal left in a slot is unset.
             binary = Counter([abs(x) for c in clauses if len(c) == 2
                               for x in c])
-            var = (max(binary, key=binary.__getitem__) if binary
-                   else min(abs(c[0]) for c in clauses if c))
+            if block is not None:
+                binary = {v: k for v, k in binary.items() if v in block}
+            if binary:
+                var = max(binary, key=binary.__getitem__)
+            elif block is None:
+                var = min(abs(c[0]) for c in clauses if c)
+            else:
+                var = min([abs(x) for c in clauses for x in c
+                           if abs(x) in block]
+                          or [v for v in block
+                              if not fixed >> position[v] & 1])
             # Pushed True first, so the False branch is searched first.
             stack.append((clauses.copy(), [var], bits, fixed))
             stack.append((clauses, [-var], bits, fixed))
-    return cubes
 
 
 def _model_rows(clauses: Iterable[tuple[int, ...]], over: Sequence[int]

@@ -11,11 +11,16 @@ overlapping branches, one per partial assignment of the clause: the input
 is satisfiable iff at least one of them is.
 
 Variable-partition decomposition repeatedly picks a block X1 of at most
-``n0`` variables and splits the clauses once per node into bit masks over
-X1: the only-X1 clauses give the allowed X1 assignments, and every child
-(one per allowed assignment) is read off the masks of the other clauses,
-without substituting into the whole formula.  It recurses on the children
-until every live leaf has at most ``n0`` variables.
+``n0`` variables and expands the node over an orthonormal base of X1,
+recursing on the children until every live leaf has at most ``n0``
+variables.  The tree that ``sat``, ``count`` and ``allsat`` solve takes
+the base from the search (``propagate=True``): one child per branch over
+X1 that unit propagation through all the clauses leaves standing, so
+refuted branches cost no node.  The tree that ``--mode decompose`` prints
+keeps the finest base: the clauses are split once per node into bit masks
+over X1, the only-X1 clauses give the allowed X1 assignments, and every
+child (one per allowed assignment) is read off the masks of the other
+clauses, without substituting into the whole formula.
 
 Each subproblem is an immutable WorkItem (prefix assignment + reduced
 formula) that can be shipped to any worker; the tree records how the items
@@ -34,6 +39,7 @@ from .cnf import (
     PartialAssignment,
     _model_rows,
     _reduce,
+    _search,
     partial_assignments,
     substitute,
 )
@@ -346,20 +352,35 @@ def enumerate_c1_assignments(
             for row in sorted(rows)]
 
 
-def var_partition_decompose(formula: CnfFormula, n0: int) -> DecompositionTree:
+def var_partition_decompose(formula: CnfFormula, n0: int, *,
+                            propagate: bool = False) -> DecompositionTree:
     """Recursively decompose until every live leaf has at most n0 variables.
 
-    At each internal node: choose a block X1 and split the clauses once
-    into masks over X1.  The only-X1 clauses give the allowed X1
-    assignments, in ascending bit order; each one becomes a child holding
-    the reduced formula over X2: every other clause the assignment does not
-    satisfy, cut to its X2 literals (only-X2 clauses ride along unchanged),
-    duplicates merged in first-seen order.  This equals ``substitute`` of
-    the whole formula under the assignment, which never falsifies a clause:
-    only an only-X1 clause could lose every literal, and the allowed
-    assignments satisfy those.  A node whose block
-    admits no assignment is a dead leaf; if every leaf is dead the formula
-    is unsatisfiable.
+    At each internal node, choose a block X1 with ``choose_var_subset``.
+    The children expand the node over an orthonormal base of X1, and their
+    live leaves partition the root's models.  A node whose base is empty
+    is a dead leaf; if every leaf is dead the formula is unsatisfiable.
+
+    By default (the tree ``--mode decompose`` prints) the base is the
+    finest one: one child per X1 assignment that the only-X1 clauses
+    allow, in ascending bit order.  The clauses are split once into masks
+    over X1, and each child holds the reduced formula over X2: every other
+    clause the assignment does not satisfy, cut to its X2 literals
+    (only-X2 clauses ride along unchanged), duplicates merged in
+    first-seen order.  This equals ``substitute`` of the whole formula
+    under the assignment, which never falsifies a clause: only an only-X1
+    clause could lose every literal, and the allowed assignments satisfy
+    those.
+
+    With ``propagate`` (the tree that ``sat``, ``count`` and ``allsat``
+    solve) the base comes from the search itself: ``cnf._search`` branches
+    on X1 only and propagates unit clauses through every clause.  Each
+    frame it stops, with all of X1 set or no clause left, is one child, in
+    search order: its prefix adds every variable the frame set, X2 ones
+    included, and its formula is the frame's clauses left, which equals
+    ``substitute`` of the node under those bindings.  A branch that
+    propagation refutes makes no child, so the tree has a node per
+    surviving cube of X1, not per allowed row.
     """
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
@@ -377,35 +398,66 @@ def var_partition_decompose(formula: CnfFormula, n0: int) -> DecompositionTree:
             continue
         assert f is not None
         x1 = choose_var_subset(f, n0)
-        clauses = f.to_ints()
-        split = _split(clauses, x1)
-        rows = sorted(_model_rows(
-            [c for c, (_, _, rest) in zip(clauses, split) if not rest], x1))
-        if not rows:
-            nodes.append(TreeNode(node_id, parent, item, DEAD))
-            continue
-        nodes.append(TreeNode(node_id, parent, item, INTERNAL))
-        # In clause order: grouping the entries would reorder the children's
-        # clauses.
-        entries = [entry for entry in split if entry[2]]
-        x2 = tuple(v for v in f.universe if v not in x1)
-        # Each child binds the parent's variables and the block's, which are
-        # disjoint, in ascending order: copy a sorted template, set the block.
-        bindings = dict.fromkeys(sorted([*item.prefix, *x1]))
-        bindings.update(item.prefix.items())
-        bits = [1 << j for j in range(len(x1))]
-        for row in reversed(rows):
-            reduced = dict.fromkeys(
-                rest for mask, neg, rest in entries if row & mask == neg)
-            prefix = bindings.copy()
-            prefix.update(zip(x1, [row & bit != 0 for bit in bits]))
-            child = WorkItem(
-                prefix=PartialAssignment._sorted(prefix),
-                formula=CnfFormula._normalized(tuple(reduced), x2),
-                depth=item.depth + 1)
-            stack.append((child, node_id))
+        children = (_propagated_children if propagate
+                    else _row_children)(item, x1)
+        nodes.append(TreeNode(node_id, parent, item,
+                              INTERNAL if children else DEAD))
+        stack.extend((child, node_id) for child in reversed(children))
 
     return DecompositionTree(nodes)
+
+
+def _row_children(item: WorkItem, x1: tuple[int, ...]) -> list[WorkItem]:
+    """One child per X1 assignment the only-X1 clauses allow, in ascending
+    bit order."""
+    f = item.formula
+    clauses = f.to_ints()
+    split = _split(clauses, x1)
+    rows = sorted(_model_rows(
+        [c for c, (_, _, rest) in zip(clauses, split) if not rest], x1))
+    # In clause order: grouping the entries would reorder the children's
+    # clauses.
+    entries = [entry for entry in split if entry[2]]
+    x2 = tuple(v for v in f.universe if v not in x1)
+    # Each child binds the parent's variables and the block's, which are
+    # disjoint, in ascending order: copy a sorted template, set the block.
+    bindings = dict.fromkeys(sorted([*item.prefix, *x1]))
+    bindings.update(item.prefix.items())
+    bits = [1 << j for j in range(len(x1))]
+    children = []
+    for row in rows:
+        reduced = dict.fromkeys(
+            rest for mask, neg, rest in entries if row & mask == neg)
+        prefix = bindings.copy()
+        prefix.update(zip(x1, [row & bit != 0 for bit in bits]))
+        children.append(WorkItem(
+            prefix=PartialAssignment._sorted(prefix),
+            formula=CnfFormula._normalized(tuple(reduced), x2),
+            depth=item.depth + 1))
+    return children
+
+
+def _propagated_children(item: WorkItem, x1: tuple[int, ...]
+                         ) -> list[WorkItem]:
+    """One child per frame of the search over X1 that propagation does not
+    refute, in search order."""
+    f = item.formula
+    over = f.universe
+    children = []
+    for bits, fixed, slots in _search(f.to_ints(), over, x1):
+        prefix = dict(item.prefix)
+        free = []
+        for j, v in enumerate(over):
+            if fixed >> j & 1:
+                prefix[v] = bits >> j & 1 == 1
+            else:
+                free.append(v)
+        children.append(WorkItem(
+            prefix=PartialAssignment._sorted(dict(sorted(prefix.items()))),
+            formula=CnfFormula._normalized(
+                tuple(dict.fromkeys(c for c in slots if c)), tuple(free)),
+            depth=item.depth + 1))
+    return children
 
 
 def estimate_cost(

@@ -7,6 +7,7 @@ code, so it can arbitrate between them.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from collections.abc import Iterable
@@ -29,6 +30,24 @@ def brute_force_rows(
             for clause in clauses
         ):
             rows.append(p)
+    return rows
+
+
+def node_root_rows(node, root: Sequence[int]) -> list[int]:
+    """Rows over ``root`` of one live tree node: its prefix, each
+    brute-force model of its clauses, and both values of every variable
+    left over."""
+    formula = node.item.formula
+    values = {v: int(b) for v, b in node.item.prefix.items()}
+    free = [v for v in root
+            if v not in values and v not in formula.universe]
+    rows = []
+    for leaf_row in brute_force_rows(formula.to_ints(), formula.universe):
+        values.update((v, leaf_row >> j & 1)
+                      for j, v in enumerate(formula.universe))
+        for fill in itertools.product((0, 1), repeat=len(free)):
+            values.update(zip(free, fill))
+            rows.append(sum(values[v] << j for j, v in enumerate(root)))
     return rows
 
 

@@ -270,7 +270,10 @@ def test_allsat_refusal_states_a_huge_count_without_decimal_digits(
 # An implication chain (x1)(x1' + x2)...(x(n-1)' + xn) has one model, all
 # true, found by unit propagation alone: each unit touches the two clauses
 # that hold its variable, so the search is linear in n.  Re-scanning every
-# clause for each unit took over a minute at this size.
+# clause for each unit took over a minute at this size.  Under
+# ``--pivot vars`` the root's block search propagates the whole chain, so
+# the tree is the root and one trivial leaf; one node per allowed row of
+# each block made a tree as deep as the chain, which timed out.
 _CHAIN = """
 import io, json, sys
 from cofsat.cli import RunConfig, run
@@ -279,7 +282,7 @@ n = int(sys.argv[2])
 clauses = [(1,)] + [(-i, i + 1) for i in range(1, n)]
 cubes = _models(clauses, range(1, n + 1))
 out, err = io.StringIO(), io.StringIO()
-status = run(RunConfig(sys.argv[1], mode="count", pivot_strategy="clause"),
+status = run(RunConfig(sys.argv[1], mode="count", pivot_strategy=sys.argv[3]),
              out=out, err=err)
 print(json.dumps({"one_full_cube": cubes == [((1 << n) - 1,) * 2],
                   "run": [status, out.getvalue(), err.getvalue()]}))
@@ -291,13 +294,14 @@ def _limit_chain_memory():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def test_implication_chain_propagates_in_linear_time(tmp_path):
+@pytest.mark.parametrize("pivot", ["clause", "vars"])
+def test_implication_chain_propagates_in_linear_time(tmp_path, pivot):
     n = 20_000
     path = tmp_path / "chain.cnf"
     path.write_text(f"p cnf {n} {n}\n1 0\n" + "".join(
         f"-{i} {i + 1} 0\n" for i in range(1, n)))
     proc = subprocess.run(
-        [sys.executable, "-c", _CHAIN, str(path), str(n)],
+        [sys.executable, "-c", _CHAIN, str(path), str(n), pivot],
         capture_output=True, text=True, timeout=20, env=_child_env(),
         preexec_fn=_limit_chain_memory)
     assert proc.returncode == 0, proc.stderr

@@ -33,8 +33,8 @@ from cofsat import (
 )
 from cofsat import cli, decompose
 
-from helpers import (brute_force_rows, example2_formula, random_3cnf_clauses,
-                     random_formula)
+from helpers import (brute_force_rows, example2_formula, node_root_rows,
+                     random_3cnf_clauses, random_formula)
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -146,23 +146,6 @@ def pivoted_three_cnf(draw):
     return f, draw(st.integers(0, len(f.to_ints()) - 1))
 
 
-def _root_rows(node, root):
-    """Rows over ``root`` of one live node: its prefix, each brute-force
-    model of its clauses, and both values of every variable left over."""
-    formula = node.item.formula
-    values = {v: int(b) for v, b in node.item.prefix.items()}
-    free = [v for v in root
-            if v not in values and v not in formula.universe]
-    rows = []
-    for leaf_row in brute_force_rows(formula.to_ints(), formula.universe):
-        values.update((v, leaf_row >> j & 1)
-                      for j, v in enumerate(formula.universe))
-        for fill in itertools.product((0, 1), repeat=len(free)):
-            values.update(zip(free, fill))
-            rows.append(sum(values[v] << j for j, v in enumerate(root)))
-    return rows
-
-
 def _live_leaves(tree):
     return [n for n in tree.leaves() if n.status != "unsat"]
 
@@ -181,7 +164,7 @@ class TestDisjointLeaves:
         for a, b in itertools.combinations(nodes, 2):
             assert any(b.item.prefix.get(v, value) != value
                        for v, value in a.item.prefix.items())
-        per_node = [_root_rows(node, f.universe) for node in nodes]
+        per_node = [node_root_rows(node, f.universe) for node in nodes]
         assert sum(map(len, per_node)) == len(expected)
         assert set().union(*per_node) == set(expected)
         for node in nodes:
@@ -199,8 +182,8 @@ class TestDisjointLeaves:
                  n.item.formula.to_ints()) for n in nodes] == [
             (2, (-1, 2), "solvable", ((3,),)),
             (3, (-1, -2, 3), "trivial", ())]
-        assert [_root_rows(n, f.universe) for n in nodes] == [[0b110],
-                                                              [0b100]]
+        assert [node_root_rows(n, f.universe) for n in nodes] == [
+            [0b110], [0b100]]
 
 
 def _refined_singletons(f, pivot):
@@ -253,7 +236,7 @@ class TestClauseBranchTree:
                 dead += len(tree.nodes) - 1 - len(live)
                 assert [(n.node_id, dict(n.item.prefix), n.item.formula)
                         for n in live] == _refined_singletons(f, pivot)
-                per_node = [_root_rows(n, f.universe) for n in live]
+                per_node = [node_root_rows(n, f.universe) for n in live]
                 assert sum(map(len, per_node)) == expected
         assert dead > 0
 

@@ -56,7 +56,8 @@ def all_solutions(formula: CnfFormula) -> SolutionSet:
     The cubes of the backtracking search (``cnf._models``), expanded to
     rows; variables the clauses never touch take both values, so the
     empty formula over k variables yields all 2**k rows.  More than
-    ``cnf.MAX_ENUM_VARS`` variables raise ``CapacityError``.
+    ``2**cnf.MAX_ENUM_VARS`` rows raise ``CapacityError``, whatever the
+    width.
     """
     universe = formula.universe
     return SolutionSet(universe, _model_rows(formula.to_ints(), universe))

@@ -1,15 +1,13 @@
 """Command-line driver: parse DIMACS, decompose, solve the leaves, gather.
 
-Solving reads the tree's live leaves, whose models are disjoint.  On a
-clause pivot, ``sat``, ``count`` and ``allsat`` build only the k
-orthonormal branches (``clause_branch_tree``); ``--mode decompose``
-prints the 2**k - 1 overlapping branches of ``clause_pivot_decompose``
-instead, as a tree that only this module builds and nothing solves.
-On ``--pivot vars``, the three solving modes build the tree whose
-children come from the propagating block search
-(``var_partition_decompose(..., propagate=True)``), and ``--mode
-decompose`` prints the tree with one child per allowed block row.  Both
-have the same models, so only the printed tree tells them apart.
+Every tree comes from the one builder of ``decompose``; the pivot and the
+mode pick its split rule.  Solving reads the live leaves, whose models
+are disjoint: on a clause pivot the k orthonormal branches
+(``clause_branch_tree``), on ``--pivot vars`` the propagating block
+search (``var_partition_decompose(..., propagate=True)``).  ``--mode
+decompose`` prints, and nothing solves, the 2**k - 1 overlapping
+branches of ``clause_pivot_decompose`` (``clause_pivot_tree``, the one
+rule defined here), or the tree with one child per allowed block row.
 The mode alone picks the solver: ``--mode count`` and ``--mode sat``
 read their cubes through ``allsat.count_and_witness`` and build no rows;
 ``--mode allsat`` solves them to rows and gathers them.  ``--verify``
@@ -41,15 +39,12 @@ from itertools import islice
 
 from .allsat import LeafResult, count_and_witness, gather, solve_leaf
 from .cnf import (CnfFormula, DimacsParseError, NormalizationWarning,
-                  PartialAssignment, SolutionSet, parse_dimacs, to_truth_table)
+                  SolutionSet, parse_dimacs, to_truth_table)
 from .decompose import (
-    INTERNAL,
     SOLVABLE,
     TRIVIAL,
     DecompositionTree,
-    TreeNode,
-    WorkItem,
-    _leaf_status,
+    _grow,
     clause_branch_tree,
     clause_pivot_decompose,
     var_partition_decompose,
@@ -149,15 +144,9 @@ def clause_pivot_tree(formula: CnfFormula,
     clauses has no pivot: its tree is the root alone, a trivial leaf,
     whatever ``pivot_index`` says.
     """
-    root = WorkItem(PartialAssignment(), formula, 0)
-    if formula.is_empty:
-        return DecompositionTree([TreeNode(0, -1, root, TRIVIAL)])
-    nodes = [TreeNode(node_id=0, parent=-1, item=root, status=INTERNAL)]
-    for item in clause_pivot_decompose(formula, pivot_index):
-        nodes.append(TreeNode(
-            node_id=len(nodes), parent=0, item=item,
-            status=_leaf_status(item.formula, None)))
-    return DecompositionTree(nodes)
+    return _grow(formula, lambda f, depth: None if depth else [
+        (item.prefix, item.formula)
+        for item in clause_pivot_decompose(f, pivot_index)])
 
 
 def _tree_as_json(tree: DecompositionTree) -> list[dict]:

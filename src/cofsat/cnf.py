@@ -18,8 +18,9 @@ rows: a cube ``(bits, fixed)`` is the values the search fixed on one
 branch and the mask of which variables it fixed, and it stands for every
 row that agrees with it.  The cubes are disjoint, so callers count them
 without building rows, take the least row of a cube (its free bits 0), or
-expand them with ``_model_rows``: leaf solving and the X1 enumeration of
-the decomposition tree that ``--mode decompose`` prints.  Restricted to a
+expand them with ``_model_rows``, which stops once they hold more than
+``2**MAX_ENUM_VARS`` rows: leaf solving and the X1 enumeration of the
+decomposition tree that ``--mode decompose`` prints.  Restricted to a
 block of variables, the search stops each branch once the block is set
 and hands back the clauses left: the children of the variable-partition
 tree that solving reads.  The search sets the root's unit clauses in one
@@ -58,8 +59,8 @@ __all__ = [
     "to_truth_table",
 ]
 
-# Largest variable list whose rows are expanded (2**20 rows at most): by
-# ``_model_rows`` for one formula, and by ``allsat.gather`` for a tree.
+# Most rows expanded are 2**MAX_ENUM_VARS: by ``_model_rows`` for one
+# formula, and by ``allsat.gather`` for a tree.
 MAX_ENUM_VARS = 20
 
 
@@ -675,17 +676,28 @@ def _model_rows(clauses: Iterable[tuple[int, ...]], over: Sequence[int]
     ``over`` satisfying the int clauses, each once: the cubes of
     ``_models`` expanded over their free bits, in search order.
 
-    More than ``MAX_ENUM_VARS`` variables raise ``CapacityError`` before
-    the search starts.
+    The rows are counted cube by cube as the search finds them: once the
+    count passes ``2**MAX_ENUM_VARS``, ``CapacityError`` is raised, stated
+    as powers of two, before that cube is expanded.  So the cap bounds
+    the rows, not the width: a formula of any width with few models
+    expands.
     """
-    if len(over) > MAX_ENUM_VARS:
-        raise CapacityError(
-            f"enumeration capped at {MAX_ENUM_VARS} variables, "
-            f"formula has {len(over)}")
-    width = range(len(over))
+    width = len(over)
     rows: list[int] = []
-    for bits, fixed in _models(clauses, over):
-        free = [j for j in width if not fixed >> j & 1]
+    for bits, fixed, _ in _search(clauses, over):
+        count = len(rows) + (1 << width - fixed.bit_count())
+        if count > 1 << MAX_ENUM_VARS:
+            raise CapacityError(
+                f"enumeration capped at 2**{MAX_ENUM_VARS} rows, formula "
+                f"has at least 2**{count.bit_length() - 1} models")
+        # Visit only the (at most MAX_ENUM_VARS) free bits, lowest first:
+        # shifting a wide ``fixed`` once per variable is quadratic.
+        unfixed = ~fixed & (1 << width) - 1
+        free = []
+        while unfixed:
+            low = unfixed & -unfixed
+            free.append(low.bit_length() - 1)
+            unfixed ^= low
         rows.extend(_scatter((0,), (), free, bits))
     return rows
 

@@ -1,37 +1,34 @@
 """Decomposition of CNF formulas into independent subproblems.
 
-The live leaves of every tree built here partition the root's models:
-their counts add and no model is found twice.  Two strategies are
-provided.  A clause pivot (l1 ... lk) is solved through
-``clause_branch_tree``: the k branches l1; -l1 l2; ...; -l1 ... -l(k-1) lk,
-an orthonormal base, disjoint and covering the clause; each branch is one
-``substitute`` of the root reduced by the negations before it, which are
-carried forward.  ``clause_pivot_decompose`` keeps the paper's 2**k - 1
-overlapping branches, one per partial assignment of the clause: the input
-is satisfiable iff at least one of them is.
+Every tree here is the generalized Boole-Shannon expansion
+f = sum of phi_i * f|phi_i over a base, applied at each node by one
+builder, ``_grow``, from one explicit stack.  A split rule gives a node's
+edges ``(bindings, cofactor)``: the member phi_i as a cube and the
+cofactor f|phi_i, None when phi_i falsifies a clause.  The builder alone
+numbers the nodes, sets their status and depth, and adds each edge's
+bindings to its parent's prefix.  The rules:
 
-Variable-partition decomposition repeatedly picks a block X1 of at most
-``n0`` variables and expands the node over an orthonormal base of X1,
-recursing on the children until every live leaf has at most ``n0``
-variables.  The tree that ``sat``, ``count`` and ``allsat`` solve takes
-the base from the search (``propagate=True``): one child per branch over
-X1 that unit propagation through all the clauses leaves standing, so
-refuted branches cost no node.  The tree that ``--mode decompose`` prints
-keeps the finest base: the clauses are split once per node into bit masks
-over X1, the only-X1 clauses give the allowed X1 assignments, and every
-child (one per allowed assignment) is read off the masks of the other
-clauses, without substituting into the whole formula.
+* ``clause_branch_tree``: a pivot clause (l1 ... lk) expands over the
+  orthonormal base l1; -l1 l2; ...; -l1 ... -l(k-1) lk, the k disjoint
+  branches that solving reads.  ``clause_pivot_decompose`` keeps the
+  paper's 2**k - 1 overlapping branches, one per partial assignment of
+  the clause: the input is satisfiable iff at least one of them is.
+* ``var_partition_decompose``: a node of more than ``n0`` variables
+  expands over an orthonormal base of a block X1 of them.  The solving
+  modes take the base from the search (``propagate=True``): the branches
+  over X1 that unit propagation leaves standing.  The tree that ``--mode
+  decompose`` prints takes the finest base, one edge per allowed X1 row.
 
-Each subproblem is an immutable WorkItem (prefix assignment + reduced
-formula) that can be shipped to any worker; the tree records how the items
-were produced.  A simple closed-form cost model for the variable-partition
-strategy is included.
+The live leaves of both trees partition the root's models: their counts
+add and no model is found twice.  Each node holds an immutable WorkItem
+(prefix assignment + reduced formula) that can be shipped to any worker.
+A simple closed-form cost model for the variable-partition strategy is
+included.
 """
-
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .cnf import (
     Clause,
@@ -186,14 +183,48 @@ class CostEstimate(namedtuple(
     total_time: float
 
 
-def _leaf_status(formula: CnfFormula | None, n0: int | None) -> str:
-    if formula is None:
-        return DEAD
-    if formula.is_empty:
-        return TRIVIAL
-    if n0 is None or len(formula.universe) <= n0:
-        return SOLVABLE
-    return INTERNAL
+def _grow(
+    formula: CnfFormula,
+    split: Callable[[CnfFormula, int],
+                    list[tuple[Mapping[int, bool], CnfFormula | None]] | None],
+) -> DecompositionTree:
+    """The tree of ``split``'s expansions, in preorder from the root.
+
+    ``split(f, depth)`` runs on each node whose formula has clauses and
+    returns its edges ``(bindings, cofactor)``, or None to make it a leaf.
+    A node is dead when its formula is None or it has no edges, trivial
+    when its formula has no clauses, solvable when ``split`` declines and
+    internal otherwise.  A child's prefix is its parent's plus the edge's
+    bindings.
+    """
+    nodes: list[TreeNode] = []
+    # Preorder from an explicit stack, children pushed in reverse, so the
+    # tree's depth is not bounded by the interpreter's recursion limit.
+    stack = [(-1, WorkItem(PartialAssignment(), formula, 0))]
+    while stack:
+        parent, item = stack.pop()
+        node_id = len(nodes)
+        f = item.formula
+        edges = None
+        if f is None:
+            status = DEAD
+        elif f.is_empty:
+            status = TRIVIAL
+        else:
+            edges = split(f, item.depth)
+            status = (SOLVABLE if edges is None
+                      else INTERNAL if edges else DEAD)
+        nodes.append(TreeNode(node_id, parent, item, status))
+        if edges:
+            prefix = item.prefix.items()
+            depth = item.depth + 1
+            # Both runs are in variable order, so sorting merges them.
+            stack.extend(
+                (node_id, WorkItem(PartialAssignment._sorted(
+                    dict(sorted([*prefix, *bindings.items()]))),
+                    cofactor, depth))
+                for bindings, cofactor in reversed(edges))
+    return DecompositionTree(nodes)
 
 
 def _pivot_clause(formula: CnfFormula, pivot_index: int) -> tuple[int, ...]:
@@ -236,30 +267,30 @@ def clause_branch_tree(formula: CnfFormula, pivot_index: int) -> DecompositionTr
     is the root alone, a trivial leaf, whatever ``pivot_index`` says.  An
     out-of-range index raises ``ValueError``.
     """
-    root = WorkItem(PartialAssignment(), formula, 0)
-    if formula.is_empty:
-        return DecompositionTree([TreeNode(0, -1, root, TRIVIAL)])
-    nodes = [TreeNode(node_id=0, parent=-1, item=root, status=INTERNAL)]
-    negated: dict[int, bool] = {}
-    # The root under the negations so far, None once they falsify a clause;
-    # its duplicates are merged by the ``substitute`` that reads it.
-    clauses = formula.to_ints()
-    universe = formula.universe
-    pivot = _pivot_clause(formula, pivot_index)
-    for lit in pivot:
-        var = abs(lit)
-        # The clause is in variable order, so every prefix is too.
-        prefix = PartialAssignment._sorted({**negated, var: lit > 0})
-        reduced = None if clauses is None else substitute(
-            CnfFormula._normalized(tuple(clauses), universe), {var: lit > 0})
-        nodes.append(TreeNode(
-            node_id=len(nodes), parent=0, item=WorkItem(prefix, reduced, 1),
-            status=_leaf_status(reduced, None)))
-        negated[var] = lit < 0
-        if clauses is not None and len(negated) < len(pivot):
-            clauses = _reduce(clauses, -lit)
-            universe = tuple([v for v in universe if v != var])
-    return DecompositionTree(nodes)
+    def split(f: CnfFormula, depth: int) -> list | None:
+        if depth:
+            return None
+        edges = []
+        negated: dict[int, bool] = {}
+        # The root under the negations so far, None once they falsify a
+        # clause; its duplicates are merged by the ``substitute`` that
+        # reads it.
+        clauses = f.to_ints()
+        universe = f.universe
+        pivot = _pivot_clause(f, pivot_index)
+        for lit in pivot:
+            var = abs(lit)
+            reduced = None if clauses is None else substitute(
+                CnfFormula._normalized(tuple(clauses), universe),
+                {var: lit > 0})
+            edges.append(({**negated, var: lit > 0}, reduced))
+            negated[var] = lit < 0
+            if clauses is not None and len(negated) < len(pivot):
+                clauses = _reduce(clauses, -lit)
+                universe = tuple([v for v in universe if v != var])
+        return edges
+
+    return _grow(formula, split)
 
 
 def choose_var_subset(formula: CnfFormula, n0: int) -> tuple[int, ...]:
@@ -356,108 +387,86 @@ def var_partition_decompose(formula: CnfFormula, n0: int, *,
                             propagate: bool = False) -> DecompositionTree:
     """Recursively decompose until every live leaf has at most n0 variables.
 
-    At each internal node, choose a block X1 with ``choose_var_subset``.
-    The children expand the node over an orthonormal base of X1, and their
-    live leaves partition the root's models.  A node whose base is empty
-    is a dead leaf; if every leaf is dead the formula is unsatisfiable.
+    At each node of more than ``n0`` variables, choose a block X1 with
+    ``choose_var_subset``.  The node's edges expand it over an orthonormal
+    base of X1, and the live leaves partition the root's models.  A node
+    whose base is empty is a dead leaf; if every leaf is dead the formula
+    is unsatisfiable.
 
     By default (the tree ``--mode decompose`` prints) the base is the
-    finest one: one child per X1 assignment that the only-X1 clauses
-    allow, in ascending bit order.  The clauses are split once into masks
-    over X1, and each child holds the reduced formula over X2: every other
-    clause the assignment does not satisfy, cut to its X2 literals
-    (only-X2 clauses ride along unchanged), duplicates merged in
-    first-seen order.  This equals ``substitute`` of the whole formula
-    under the assignment, which never falsifies a clause: only an only-X1
-    clause could lose every literal, and the allowed assignments satisfy
-    those.
-
+    finest one, the row rule ``_row_children``: one edge per X1
+    assignment that the only-X1 clauses allow, in ascending bit order.
     With ``propagate`` (the tree that ``sat``, ``count`` and ``allsat``
-    solve) the base comes from the search itself: ``cnf._search`` branches
-    on X1 only and propagates unit clauses through every clause.  Each
-    frame it stops, with all of X1 set or no clause left, is one child, in
-    search order: its prefix adds every variable the frame set, X2 ones
-    included, and its formula is the frame's clauses left, which equals
-    ``substitute`` of the node under those bindings.  A branch that
-    propagation refutes makes no child, so the tree has a node per
-    surviving cube of X1, not per allowed row.
+    solve) the base comes from the search itself, the rule
+    ``_propagated_children``: one edge per branch over X1 that unit
+    propagation leaves standing, so refuted branches cost no node.
     """
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
-    nodes: list[TreeNode] = []
-    # Preorder from an explicit stack, children pushed in reverse, so the
-    # tree's depth is not bounded by the interpreter's recursion limit.
-    stack = [(WorkItem(PartialAssignment(), formula, 0), -1)]
-    while stack:
-        item, parent = stack.pop()
-        node_id = len(nodes)
-        f = item.formula
-        status = _leaf_status(f, n0)
-        if status != INTERNAL:
-            nodes.append(TreeNode(node_id, parent, item, status))
-            continue
-        assert f is not None
-        x1 = choose_var_subset(f, n0)
-        children = (_propagated_children if propagate
-                    else _row_children)(item, x1)
-        nodes.append(TreeNode(node_id, parent, item,
-                              INTERNAL if children else DEAD))
-        stack.extend((child, node_id) for child in reversed(children))
+    children = _propagated_children if propagate else _row_children
 
-    return DecompositionTree(nodes)
+    def split(f: CnfFormula, depth: int) -> list | None:
+        if len(f.universe) <= n0:
+            return None
+        return children(f, choose_var_subset(f, n0))
+
+    return _grow(formula, split)
 
 
-def _row_children(item: WorkItem, x1: tuple[int, ...]) -> list[WorkItem]:
-    """One child per X1 assignment the only-X1 clauses allow, in ascending
-    bit order."""
-    f = item.formula
+def _row_children(f: CnfFormula, x1: tuple[int, ...]
+                  ) -> list[tuple[dict[int, bool], CnfFormula]]:
+    """One edge per X1 assignment the only-X1 clauses allow, in ascending
+    bit order.
+
+    The clauses are split once into masks over X1, and each cofactor is
+    read off the masks: every other clause the row does not satisfy, cut
+    to its X2 literals (only-X2 clauses ride along unchanged), duplicates
+    merged in first-seen order.  This equals ``substitute`` of ``f`` under
+    the row, which never falsifies a clause: only an only-X1 clause could
+    lose every literal, and the allowed rows satisfy those.
+    """
     clauses = f.to_ints()
     split = _split(clauses, x1)
     rows = sorted(_model_rows(
         [c for c, (_, _, rest) in zip(clauses, split) if not rest], x1))
-    # In clause order: grouping the entries would reorder the children's
+    # In clause order: grouping the entries would reorder the cofactors'
     # clauses.
     entries = [entry for entry in split if entry[2]]
     x2 = tuple(v for v in f.universe if v not in x1)
-    # Each child binds the parent's variables and the block's, which are
-    # disjoint, in ascending order: copy a sorted template, set the block.
-    bindings = dict.fromkeys(sorted([*item.prefix, *x1]))
-    bindings.update(item.prefix.items())
     bits = [1 << j for j in range(len(x1))]
-    children = []
+    edges = []
     for row in rows:
         reduced = dict.fromkeys(
             rest for mask, neg, rest in entries if row & mask == neg)
-        prefix = bindings.copy()
-        prefix.update(zip(x1, [row & bit != 0 for bit in bits]))
-        children.append(WorkItem(
-            prefix=PartialAssignment._sorted(prefix),
-            formula=CnfFormula._normalized(tuple(reduced), x2),
-            depth=item.depth + 1))
-    return children
+        edges.append((dict(zip(x1, [row & bit != 0 for bit in bits])),
+                      CnfFormula._normalized(tuple(reduced), x2)))
+    return edges
 
 
-def _propagated_children(item: WorkItem, x1: tuple[int, ...]
-                         ) -> list[WorkItem]:
-    """One child per frame of the search over X1 that propagation does not
-    refute, in search order."""
-    f = item.formula
+def _propagated_children(f: CnfFormula, x1: tuple[int, ...]
+                         ) -> list[tuple[dict[int, bool], CnfFormula]]:
+    """One edge per frame of the search over X1 that propagation does not
+    refute, in search order.
+
+    ``cnf._search`` branches on X1 only and propagates unit clauses
+    through every clause.  Each frame it stops, with all of X1 set or no
+    clause left, binds every variable it set, X2 ones included, and its
+    cofactor is the frame's clauses left, which equals ``substitute`` of
+    ``f`` under those bindings.
+    """
     over = f.universe
-    children = []
+    edges = []
     for bits, fixed, slots in _search(f.to_ints(), over, x1):
-        prefix = dict(item.prefix)
+        bindings = {}
         free = []
         for j, v in enumerate(over):
             if fixed >> j & 1:
-                prefix[v] = bits >> j & 1 == 1
+                bindings[v] = bits >> j & 1 == 1
             else:
                 free.append(v)
-        children.append(WorkItem(
-            prefix=PartialAssignment._sorted(dict(sorted(prefix.items()))),
-            formula=CnfFormula._normalized(
-                tuple(dict.fromkeys(c for c in slots if c)), tuple(free)),
-            depth=item.depth + 1))
-    return children
+        edges.append((bindings, CnfFormula._normalized(
+            tuple(dict.fromkeys(c for c in slots if c)), tuple(free))))
+    return edges
 
 
 def estimate_cost(

@@ -54,17 +54,22 @@ class TestAllSolutions:
         assert all_solutions(f).rows == (1, 3)
 
     def test_capacity(self):
-        for clauses in ([], [[1]] + [[-i, i + 1] for i in range(1, 21)]):
-            f = CnfFormula(clauses, universe=range(1, 22))
-            with pytest.raises(
-                    CapacityError,
-                    match="enumeration capped at 20 variables, formula has 21"):
-                all_solutions(f)
+        # The cap counts rows, not variables: 2**21 rows are refused before
+        # any is built, and a 21-variable formula with one model expands.
+        f = CnfFormula([], universe=range(1, 22))
+        with pytest.raises(CapacityError, match=re.escape(
+                "enumeration capped at 2**20 rows, formula has at least "
+                "2**21 models")):
+            all_solutions(f)
+        chain = CnfFormula([[1]] + [[-i, i + 1] for i in range(1, 21)])
+        assert all_solutions(chain).rows == ((1 << 21) - 1,)
 
     def test_implication_chain_has_one_solution(self):
-        # x1 and x_i -> x_{i+1}: propagation sets all 20 variables true.
-        f = CnfFormula([[1]] + [[-i, i + 1] for i in range(1, 20)])
-        assert all_solutions(f).rows == ((1 << 20) - 1,)
+        # x1 and x_i -> x_{i+1}: propagation sets all n variables true,
+        # past the 20 variables whose every row the cap would allow.
+        for n in (20, 30):
+            f = CnfFormula([[1]] + [[-i, i + 1] for i in range(1, n)])
+            assert all_solutions(f).rows == ((1 << n) - 1,)
 
     def test_two_sat_matches_independent_oracle(self):
         rng = random.Random(71)

@@ -308,3 +308,27 @@ def test_implication_chain_propagates_in_linear_time(tmp_path, pivot):
     report = json.loads(proc.stdout)
     assert report["one_full_cube"]
     assert report["run"] == [EXIT_SAT, "1\n", ""]
+
+
+@pytest.mark.parametrize("mode, options", [
+    ("allsat", dict(pivot_strategy="clause")),
+    ("decompose", dict(n0=25)),
+])
+def test_short_chain_is_capped_by_rows_not_width(tmp_path, mode, options):
+    # The 30-variable chain has one model.  allsat solves a 29-variable
+    # branch, and the printed tree enumerates the rows of a 25-variable
+    # block: both are wider than the 20 variables whose every row the cap
+    # allows, and both build one row.
+    n = 30
+    path = tmp_path / "chain.cnf"
+    path.write_text(f"p cnf {n} {n}\n1 0\n" + "".join(
+        f"-{i} {i + 1} 0\n" for i in range(1, n)))
+    out, err = io.StringIO(), io.StringIO()
+    status = run(RunConfig(str(path), mode=mode, **options), out=out, err=err)
+    assert err.getvalue() == ""
+    if mode == "allsat":
+        assert (status, out.getvalue()) == (
+            EXIT_SAT, " ".join(map(str, range(1, n + 1))) + " 0\n")
+    else:
+        assert status == EXIT_OK
+        assert _tree_models(out.getvalue(), "text", n) == [(1 << n) - 1]

@@ -77,11 +77,12 @@ def _placed_leaves(
     that ``read`` does not map to None (a leaf without models), in node
     order.
 
-    A leaf row over the leaf's universe becomes a root row by moving bit j
-    to bit ``targets[j]`` and OR-ing in ``base``, the prefix's true bits;
-    the root positions in ``free`` are bound by neither the prefix nor the
-    leaf, so each leaf row stands for ``2**len(free)`` root rows.  A
-    trivial leaf has no targets: its whole universe is free.
+    A live leaf's prefix and universe partition the root universe.  A leaf
+    row over the leaf's universe becomes a root row by moving bit j to bit
+    ``targets[j]`` and OR-ing in ``base``, the prefix's true bits; so a
+    solvable leaf leaves no root position ``free``.  A trivial leaf has no
+    targets: its whole universe is free, and its one row stands for
+    ``2**len(free)`` root rows.
     """
     position = {v: j for j, v in enumerate(tree.root_universe)}
     for leaf in tree.leaves():
@@ -90,16 +91,15 @@ def _placed_leaves(
         value = read(leaf)
         if value is None:
             continue
-        prefix = leaf.item.prefix
-        over = leaf.item.formula.universe if leaf.status == SOLVABLE else ()
         base = 0
-        for v, bit in prefix.items():
+        for v, bit in leaf.item.prefix.items():
             if bit:
                 base |= 1 << position[v]
-        bound = set(prefix)
-        bound.update(over)
-        free = [j for v, j in position.items() if v not in bound]
-        yield value, base, [position[v] for v in over], free
+        over = [position[v] for v in leaf.item.formula.universe]
+        if leaf.status == SOLVABLE:
+            yield value, base, over, []
+        else:
+            yield value, base, [], over
 
 
 def count_and_witness(tree: DecompositionTree) -> tuple[int, int | None]:

@@ -21,12 +21,12 @@ without building rows, take the least row of a cube (its free bits 0), or
 expand them with ``_model_rows``, which stops once they hold more than
 ``2**MAX_ENUM_VARS`` rows: leaf solving and the X1 enumeration of the
 decomposition tree that ``--mode decompose`` prints.  Restricted to a
-block of variables, the search stops each branch once the block is set
-and hands back the clauses left: the children of the variable-partition
-tree that solving reads.  The search sets the root's unit clauses in one
-pass and indexes the clauses left by literal, so each later unit touches
-only the clauses that hold its variable; a frame then branches on the
-variable in the most 2-literal clauses.
+block of variables, the search stops each branch once no clause left
+holds an unset block variable and hands back the clauses left: the
+children of the variable-partition tree that solving reads.  It sets the
+root's unit clauses in one pass and indexes the clauses left by literal,
+so each later unit touches only the clauses that hold its variable; a
+frame then branches on the held variable in the most 2-literal clauses.
 ``substitute`` reduces one bound literal at a time with ``_reduce``.
 """
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
-from itertools import combinations
+from itertools import chain, combinations
 
 from .limits import MAX_VARS, CapacityError
 
@@ -551,13 +551,14 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     search, in search order: each binds the variables of ``fixed`` (bit j
     for ``over[j]``) to the values in ``bits``.
 
-    The search branches only on the variables of ``block`` (all of
-    ``over`` when None) and propagates unit clauses through every clause.
-    A frame stops when every block variable is set or no clause is left;
-    ``slots`` then holds, one slot per clause in clause order, the clause
-    reduced by the frame's bindings, or ``()`` once it is satisfied.  The
-    stopped frames are disjoint and cover every model over ``over``; a
-    refuted branch stops no frame.  The caller owns each ``slots`` list.
+    The search branches only on a variable of ``block`` (all of ``over``
+    when None) that some clause left holds, and propagates unit clauses
+    through every clause.  A frame stops once no clause left holds an
+    unset block variable, which may leave block variables free; ``slots``
+    then holds, one slot per clause in clause order, the clause reduced
+    by the frame's bindings, or ``()`` once it is satisfied.  The stopped
+    frames are disjoint and cover every model over ``over``; a refuted
+    branch stops no frame.  The caller owns each ``slots`` list.
 
     Backtracking search over an explicit stack, so its depth is not bounded
     by the interpreter's recursion limit.  The root's unit clauses are set
@@ -566,17 +567,14 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     clause is an empty slot, and setting a literal touches only the clauses
     that hold it or its negation.  Each frame sets its unit literals until
     none is left or a clause is falsified.  It then branches, False first,
-    on the block variable occurring in the most 2-literal clauses (ties to
-    the first such variable in clause order), or, with none in a 2-literal
-    clause, on the smallest block variable that occurs, or on the smallest
-    unset one; one branch takes a copy of the list.
+    on the held block variable occurring in the most 2-literal clauses
+    (ties to the first such variable in clause order), or, with none in a
+    2-literal clause, on the smallest held one; one branch takes a copy of
+    the list.
     """
     position = {v: j for j, v in enumerate(over)}
-    if block is None:
-        mask = (1 << len(over)) - 1
-    else:
-        block = set(block)
-        mask = sum(1 << position[v] for v in block)
+    if block is not None:  # both literals of each block variable
+        block = {x for v in block for x in (v, -v)}
     clauses = list(clauses)
     if not all(clauses):
         return
@@ -648,10 +646,11 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
                 continue
             break  # a clause was falsified
         else:  # no clause was falsified
-            if fixed & mask == mask or not any(clauses):
+            # Every literal left in a slot is unset.
+            if (not any(clauses) if block is None
+                    else block.isdisjoint(chain.from_iterable(clauses))):
                 yield bits, fixed, clauses
                 continue
-            # Every literal left in a slot is unset.
             binary = Counter([abs(x) for c in clauses if len(c) == 2
                               for x in c])
             if block is not None:
@@ -661,10 +660,7 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
             elif block is None:
                 var = min(abs(c[0]) for c in clauses if c)
             else:
-                var = min([abs(x) for c in clauses for x in c
-                           if abs(x) in block]
-                          or [v for v in block
-                              if not fixed >> position[v] & 1])
+                var = min([abs(x) for c in clauses for x in c if x in block])
             # Pushed True first, so the False branch is searched first.
             stack.append((clauses.copy(), [var], bits, fixed))
             stack.append((clauses, [-var], bits, fixed))

@@ -294,11 +294,12 @@ def clause_branch_tree(formula: CnfFormula, pivot_index: int) -> DecompositionTr
 
 
 def choose_var_subset(formula: CnfFormula, n0: int) -> tuple[int, ...]:
-    """Pick a block of min(n0, |universe|) variables for partitioning.
+    """Pick a block of min(n0, h) of the h held variables, those that some
+    clause holds: a split on any other variable gives two equal cofactors.
 
     Greedy: grow the block one variable at a time, each step taking the
-    variable that maximizes the number of clauses whose variables are fully
-    inside the block, breaking ties by smallest variable id.
+    held variable that maximizes the number of clauses whose variables are
+    fully inside the block, breaking ties by smallest variable id.
 
     Each clause keeps its set of variables still outside the block, so a
     candidate v adds exactly the clauses whose outside set is {v}; the
@@ -306,18 +307,18 @@ def choose_var_subset(formula: CnfFormula, n0: int) -> tuple[int, ...]:
     """
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
-    universe = formula.universe
     outside = [{abs(x) for x in c} for c in formula.to_ints()]
-    occurs: dict[int, list[set[int]]] = {v: [] for v in universe}
-    completes = dict.fromkeys(universe, 0)  # clauses whose outside set is {v}
+    occurs: dict[int, list[set[int]]] = {
+        v: [] for v in sorted(set().union(*outside))}
+    completes = dict.fromkeys(occurs, 0)  # clauses whose outside set is {v}
     for vs in outside:
         for v in vs:
             occurs[v].append(vs)
         if len(vs) == 1:
             completes[next(iter(vs))] += 1
-    candidates = list(universe)
+    candidates = list(occurs)
     chosen = []
-    for _ in range(min(n0, len(universe))):
+    for _ in range(min(n0, len(candidates))):
         # max keeps the first of equal scores: the smallest id.
         best = max(candidates, key=completes.__getitem__)
         candidates.remove(best)
@@ -387,11 +388,12 @@ def var_partition_decompose(formula: CnfFormula, n0: int, *,
                             propagate: bool = False) -> DecompositionTree:
     """Recursively decompose until every live leaf has at most n0 variables.
 
-    At each node of more than ``n0`` variables, choose a block X1 with
-    ``choose_var_subset``.  The node's edges expand it over an orthonormal
-    base of X1, and the live leaves partition the root's models.  A node
-    whose base is empty is a dead leaf; if every leaf is dead the formula
-    is unsatisfiable.
+    At each node of more than ``n0`` variables, choose a block X1 of held
+    variables, those that some clause holds, with ``choose_var_subset``.
+    The node's edges expand it over an orthonormal base of X1, and the
+    live leaves partition the root's models.  Every edge binds at least
+    one variable, so the tree is finite.  A node whose base is empty is a
+    dead leaf; if every leaf is dead the formula is unsatisfiable.
 
     By default (the tree ``--mode decompose`` prints) the base is the
     finest one, the row rule ``_row_children``: one edge per X1
@@ -448,11 +450,12 @@ def _propagated_children(f: CnfFormula, x1: tuple[int, ...]
     """One edge per frame of the search over X1 that propagation does not
     refute, in search order.
 
-    ``cnf._search`` branches on X1 only and propagates unit clauses
-    through every clause.  Each frame it stops, with all of X1 set or no
-    clause left, binds every variable it set, X2 ones included, and its
-    cofactor is the frame's clauses left, which equals ``substitute`` of
-    ``f`` under those bindings.
+    ``cnf._search`` branches only on held X1 variables and propagates
+    unit clauses through every clause.  Each frame it stops, once no
+    clause left holds an unset X1 variable, binds every variable it set,
+    X2 ones included; the rest, X1 ones included, stay in its cofactor's
+    universe.  The cofactor is the frame's clauses left, which equals
+    ``substitute`` of ``f`` under those bindings.
     """
     over = f.universe
     edges = []

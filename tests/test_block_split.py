@@ -7,7 +7,7 @@ rows at their root positions in one scatter.  The references here are the
 straightforward algorithms, written in this file: try every X1 assignment
 against the clauses inside the block and substitute the whole formula under
 each allowed one, extend each leaf's rows by its prefix and then widen
-them, and rescan every clause for every candidate variable.
+them, and rescan every clause for every held variable.
 """
 
 import itertools
@@ -53,12 +53,14 @@ block_sizes = st.integers(1, 8)
 
 def reference_choose(formula, n0):
     """The greedy block choice as a full rescan: every step scores every
-    candidate by the clauses lying inside the block grown by it."""
+    held variable, one that some clause holds, by the clauses lying inside
+    the block grown by it."""
     var_sets = [{abs(x) for x in c} for c in formula.to_ints()]
+    held = sorted(set().union(*var_sets))
     chosen = set()
-    while len(chosen) < min(n0, len(formula.universe)):
+    while len(chosen) < min(n0, len(held)):
         best, best_count = None, -1
-        for v in formula.universe:
+        for v in held:
             if v in chosen:
                 continue
             count = sum(1 for vs in var_sets if vs <= chosen | {v})

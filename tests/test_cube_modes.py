@@ -4,7 +4,9 @@
 without ``--verify``, while ``allsat`` gathers every row; both must print
 what ``helpers.brute_force_rows`` implies, on either pivot.  Formulas too wide
 to expand must still count in bounded time and memory, and output too
-large to print must be refused before it is built.
+large to print must be refused before it is built.  A table of tiny
+hostile files runs every mode on both pivots under a time and memory
+bound.
 """
 
 import io
@@ -267,6 +269,12 @@ def test_allsat_refusal_states_a_huge_count_without_decimal_digits(
         "least 2**14999 models\n")
 
 
+def _implication_chain(n):
+    """(x1)(x1' + x2)...(x(n-1)' + xn) as DIMACS text."""
+    return f"p cnf {n} {n}\n1 0\n" + "".join(
+        f"-{i} {i + 1} 0\n" for i in range(1, n))
+
+
 # An implication chain (x1)(x1' + x2)...(x(n-1)' + xn) has one model, all
 # true, found by unit propagation alone: each unit touches the two clauses
 # that hold its variable, so the search is linear in n.  Re-scanning every
@@ -289,7 +297,7 @@ print(json.dumps({"one_full_cube": cubes == [((1 << n) - 1,) * 2],
 """
 
 
-def _limit_chain_memory():
+def _limit_small_memory():
     limit = 256 << 20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
@@ -298,12 +306,11 @@ def _limit_chain_memory():
 def test_implication_chain_propagates_in_linear_time(tmp_path, pivot):
     n = 20_000
     path = tmp_path / "chain.cnf"
-    path.write_text(f"p cnf {n} {n}\n1 0\n" + "".join(
-        f"-{i} {i + 1} 0\n" for i in range(1, n)))
+    path.write_text(_implication_chain(n))
     proc = subprocess.run(
         [sys.executable, "-c", _CHAIN, str(path), str(n), pivot],
         capture_output=True, text=True, timeout=20, env=_child_env(),
-        preexec_fn=_limit_chain_memory)
+        preexec_fn=_limit_small_memory)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["one_full_cube"]
@@ -321,8 +328,7 @@ def test_short_chain_is_capped_by_rows_not_width(tmp_path, mode, options):
     # allows, and both build one row.
     n = 30
     path = tmp_path / "chain.cnf"
-    path.write_text(f"p cnf {n} {n}\n1 0\n" + "".join(
-        f"-{i} {i + 1} 0\n" for i in range(1, n)))
+    path.write_text(_implication_chain(n))
     out, err = io.StringIO(), io.StringIO()
     status = run(RunConfig(str(path), mode=mode, **options), out=out, err=err)
     assert err.getvalue() == ""
@@ -332,3 +338,74 @@ def test_short_chain_is_capped_by_rows_not_width(tmp_path, mode, options):
     else:
         assert status == EXIT_OK
         assert _tree_models(out.getvalue(), "text", n) == [(1 << n) - 1]
+
+
+def _pair_chain(n):
+    """(x1 + x2)(x2 + x3)...(x(n-1) + xn): a Fibonacci number of models."""
+    return f"p cnf {n} {n - 1}\n" + "".join(
+        f"{i} {i + 1} 0\n" for i in range(1, n))
+
+
+# Files under 512 bytes that once made a run blow up.  In ``free1000`` and
+# ``free30`` no clause holds the low variables, and a split on each of them
+# copied the whole subtree: ``free1000`` ran out of memory and ``free30``
+# ran past 20 s under --pivot vars.  In a 2-CNF chain a variable whose
+# two neighbours are true is left in no clause; splitting on such
+# variables too, ``chain30`` took over 10 s and 280 MB under --pivot vars.
+# ``units50`` is settled by propagation alone, and ``empty64`` has no
+# clause at all.
+_HOSTILE_INPUTS = {
+    "free1000": "p cnf 1000 1\n998 999 1000 0\n",
+    "free30": "p cnf 30 1\n25 26 27 0\n",
+    "chain20": _pair_chain(20),
+    "chain30": _pair_chain(30),
+    "units50": _implication_chain(50),
+    "empty64": "p cnf 64 0\n",
+}
+
+# Every mode on both pivots, in one fresh interpreter per input.  VmHWM
+# only grows, so the peak read after a run bounds every run before it:
+# the first two are count and sat on --pivot vars.
+_HOSTILE = """
+import io, json, re, sys, time
+from cofsat.cli import RunConfig, run
+skip = json.loads(sys.argv[2])
+runs = []
+for pivot in ("vars", "clause"):
+    for mode in ("count", "sat", "allsat", "decompose"):
+        if [mode, pivot] in skip:
+            continue
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        status = run(RunConfig(sys.argv[1], mode=mode, pivot_strategy=pivot),
+                     out=out, err=err)
+        seconds = time.perf_counter() - start
+        with open("/proc/self/status") as proc_status:
+            peak_kb = int(re.search(r"VmHWM:\\s*(\\d+) kB",
+                                    proc_status.read()).group(1))
+        runs.append([mode, pivot, status, err.getvalue(), seconds, peak_kb])
+print(json.dumps(runs))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(_HOSTILE_INPUTS))
+def test_hostile_input_runs_in_bounded_time_and_memory(tmp_path, name):
+    path = tmp_path / f"{name}.cnf"
+    path.write_text(_HOSTILE_INPUTS[name])
+    assert path.stat().st_size < 512
+    # The printed row tree of chain30 is 20 MB of text: chain20 covers it.
+    skip = [["decompose", "vars"]] if name == "chain30" else []
+    proc = subprocess.run(
+        [sys.executable, "-c", _HOSTILE, str(path), json.dumps(skip)],
+        capture_output=True, text=True, timeout=30, env=_child_env(),
+        preexec_fn=_limit_small_memory)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    runs = json.loads(proc.stdout)
+    assert len(runs) == 8 - len(skip)
+    for mode, pivot, status, err, seconds, peak_kb in runs:
+        where = f"{name} --mode {mode} --pivot {pivot}"
+        assert status in (EXIT_OK, EXIT_ERROR, EXIT_SAT, EXIT_UNSAT), where
+        assert "Traceback" not in err and "MemoryError" not in err, where
+        assert seconds < 2, where
+        if name == "chain30" and pivot == "vars" and mode in ("count", "sat"):
+            assert peak_kb < 100 * 1024, where

@@ -297,6 +297,12 @@ class TestChooseVarSubset:
         f = CnfFormula([[1, 2]])
         assert choose_var_subset(f, 10) == (1, 2)
 
+    def test_block_drawn_from_held_variables_only(self):
+        # x1-x4 and x7 occur in no clause: splitting on them would copy
+        # the formula unchanged into both cofactors.
+        f = CnfFormula([[5, 6]], universe=range(1, 8))
+        assert choose_var_subset(f, 3) == (5, 6)
+
     def test_bad_n0(self):
         with pytest.raises(ValueError):
             choose_var_subset(example2_formula(), 0)

@@ -3,9 +3,12 @@
 
 Each internal node expands over the cubes of X1 that the one search
 (``cnf._search`` with the block X1) leaves standing after unit
-propagation, not over every X1 row the only-X1 clauses allow.  The
-properties are checked against the brute-force oracle of ``helpers``, the
-``substitute`` of each parent, and the row tree of the same formula.
+propagation, not over every X1 row the only-X1 clauses allow.  The search
+branches only on block variables that some clause left holds, and a frame
+stops once none is held: a block variable that no clause holds stays
+unbound, a free variable of the child.  The properties are checked
+against the brute-force oracle of ``helpers``, the ``substitute`` of each
+parent, and the row tree of the same formula.
 """
 
 import itertools
@@ -52,6 +55,9 @@ class TestPropagatedTree:
     @given(small_cnf(), st.integers(1, 5))
     # Under x1' x2' both clauses reduce to (x3 + x4): one clause, merged.
     @example(CnfFormula([[1, 3, 4], [2, 3, 4]]), 2)
+    # Under x1 the clause (x3 + x4) is left and no clause holds x2, so the
+    # child leaves x2 unbound.
+    @example(CnfFormula([[1, 2], [3, 4]]), 2)
     def test_tree_properties(self, f, n0):
         tree = var_partition_decompose(f, n0, propagate=True)
         nodes = tree.nodes
@@ -82,9 +88,11 @@ class TestPropagatedTree:
                 assert (child.item.formula
                         == substitute(parent.item.formula, new))
                 assert child.item.depth == parent.item.depth + 1
-                # Every child binds the whole block, unless no clause is
-                # left to constrain it.
-                assert child.item.formula.is_empty or set(x1) <= set(new)
+                # No clause left holds a block variable the child leaves
+                # unbound.
+                held = {abs(x) for c in child.item.formula.to_ints()
+                        for x in c}
+                assert not held & (set(x1) - set(new))
 
         assert count_and_witness(tree) == count_and_witness(
             var_partition_decompose(f, n0))
@@ -143,11 +151,11 @@ class TestBlockSearch:
                               (2, 3))
         assert frames == [(0b1010, 0b1110, []), (0b0101, 0b0101, [])]
 
-    def test_block_variable_in_no_clause_is_still_bound(self):
-        # x3 occurs nowhere, so the search branches on it last resort: each
-        # frame binds it and keeps the clause.
+    def test_block_variable_in_no_clause_is_left_unbound(self):
+        # No clause holds x3, so the search never branches on it: one
+        # frame binds nothing and keeps the clause, and x3 stays free.
         assert self._frames([(1, 2)], (1, 2, 3), (3,)) == [
-            (0b000, 0b100, [(1, 2)]), (0b100, 0b100, [(1, 2)])]
+            (0, 0, [(1, 2)])]
 
     def test_whole_universe_block_gives_the_cubes(self):
         clauses = [(1, 2), (-1, 3), (2, -3)]

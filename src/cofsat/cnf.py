@@ -7,6 +7,9 @@ with its variable universe.  Every clause is a tuple of signed ints
 tuple: it iterates the ints and is built only when ``CnfFormula.clauses``
 is read.  Formulas and assignments are immutable values: ``substitute``
 returns a new formula, so everything here is safe to share across threads.
+``parse_dimacs`` reads valid DIMACS text in one bulk pass over its tokens,
+keeps clauses already in normal form as read, and walks the text line by
+line only to locate the first error of invalid text.
 
 The key operations mirror the decomposition machinery: ``sat_set`` gives the
 assignment making every literal of a clause true, ``partial_assignments``
@@ -32,6 +35,7 @@ frame then branches on the held variable in the most 2-literal clauses.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
@@ -346,8 +350,9 @@ class SolutionSet:
         return len(self._rows)
 
     def row_to_literals(self, row: int) -> tuple[int, ...]:
-        return tuple(
-            v if row >> j & 1 else -v for j, v in enumerate(self._over))
+        # One string of bits, bit 0 first: a shift per bit is quadratic.
+        bits = format(row, f"0{len(self._over)}b")[::-1]
+        return tuple(v if bit == "1" else -v for v, bit in zip(self._over, bits))
 
     def to_text(self) -> str:
         """One row per line as 0-terminated signed literals."""
@@ -390,6 +395,15 @@ def _ints_are_dimacs(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
+def _header_counts(line: str) -> tuple[int, int]:
+    """``nvars`` and ``nclauses`` of a stripped header line; ValueError
+    unless it is ``cnf`` and two integers after its first word."""
+    parts = line.split()
+    if len(parts) != 4 or parts[1] != "cnf" or not _ints_are_dimacs(line):
+        raise ValueError(line)
+    return int(parts[2]), int(parts[3])
+
+
 def parse_dimacs(source: str | bytes) -> CnfFormula:
     """Parse DIMACS CNF text into a formula over universe {1..nvars}.
 
@@ -401,73 +415,97 @@ def parse_dimacs(source: str | bytes) -> CnfFormula:
     U+2028 inside a comment does not end the comment.
     Normalization (dropped tautologies or duplicates) and a clause count
     differing from the header produce warnings, not errors.
+
+    Valid text is read in one pass over all its tokens, and clauses in
+    normal form (strictly ascending by variable, no two alike) are kept as
+    read.  Only invalid text is walked line by line, to find its error.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8", errors="replace")
-
-    num_vars = None
-    num_clauses_declared = 0
-    raw_clauses: list[list[int]] = []
-    current: list[int] = []
-    current_start_line = 0
-
-    for lineno, line in enumerate(source.split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        if stripped.startswith("p"):
-            if num_vars is not None:
-                raise DimacsParseError("duplicate header", lineno)
-            parts = stripped.split()
-            if (len(parts) != 4 or parts[1] != "cnf"
-                    or not _ints_are_dimacs(stripped)):
-                raise DimacsParseError(f"malformed header {stripped!r}", lineno)
-            try:
-                num_vars = int(parts[2])
-                num_clauses_declared = int(parts[3])
-            except ValueError:
-                raise DimacsParseError(f"malformed header {stripped!r}", lineno) from None
-            if num_vars < 0 or num_clauses_declared < 0:
-                raise DimacsParseError("negative counts in header", lineno)
-            continue
-        if num_vars is None:
-            raise DimacsParseError("clause before header", lineno)
-        checked = _ints_are_dimacs(stripped)
-        for token in stripped.split():
-            try:
-                if not (checked or _ints_are_dimacs(token)):
-                    raise ValueError(token)
-                value = int(token)
-            except ValueError:
-                raise DimacsParseError(f"bad token {token!r}", lineno) from None
-            if value == 0:
-                if not current:
-                    raise DimacsParseError("empty clause", lineno)
-                raw_clauses.append(current)
-                current = []
-                continue
-            if abs(value) > num_vars:
-                raise DimacsParseError(
-                    f"literal {value} out of range 1..{num_vars}", lineno)
-            if not current:
-                current_start_line = lineno
-            current.append(value)
-
-    if num_vars is None:
-        raise DimacsParseError("missing 'p cnf' header", 1)
-    if current:
-        raise DimacsParseError("unterminated clause", current_start_line)
+    header, _, body = source.lstrip().partition("\n")
+    # Drop the comment lines.  One before the header leaves the header's
+    # "cnf" in the body, so the body holds a "c" whenever there is one.
+    if "c" in body:
+        header, _, body = "\n".join([
+            line for line in source.split("\n")
+            if not line.lstrip().startswith("c")]).lstrip().partition("\n")
+    tokens = body.split()
+    try:
+        if not (header.startswith("p") and _ints_are_dimacs("".join(tokens))):
+            raise ValueError(header)
+        num_vars, num_clauses_declared = _header_counts(header.strip())
+        ints = list(map(int, tokens))
+    except ValueError:
+        raise _first_error(source) from None
+    variables = list(map(abs, ints))
+    # A negative nvars fails the range check.
+    if (num_clauses_declared < 0 or ints and ints[-1]
+            or max(variables, default=0) > num_vars):
+        raise _first_error(source)
+    raw_clauses = []
+    start = 0
+    for _ in range(ints.count(0)):
+        end = ints.index(0, start)
+        raw_clauses.append(tuple(ints[start:end]))
+        start = end + 1
+    if not all(raw_clauses):
+        raise _first_error(source)
     if len(raw_clauses) != num_clauses_declared:
         warnings.warn(
             f"header declares {num_clauses_declared} clauses, found {len(raw_clauses)}",
             NormalizationWarning, stacklevel=2)
-
+    # The variables stop rising once at each clause's terminating 0, and
+    # again inside any clause out of normal form.
+    if sum(map(operator.ge, variables, variables[1:])) == len(raw_clauses):
+        clauses = tuple(dict.fromkeys(raw_clauses))
+        if len(clauses) == len(raw_clauses):
+            return CnfFormula._normalized(clauses, tuple(range(1, num_vars + 1)))
     formula = CnfFormula(raw_clauses, universe=range(1, num_vars + 1))
     if len(formula._clauses) != len(raw_clauses):
         warnings.warn(
             f"normalization reduced {len(raw_clauses)} clauses to "
             f"{len(formula._clauses)}", NormalizationWarning, stacklevel=2)
     return formula
+
+
+def _first_error(text: str) -> DimacsParseError:
+    """The first error, with its line, of DIMACS text that the bulk pass of
+    ``parse_dimacs`` found invalid."""
+    num_vars = None
+    start = 0  # the line of the open clause's first literal; 0 if none
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("c"):
+            continue
+        if stripped.startswith("p"):
+            if num_vars is not None:
+                return DimacsParseError("duplicate header", lineno)
+            try:
+                num_vars, num_clauses = _header_counts(stripped)
+            except ValueError:
+                return DimacsParseError(f"malformed header {stripped!r}", lineno)
+            if min(num_vars, num_clauses) < 0:
+                return DimacsParseError("negative counts in header", lineno)
+            continue
+        if num_vars is None:
+            return DimacsParseError("clause before header", lineno)
+        for token in stripped.split():
+            try:
+                if not _ints_are_dimacs(token):
+                    raise ValueError(token)
+                value = int(token)
+            except ValueError:
+                return DimacsParseError(f"bad token {token!r}", lineno)
+            if abs(value) > num_vars:
+                return DimacsParseError(
+                    f"literal {value} out of range 1..{num_vars}", lineno)
+            if value == 0 and not start:
+                return DimacsParseError("empty clause", lineno)
+            start = 0 if value == 0 else start or lineno
+    if num_vars is None:
+        return DimacsParseError("missing 'p cnf' header", 1)
+    # Of the faults the bulk pass finds, only an open last clause is left.
+    return DimacsParseError("unterminated clause", start)
 
 
 def emit_dimacs(formula: CnfFormula) -> str:

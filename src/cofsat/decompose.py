@@ -458,13 +458,17 @@ def _propagated_children(f: CnfFormula, x1: tuple[int, ...]
     ``substitute`` of ``f`` under those bindings.
     """
     over = f.universe
+    # Masks are read as strings of bits, bit 0 first: a shift per
+    # variable of a wide universe is quadratic.
+    spec = f"0{len(over)}b"
     edges = []
     for bits, fixed, slots in _search(f.to_ints(), over, x1):
         bindings = {}
         free = []
-        for j, v in enumerate(over):
-            if fixed >> j & 1:
-                bindings[v] = bits >> j & 1 == 1
+        for v, set_, value in zip(over, format(fixed, spec)[::-1],
+                                  format(bits, spec)[::-1]):
+            if set_ == "1":
+                bindings[v] = value == "1"
             else:
                 free.append(v)
         edges.append((bindings, CnfFormula._normalized(

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 from collections import Counter
 from collections.abc import Iterable
 from typing import Sequence
 
 from cofsat import BaseSet, CnfFormula, TruthTable
+from cofsat.cnf import DimacsParseError, NormalizationWarning
 
 
 def brute_force_rows(
@@ -189,3 +191,96 @@ def reference_reduce(clauses: Sequence[tuple[int, ...]], lit: int
                 units.append(clause[0])
         out.append(clause)
     return out, units
+
+
+# -- the DIMACS reader as it was before the bulk pass ----------------------
+# ``cnf.parse_dimacs`` must return the same formula, warn the same texts in
+# the same order and raise the same error on the same line.  Both functions
+# are kept verbatim from the version that read the text line by line.
+
+
+def reference_ints_are_dimacs(text: str) -> bool:
+    # Whether int() of each word of text is a DIMACS integer (an optional
+    # sign, then ASCII digits) or fails: int() also takes "_" separators and
+    # any Unicode decimal digit, which ASCII text without "_" cannot hold.
+    return text.isascii() and "_" not in text
+
+
+def reference_parse_dimacs(source: str | bytes) -> CnfFormula:
+    """Parse DIMACS CNF text into a formula over universe {1..nvars}.
+
+    Comment lines start with 'c' and may hold any bytes; elsewhere a byte
+    that is not UTF-8 is a bad token.  A single ``p cnf <nvars> <nclauses>``
+    header precedes the clauses; clauses are 0-terminated signed integers
+    (an optional ``+`` or ``-``, then ASCII digits) and may span lines.
+    Lines end at LF only (a CR before it is dropped), so a form feed or
+    U+2028 inside a comment does not end the comment.
+    Normalization (dropped tautologies or duplicates) and a clause count
+    differing from the header produce warnings, not errors.
+    """
+    if isinstance(source, bytes):
+        source = source.decode("utf-8", errors="replace")
+
+    num_vars = None
+    num_clauses_declared = 0
+    raw_clauses: list[list[int]] = []
+    current: list[int] = []
+    current_start_line = 0
+
+    for lineno, line in enumerate(source.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("c"):
+            continue
+        if stripped.startswith("p"):
+            if num_vars is not None:
+                raise DimacsParseError("duplicate header", lineno)
+            parts = stripped.split()
+            if (len(parts) != 4 or parts[1] != "cnf"
+                    or not reference_ints_are_dimacs(stripped)):
+                raise DimacsParseError(f"malformed header {stripped!r}", lineno)
+            try:
+                num_vars = int(parts[2])
+                num_clauses_declared = int(parts[3])
+            except ValueError:
+                raise DimacsParseError(f"malformed header {stripped!r}", lineno) from None
+            if num_vars < 0 or num_clauses_declared < 0:
+                raise DimacsParseError("negative counts in header", lineno)
+            continue
+        if num_vars is None:
+            raise DimacsParseError("clause before header", lineno)
+        checked = reference_ints_are_dimacs(stripped)
+        for token in stripped.split():
+            try:
+                if not (checked or reference_ints_are_dimacs(token)):
+                    raise ValueError(token)
+                value = int(token)
+            except ValueError:
+                raise DimacsParseError(f"bad token {token!r}", lineno) from None
+            if value == 0:
+                if not current:
+                    raise DimacsParseError("empty clause", lineno)
+                raw_clauses.append(current)
+                current = []
+                continue
+            if abs(value) > num_vars:
+                raise DimacsParseError(
+                    f"literal {value} out of range 1..{num_vars}", lineno)
+            if not current:
+                current_start_line = lineno
+            current.append(value)
+
+    if num_vars is None:
+        raise DimacsParseError("missing 'p cnf' header", 1)
+    if current:
+        raise DimacsParseError("unterminated clause", current_start_line)
+    if len(raw_clauses) != num_clauses_declared:
+        warnings.warn(
+            f"header declares {num_clauses_declared} clauses, found {len(raw_clauses)}",
+            NormalizationWarning, stacklevel=2)
+
+    formula = CnfFormula(raw_clauses, universe=range(1, num_vars + 1))
+    if len(formula._clauses) != len(raw_clauses):
+        warnings.warn(
+            f"normalization reduced {len(raw_clauses)} clauses to "
+            f"{len(formula._clauses)}", NormalizationWarning, stacklevel=2)
+    return formula

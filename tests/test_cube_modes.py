@@ -353,9 +353,12 @@ def _pair_chain(n):
 # two neighbours are true is left in no clause; splitting on such
 # variables too, ``chain30`` took over 10 s and 280 MB under --pivot vars.
 # ``units50`` is settled by propagation alone, and ``empty64`` has no
-# clause at all.
+# clause at all.  In ``free100000`` each edge's bindings and each printed
+# row were read with one shift per variable of a 100,000-variable
+# universe, 1.1-1.4 s per mode under --pivot vars.
 _HOSTILE_INPUTS = {
     "free1000": "p cnf 1000 1\n998 999 1000 0\n",
+    "free100000": "p cnf 100000 1\n99998 99999 100000 0\n",
     "free30": "p cnf 30 1\n25 26 27 0\n",
     "chain20": _pair_chain(20),
     "chain30": _pair_chain(30),

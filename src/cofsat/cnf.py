@@ -607,8 +607,9 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     none is left or a clause is falsified.  It then branches, False first,
     on the held block variable occurring in the most 2-literal clauses
     (ties to the first such variable in clause order), or, with none in a
-    2-literal clause, on the smallest held one; one branch takes a copy of
-    the list.
+    2-literal clause, on the smallest held one.  It counts only the slots
+    it lists as 2-literal (the root's, and each that a cut leaves with two
+    literals); one branch takes a copy of both lists.
     """
     position = {v: j for j, v in enumerate(over)}
     if block is not None:  # both literals of each block variable
@@ -652,9 +653,11 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
                 occurs[x].append(i)
             else:
                 occurs[x] = [i]
-    stack = [(clauses, new, bits, fixed)]
+    # A satisfied slot stays listed as 2-literal until its frame branches.
+    binary = [i for i, clause in enumerate(clauses) if len(clause) == 2]
+    stack = [(clauses, new, binary, bits, fixed)]
     while stack:
-        clauses, units, bits, fixed = stack.pop()
+        clauses, units, binary, bits, fixed = stack.pop()
         while units:
             lit = units.pop()
             bit = 1 << position[abs(lit)]
@@ -672,12 +675,18 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
                 clause = clauses[i]
                 if not clause:
                     continue
-                if len(clause) == 1:
+                n = len(clause)
+                if n == 1:
                     break
-                if len(clause) == 2:
+                if n == 2:
                     other = clause[1] if clause[0] == neg else clause[0]
                     units.append(other)
                     clauses[i] = (other,)
+                elif n == 3:
+                    a, b, c = clause
+                    clauses[i] = ((b, c) if a == neg else (a, c) if b == neg
+                                  else (a, b))
+                    binary.append(i)
                 else:
                     clauses[i] = tuple([x for x in clause if x != neg])
             else:
@@ -689,19 +698,21 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
                     else block.isdisjoint(chain.from_iterable(clauses))):
                 yield bits, fixed, clauses
                 continue
-            binary = Counter([abs(x) for c in clauses if len(c) == 2
-                              for x in c])
-            if block is not None:
-                binary = {v: k for v, k in binary.items() if v in block}
-            if binary:
-                var = max(binary, key=binary.__getitem__)
-            elif block is None:
-                var = min(abs(c[0]) for c in clauses if c)
-            else:
-                var = min([abs(x) for c in clauses for x in c if x in block])
+            # Satisfied slots dropped; sorted, so ties go to the first
+            # variable in clause order.
+            binary = sorted(filter(clauses.__getitem__, binary))
+            counts = Counter(map(abs, chain.from_iterable(
+                map(clauses.__getitem__, binary))))
+            var = max(counts if block is None
+                      else filter(block.__contains__, counts),
+                      key=counts.__getitem__, default=None)
+            if var is None:
+                var = (min(abs(c[0]) for c in clauses if c) if block is None
+                       else min(map(abs, filter(block.__contains__,
+                                                chain.from_iterable(clauses)))))
             # Pushed True first, so the False branch is searched first.
-            stack.append((clauses.copy(), [var], bits, fixed))
-            stack.append((clauses, [-var], bits, fixed))
+            stack.append((clauses.copy(), [var], binary.copy(), bits, fixed))
+            stack.append((clauses, [-var], binary, bits, fixed))
 
 
 def _model_rows(clauses: Iterable[tuple[int, ...]], over: Sequence[int]

@@ -301,32 +301,43 @@ def choose_var_subset(formula: CnfFormula, n0: int) -> tuple[int, ...]:
     held variable that maximizes the number of clauses whose variables are
     fully inside the block, breaking ties by smallest variable id.
 
-    Each clause keeps its set of variables still outside the block, so a
-    candidate v adds exactly the clauses whose outside set is {v}; the
-    clauses already inside count the same for every candidate.
+    Clauses are in normal form, one literal per variable, so each clause
+    keeps only the number of its variables still outside the block, and
+    each variable the indices of its clauses: a candidate v adds exactly
+    the clauses whose one variable left outside is v; the clauses already
+    inside count the same for every candidate.
     """
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
-    outside = [{abs(x) for x in c} for c in formula.to_ints()]
-    occurs: dict[int, list[set[int]]] = {
-        v: [] for v in sorted(set().union(*outside))}
-    completes = dict.fromkeys(occurs, 0)  # clauses whose outside set is {v}
-    for vs in outside:
-        for v in vs:
-            occurs[v].append(vs)
-        if len(vs) == 1:
-            completes[next(iter(vs))] += 1
-    candidates = list(occurs)
+    clauses = formula.to_ints()
+    outside = list(map(len, clauses))
+    occurs: dict[int, list[int]] = {}
+    for i, clause in enumerate(clauses):
+        for x in clause:
+            v = abs(x)
+            if v in occurs:
+                occurs[v].append(i)
+            else:
+                occurs[v] = [i]
+    # The candidates in ascending id order, each with the number of
+    # clauses that it alone keeps outside the block.
+    completes = dict.fromkeys(sorted(occurs), 0)
+    for clause in clauses:
+        if len(clause) == 1:
+            completes[abs(clause[0])] += 1
     chosen = []
-    for _ in range(min(n0, len(candidates))):
+    for _ in range(min(n0, len(completes))):
         # max keeps the first of equal scores: the smallest id.
-        best = max(candidates, key=completes.__getitem__)
-        candidates.remove(best)
+        best = max(completes, key=completes.__getitem__)
+        del completes[best]
         chosen.append(best)
-        for vs in occurs[best]:
-            vs.discard(best)
-            if len(vs) == 1:
-                completes[next(iter(vs))] += 1
+        for i in occurs[best]:
+            outside[i] -= 1
+            if outside[i] == 1:
+                for x in clauses[i]:
+                    if abs(x) in completes:
+                        completes[abs(x)] += 1
+                        break
     return tuple(sorted(chosen))
 
 

@@ -106,15 +106,18 @@ def example2_formula() -> CnfFormula:
 
 
 # -- the search as it was before occurrence lists --------------------------
-# ``cnf._models`` must return exactly these cubes, in this order.  Both
-# functions are kept verbatim from the version that re-scanned every clause
-# for each unit literal.
+# ``cnf._models`` must return exactly these cubes, in this order, and
+# ``cnf._search`` with a block exactly these frames.  Both functions are
+# kept from the version that re-scanned every clause for each unit literal,
+# with a block added: the same stop rule as ``_search``, and a branch
+# choice that re-scans every clause left.
 
 
-def reference_models(clauses: Iterable[tuple[int, ...]], over: Sequence[int]
-                     ) -> list[tuple[int, int]]:
+def reference_models(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
+                     block: Iterable[int] | None = None) -> list[tuple]:
     """Cubes ``(bits, fixed)`` covering every assignment over ``over`` that
-    satisfies the int clauses, in search order.
+    satisfies the int clauses, in search order; with a ``block``, frames
+    ``(bits, fixed, clauses)`` that also hold the clauses left.
 
     Bit j of ``fixed`` is set when the search bound ``over[j]``, and bit j
     of ``bits`` then holds its value; every row that agrees with ``bits``
@@ -130,12 +133,19 @@ def reference_models(clauses: Iterable[tuple[int, ...]], over: Sequence[int]
     variable in clause order), or, with no 2-literal clause left, on the
     smallest occurring variable.  A frame with every clause satisfied
     yields its cube.  No rows are built: ``_model_rows`` expands the cubes.
+
+    With a block, only its variables are branched on: a frame stops once
+    no clause left holds a block variable and yields its bits, mask and
+    clauses left, in clause order.  It branches on the block variable in
+    the most 2-literal clauses (ties as above), or, with none in a
+    2-literal clause, on the smallest block variable that a clause holds.
     """
     position = {v: j for j, v in enumerate(over)}
-    cubes: list[tuple[int, int]] = []
+    frames: list[tuple] = []
     clauses = list(clauses)
     if not all(clauses):
-        return cubes
+        return frames
+    inside = None if block is None else set(block)
     stack = [(clauses, [c[0] for c in clauses if len(c) == 1], 0, 0)]
     while stack:
         clauses, units, bits, fixed = stack.pop()
@@ -156,20 +166,31 @@ def reference_models(clauses: Iterable[tuple[int, ...]], over: Sequence[int]
             if unit > 0:
                 bits |= bit
         else:  # no unit clause was falsified
-            if not clauses:
-                cubes.append((bits, fixed))
-                continue
-            binary = Counter([abs(x) for c in clauses if len(c) == 2
-                              for x in c])
-            var = (max(binary, key=binary.__getitem__) if binary
-                   else min(abs(c[0]) for c in clauses))
+            if inside is None:
+                if not clauses:
+                    frames.append((bits, fixed))
+                    continue
+                binary = Counter([abs(x) for c in clauses if len(c) == 2
+                                  for x in c])
+                var = (max(binary, key=binary.__getitem__) if binary
+                       else min(abs(c[0]) for c in clauses))
+            else:
+                held = [abs(x) for c in clauses for x in c
+                        if abs(x) in inside]
+                if not held:
+                    frames.append((bits, fixed, clauses))
+                    continue
+                binary = Counter([abs(x) for c in clauses if len(c) == 2
+                                  for x in c if abs(x) in inside])
+                var = (max(binary, key=binary.__getitem__) if binary
+                       else min(held))
             bit = 1 << position[var]
             # Pushed True first, so the False branch is searched first.
             for lit, value in ((var, bit), (-var, 0)):
                 reduced = reference_reduce(clauses, lit)
                 if reduced is not None:
                     stack.append((*reduced, bits | value, fixed | bit))
-    return cubes
+    return frames
 
 
 def reference_reduce(clauses: Sequence[tuple[int, ...]], lit: int

@@ -48,6 +48,22 @@ def three_cnf(draw):
         return CnfFormula(raw, universe=range(1, n + 1))
 
 
+@st.composite
+def mixed_cnf(draw):
+    """Formulas over 1..n, n <= 14, from units, 2-, 3- and 4-literal clauses
+    over distinct variables: a unit completes a clause for its variable
+    before the greedy block choice takes any."""
+    n = draw(st.integers(4, MAX_N))
+    clause = st.sampled_from((1, 2, 2, 3, 4)).flatmap(
+        lambda k: st.lists(st.integers(1, n), min_size=k, max_size=k,
+                           unique=True)).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
+    raw = draw(st.lists(clause, max_size=4 * n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return CnfFormula(raw, universe=range(1, n + 1))
+
+
 block_sizes = st.integers(1, 8)
 
 
@@ -171,4 +187,9 @@ class TestBlockSplit:
     @settings(max_examples=200, deadline=None)
     @given(three_cnf(), block_sizes)
     def test_choose_matches_full_rescan(self, f, n0):
+        assert choose_var_subset(f, n0) == reference_choose(f, n0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_cnf(), block_sizes)
+    def test_choose_matches_full_rescan_on_mixed_widths(self, f, n0):
         assert choose_var_subset(f, n0) == reference_choose(f, n0)

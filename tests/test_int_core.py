@@ -4,7 +4,8 @@ Formulas store their clauses as tuples of signed ints; a ``Clause`` is a
 view of one of them and iterates its ints.  Each test here holds one
 int-level path (``substitute``, the leaf search ``_models`` and its row
 expansion ``_model_rows`` behind ``all_solutions`` and
-``enumerate_c1_assignments``, the projection masks
+``enumerate_c1_assignments``, the block search ``_search`` behind the
+variable-partition tree, the projection masks
 behind ``to_truth_table``) to a plain reference written over raw ints in
 this file or in ``helpers``.
 """
@@ -25,7 +26,7 @@ from cofsat import (
     substitute,
     to_truth_table,
 )
-from cofsat.cnf import _model_rows, _models
+from cofsat.cnf import _model_rows, _models, _search
 
 from helpers import brute_force_rows, reference_models
 
@@ -62,6 +63,30 @@ def binary_heavy_formulas(draw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return CnfFormula(raw, universe=range(1, n + 1))
+
+
+@st.composite
+def long_clause_formulas(draw):
+    """Formulas over 1..n, n from 5 to 10, from clauses of 1-5 distinct
+    variables, most of them 4- or 5-literal, so that cuts shrink slots
+    from five literals down to two."""
+    n = draw(st.integers(5, 10))
+    clause = st.sampled_from((1, 2, 3, 4, 4, 4, 5, 5, 5)).flatmap(
+        lambda k: st.lists(st.integers(1, n), min_size=k, max_size=k,
+                           unique=True)).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
+    raw = draw(st.lists(clause, max_size=4 * n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return CnfFormula(raw, universe=range(1, n + 1))
+
+
+@st.composite
+def formulas_with_blocks(draw, strategy):
+    """A formula drawn from ``strategy`` and a block of some of its
+    universe variables, in drawn order, possibly none."""
+    f = draw(strategy)
+    return f, draw(st.lists(st.sampled_from(f.universe), unique=True))
 
 
 @st.composite
@@ -238,6 +263,41 @@ class TestSearchAgainstReference:
     def test_unit_heavy_clauses(self, case):
         clauses, over = case
         assert _models(clauses, over) == reference_models(clauses, over)
+
+    @settings(max_examples=200, deadline=None)
+    @given(long_clause_formulas())
+    def test_long_clause_formulas(self, f):
+        clauses = f.to_ints()
+        assert (_models(clauses, f.universe)
+                == reference_models(clauses, f.universe))
+
+
+class TestBlockSearchAgainstReference:
+    """``_search`` with a block stops the very frames, in the very order,
+    with the very clauses left, as the reference that re-scans every
+    clause left to stop a frame and to choose its branch variable."""
+
+    @staticmethod
+    def _check(f, block):
+        clauses = f.to_ints()
+        frames = [(bits, fixed, [c for c in slots if c])
+                  for bits, fixed, slots in _search(clauses, f.universe, block)]
+        assert frames == reference_models(clauses, f.universe, block)
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas_with_blocks(formulas()))
+    def test_formulas(self, case):
+        self._check(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas_with_blocks(binary_heavy_formulas()))
+    def test_binary_heavy_formulas(self, case):
+        self._check(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(formulas_with_blocks(long_clause_formulas()))
+    def test_long_clause_formulas(self, case):
+        self._check(*case)
 
 
 class TestBitHelpers:

@@ -1,22 +1,25 @@
 """All-solutions enumeration for leaf formulas, and solution gathering.
 
-Every answer comes from one search, ``cnf._models``, which returns the
+Every answer comes from one search, ``cnf._search``, which returns the
 cubes of a formula: disjoint partial assignments, each standing for every
 row that agrees with it.  It is deliberately a different code path from
 the dense truth-table evaluation in ``cnf.to_truth_table``, so the two can
 cross-check each other.
 
-Both read the live leaves of a tree (``DecompositionTree.leaves``): of a
-variable-partition tree, or of a clause pivot's k orthonormal branches
-l1; -l1 l2; ...; -l1 ... -l(k-1) lk (``clause_branch_tree``).  Their
-models are disjoint, so counts add and no row is built twice.
-``count_and_witness`` adds up cube counts and takes the least root row,
-building no rows.  ``all_solutions`` and ``solve_leaf`` expand a
+``_count_and_least`` is the one rule that sums cubes and takes the least
+one.  The CLI applies it to the cubes of one search of the root, for
+``--mode count`` and ``--mode sat``, which build no tree.
+``count_and_witness`` applies it to each live leaf of a tree and maps the
+leaf minima to root rows.  ``all_solutions`` and ``solve_leaf`` expand a
 formula's cubes to rows, and ``gather`` reassembles the root-level
-solution set from those per-leaf rows: each leaf's rows are moved to
-their root positions together with the leaf's prefix in one bit scatter,
-widened over any variables the branch left unconstrained, then sorted
-into one canonical set.
+solution set of ``--mode allsat`` from those per-leaf rows: each leaf's
+rows are moved to their root positions together with the leaf's prefix
+in one bit scatter, widened over any variables the branch left
+unconstrained, then sorted into one canonical set.  Both read the live
+leaves of a tree (``DecompositionTree.leaves``): of a variable-partition
+tree, or of a clause pivot's k orthonormal branches l1; -l1 l2; ...;
+-l1 ... -l(k-1) lk (``clause_branch_tree``).  Their models are disjoint,
+so counts add and no row is built twice.
 """
 
 from __future__ import annotations
@@ -102,6 +105,20 @@ def _placed_leaves(
             yield value, base, [], over
 
 
+def _count_and_least(cubes: Iterable[tuple[int, int]], width: int
+                     ) -> tuple[int, int | None]:
+    """The model count over ``width`` variables of disjoint cubes ``(bits,
+    fixed)``, and their least row (None when there is no cube): the least
+    cube's ``bits``, its free bits 0."""
+    count = 0
+    least = None
+    for bits, fixed in cubes:
+        count += 1 << width - fixed.bit_count()
+        if least is None or bits < least:
+            least = bits
+    return count, least
+
+
 def count_and_witness(tree: DecompositionTree) -> tuple[int, int | None]:
     """The root formula's model count and its least model, as a row over
     the root universe (None when there is none), from the cubes of the
@@ -115,13 +132,10 @@ def count_and_witness(tree: DecompositionTree) -> tuple[int, int | None]:
     def count_and_least(leaf: TreeNode) -> tuple[int, int] | None:
         if leaf.status != SOLVABLE:  # trivial: every assignment works
             return 1, 0
-        formula = leaf.item.formula
-        cubes = _models(formula.to_ints(), formula.universe)
-        if not cubes:
-            return None
-        width = len(formula.universe)
-        return (sum(1 << width - fixed.bit_count() for _, fixed in cubes),
-                min(bits for bits, _ in cubes))
+        universe = leaf.item.formula.universe
+        count, least = _count_and_least(
+            _models(leaf.item.formula.to_ints(), universe), len(universe))
+        return None if least is None else (count, least)
 
     count = 0
     least = None

@@ -1,18 +1,24 @@
-"""Command-line driver: parse DIMACS, decompose, solve the leaves, gather.
+"""Command-line driver: parse DIMACS, decompose, solve, gather.
 
-Every tree comes from the one builder of ``decompose``; the pivot and the
-mode pick its split rule.  Solving reads the live leaves, whose models
-are disjoint: on a clause pivot the k orthonormal branches
-(``clause_branch_tree``), on ``--pivot vars`` the propagating block
-search (``var_partition_decompose(..., propagate=True)``).  ``--mode
-decompose`` prints, and nothing solves, the 2**k - 1 overlapping
-branches of ``clause_pivot_decompose`` (``clause_pivot_tree``, the one
-rule defined here), or the tree with one child per allowed block row.
-The mode alone picks the solver: ``--mode count`` and ``--mode sat``
-read their cubes through ``allsat.count_and_witness`` and build no rows;
-``--mode allsat`` solves them to rows and gathers them.  ``--verify``
-checks what the run prints (the count, the least model or every row)
-against the truth table.
+``--mode count`` and ``--mode sat`` build no tree: one search of the root
+(``cnf._search``) takes the pivot's base as its first branchings, solves
+each leaf in the frame that made it, and hands back cubes over the root
+universe, whose count and least model ``allsat._count_and_least`` reads.
+On a clause pivot the base is the k orthonormal branches of the pivot
+clause (``decompose._clause_branch_cubes``), on ``--pivot vars`` the
+blocks of the propagated variable-partition tree
+(``decompose._var_partition_cubes``).  The other two modes still build
+trees, from the one builder of ``decompose``.  ``--mode allsat`` solves
+the live leaves of ``clause_branch_tree`` or of
+``var_partition_decompose(..., propagate=True)`` to rows and gathers
+them: ``gather`` refuses an oversized output with a message stated from
+the leaves' row counts, and ``parallel_leaf_solve`` hands each leaf on as
+a work item, so moving allsat onto the one search is left for later.
+``--mode decompose`` prints, and nothing solves, the 2**k - 1
+overlapping branches of ``clause_pivot_decompose`` (``clause_pivot_tree``,
+the one rule defined here), or the tree with one child per allowed block
+row.  ``--verify`` checks what the run prints (the count, the least model
+or every row) against the truth table.
 
 The leaves are independent work items, solved one after another on the
 calling thread: a thread pool measured slower, because the pure-Python leaf
@@ -37,14 +43,16 @@ import sys
 import warnings
 from itertools import islice
 
-from .allsat import LeafResult, count_and_witness, gather, solve_leaf
+from .allsat import LeafResult, _count_and_least, gather, solve_leaf
 from .cnf import (CnfFormula, DimacsParseError, NormalizationWarning,
                   SolutionSet, parse_dimacs, to_truth_table)
 from .decompose import (
     SOLVABLE,
     TRIVIAL,
     DecompositionTree,
+    _clause_branch_cubes,
     _grow,
+    _var_partition_cubes,
     clause_branch_tree,
     clause_pivot_decompose,
     var_partition_decompose,
@@ -191,14 +199,10 @@ def run(config: RunConfig, out: IO[str] | None = None,
         print(f"warning: {config.input_path}: {warning.message}", file=err)
 
     try:
-        if config.pivot_strategy == "vars":
-            tree = var_partition_decompose(
-                formula, config.n0, propagate=config.mode != "decompose")
-        elif config.mode == "decompose":
-            tree = clause_pivot_tree(formula, config.pivot_clause)
-        else:
-            tree = clause_branch_tree(formula, config.pivot_clause)
+        vars_pivot = config.pivot_strategy == "vars"
         if config.mode == "decompose":
+            tree = (var_partition_decompose(formula, config.n0) if vars_pivot
+                    else clause_pivot_tree(formula, config.pivot_clause))
             if config.verify:
                 print("note: --verify skipped: decompose mode solves nothing",
                       file=err)
@@ -213,10 +217,15 @@ def run(config: RunConfig, out: IO[str] | None = None,
         # ``solutions`` holds the rows the mode prints: every row for
         # allsat, the least model for sat (and count, which prints none).
         if config.mode == "allsat":
+            tree = (var_partition_decompose(formula, config.n0, propagate=True)
+                    if vars_pivot
+                    else clause_branch_tree(formula, config.pivot_clause))
             solutions = gather(tree, parallel_leaf_solve(tree, config.jobs))
             count = solutions.count
-        else:  # count and sat read the leaves' cubes and build no rows
-            count, least = count_and_witness(tree)
+        else:  # count and sat read the cubes of one search: no tree, no rows
+            cubes = (_var_partition_cubes(formula, config.n0) if vars_pivot
+                     else _clause_branch_cubes(formula, config.pivot_clause))
+            count, least = _count_and_least(cubes, formula.num_vars)
             solutions = SolutionSet(formula.universe,
                                     () if least is None else (least,))
     except ValueError as exc:  # includes capacity errors

@@ -26,10 +26,14 @@ expand them with ``_model_rows``, which stops once they hold more than
 decomposition tree that ``--mode decompose`` prints.  Restricted to a
 block of variables, the search stops each branch once no clause left
 holds an unset block variable and hands back the clauses left: the
-children of the variable-partition tree that solving reads.  It sets the
-root's unit clauses in one pass and indexes the clauses left by literal,
-so each later unit touches only the clauses that hold its variable; a
-frame then branches on the held variable in the most 2-literal clauses.
+children of the variable-partition tree that ``--mode allsat`` solves.
+Given a rule for the next block, it goes on from each such branch
+instead, so one search runs a whole decomposition and solves each leaf
+in the frame that made it: ``--mode count`` and ``--mode sat``.  It sets
+the root's unit clauses in one pass and indexes the clauses left by
+literal, so each later unit touches only the clauses that hold its
+variable; a frame then branches on the held variable in the most
+2-literal clauses.
 ``substitute`` reduces one bound literal at a time with ``_reduce``.
 """
 
@@ -37,8 +41,9 @@ from __future__ import annotations
 
 import operator
 import warnings
-from collections import Counter
-from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from collections import _count_elements  # Counter's C counting loop
+from collections.abc import (Callable, Collection, Iterable, Iterator,
+                             Mapping, Sequence)
 from itertools import chain, combinations
 
 from .limits import MAX_VARS, CapacityError
@@ -583,20 +588,30 @@ def _models(clauses: Iterable[tuple[int, ...]], over: Sequence[int]
 
 
 def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
-            block: Collection[int] | None = None
+            block: Collection[int] | None = None,
+            next_block: Callable[[int, int, list[tuple[int, ...]]],
+                                 Collection[int] | None] | None = None,
             ) -> Iterator[tuple[int, int, list[tuple[int, ...]]]]:
     """The stopped frames ``(bits, fixed, slots)`` of the one backtracking
     search, in search order: each binds the variables of ``fixed`` (bit j
     for ``over[j]``) to the values in ``bits``.
 
-    The search branches only on a variable of ``block`` (all of ``over``
-    when None) that some clause left holds, and propagates unit clauses
-    through every clause.  A frame stops once no clause left holds an
-    unset block variable, which may leave block variables free; ``slots``
+    The search branches only on a variable of its frame's block (all of
+    ``over`` when None) that some clause left holds, and propagates unit
+    clauses through every clause.  A frame stops once no clause left holds
+    an unset block variable, which may leave block variables free; ``slots``
     then holds, one slot per clause in clause order, the clause reduced
     by the frame's bindings, or ``()`` once it is satisfied.  The stopped
     frames are disjoint and cover every model over ``over``; a refuted
     branch stops no frame.  The caller owns each ``slots`` list.
+
+    With ``next_block``, only a frame with no clause left stops.  Any other
+    frame whose block runs out first goes on over ``next_block(bits, fixed,
+    slots)``, or over every variable when that is None; the block must
+    hold a variable of some slot.  ``next_block`` may empty a slot whose
+    clause another slot holds.  An empty ``block`` stops the root at once,
+    after its unit clauses are set, so ``next_block`` picks the root's
+    first block too.
 
     Backtracking search over an explicit stack, so its depth is not bounded
     by the interpreter's recursion limit.  The root's unit clauses are set
@@ -609,11 +624,12 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     (ties to the first such variable in clause order), or, with none in a
     2-literal clause, on the smallest held one.  It counts only the slots
     it lists as 2-literal (the root's, and each that a cut leaves with two
-    literals); one branch takes a copy of both lists.
+    literals), in one pass into a plain dict; one branch takes a copy of
+    both lists.
     """
     position = {v: j for j, v in enumerate(over)}
-    if block is not None:  # both literals of each block variable
-        block = {x for v in block for x in (v, -v)}
+    if block is not None:
+        block = _both_literals(block)
     clauses = list(clauses)
     if not all(clauses):
         return
@@ -655,9 +671,9 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
                 occurs[x] = [i]
     # A satisfied slot stays listed as 2-literal until its frame branches.
     binary = [i for i, clause in enumerate(clauses) if len(clause) == 2]
-    stack = [(clauses, new, binary, bits, fixed)]
+    stack = [(clauses, new, binary, bits, fixed, block)]
     while stack:
-        clauses, units, binary, bits, fixed = stack.pop()
+        clauses, units, binary, bits, fixed, block = stack.pop()
         while units:
             lit = units.pop()
             bit = 1 << position[abs(lit)]
@@ -694,14 +710,22 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
             break  # a clause was falsified
         else:  # no clause was falsified
             # Every literal left in a slot is unset.
-            if (not any(clauses) if block is None
-                    else block.isdisjoint(chain.from_iterable(clauses))):
-                yield bits, fixed, clauses
-                continue
+            if block is None:
+                if not any(clauses):
+                    yield bits, fixed, clauses
+                    continue
+            elif block.isdisjoint(chain.from_iterable(clauses)):
+                if next_block is None or not any(clauses):
+                    yield bits, fixed, clauses
+                    continue
+                block = next_block(bits, fixed, clauses)
+                if block is not None:
+                    block = _both_literals(block)
             # Satisfied slots dropped; sorted, so ties go to the first
             # variable in clause order.
             binary = sorted(filter(clauses.__getitem__, binary))
-            counts = Counter(map(abs, chain.from_iterable(
+            counts: dict[int, int] = {}
+            _count_elements(counts, map(abs, chain.from_iterable(
                 map(clauses.__getitem__, binary))))
             var = max(counts if block is None
                       else filter(block.__contains__, counts),
@@ -711,8 +735,14 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
                        else min(map(abs, filter(block.__contains__,
                                                 chain.from_iterable(clauses)))))
             # Pushed True first, so the False branch is searched first.
-            stack.append((clauses.copy(), [var], binary.copy(), bits, fixed))
-            stack.append((clauses, [-var], binary, bits, fixed))
+            stack.append((clauses.copy(), [var], binary.copy(), bits, fixed,
+                          block))
+            stack.append((clauses, [-var], binary, bits, fixed, block))
+
+
+def _both_literals(block: Collection[int]) -> set[int]:
+    """Both literals of each variable of a block."""
+    return {x for v in block for x in (v, -v)}
 
 
 def _model_rows(clauses: Iterable[tuple[int, ...]], over: Sequence[int]

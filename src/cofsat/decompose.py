@@ -14,21 +14,27 @@ bindings to its parent's prefix.  The rules:
   paper's 2**k - 1 overlapping branches, one per partial assignment of
   the clause: the input is satisfiable iff at least one of them is.
 * ``var_partition_decompose``: a node of more than ``n0`` variables
-  expands over an orthonormal base of a block X1 of them.  The solving
-  modes take the base from the search (``propagate=True``): the branches
-  over X1 that unit propagation leaves standing.  The tree that ``--mode
-  decompose`` prints takes the finest base, one edge per allowed X1 row.
+  expands over an orthonormal base of a block X1 of them.  ``--mode
+  allsat`` takes the base from the search (``propagate=True``): the
+  branches over X1 that unit propagation leaves standing.  The tree that
+  ``--mode decompose`` prints takes the finest base, one edge per allowed
+  X1 row.
 
 The live leaves of both trees partition the root's models: their counts
-add and no model is found twice.  Each node holds an immutable WorkItem
-(prefix assignment + reduced formula) that can be shipped to any worker.
-A simple closed-form cost model for the variable-partition strategy is
-included.
+add and no model is found twice.  ``--mode count`` and ``--mode sat``
+build neither tree: ``_clause_branch_cubes`` and ``_var_partition_cubes``
+run one search of the root whose first branchings are the same bases,
+solve each leaf in the frame that made it, and hand back its cubes.
+
+Each tree node holds an immutable WorkItem (prefix assignment + reduced
+formula) that can be shipped to any worker.  A simple closed-form cost
+model for the variable-partition strategy is included.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .cnf import (
     Clause,
@@ -254,7 +260,8 @@ def clause_pivot_decompose(
 
 def clause_branch_tree(formula: CnfFormula, pivot_index: int) -> DecompositionTree:
     """The k orthonormal branches of the pivot clause (l1 ... lk), as a
-    one-level tree whose leaves are disjoint: what solving reads.
+    one-level tree whose leaves are disjoint: what ``--mode allsat``
+    solves.
 
     Node i (1 <= i <= k; li's singleton branch is item i - 1 of
     ``clause_pivot_decompose``) has prefix -l1 ... -l(i-1) li and the root
@@ -293,9 +300,48 @@ def clause_branch_tree(formula: CnfFormula, pivot_index: int) -> DecompositionTr
     return _grow(formula, split)
 
 
-def choose_var_subset(formula: CnfFormula, n0: int) -> tuple[int, ...]:
+def _clause_branch_cubes(formula: CnfFormula, pivot_index: int
+                         ) -> Iterator[tuple[int, int]]:
+    """The cubes ``(bits, fixed)`` over the root universe of the models of
+    ``clause_branch_tree``'s live leaves, from one search of the root.
+
+    The search takes the tree's base as its first branching: it branches
+    on the first unset variable of the pivot clause (l1 ... lk) until some
+    pivot literal is true, so its branches are l1; -l1 l2; ..., and then
+    searches freely.  Each branch is solved in the frame that made it:
+    no cofactor is built.  A formula with no clauses has no pivot and one
+    cube, whatever ``pivot_index`` says; an out-of-range index raises
+    ``ValueError``.
+    """
+    over = formula.universe
+    pivot = () if formula.is_empty else _pivot_clause(formula, pivot_index)
+    # Each pivot literal as its variable, its bit, and that bit's value
+    # when the literal is true; the universe is sorted.
+    literals = []
+    for lit in pivot:
+        bit = 1 << bisect_left(over, abs(lit))
+        literals.append((abs(lit), bit, bit if lit > 0 else 0))
+
+    def next_block(bits: int, fixed: int, slots: list) -> tuple | None:
+        first = None
+        for var, bit, true in literals:
+            if fixed & bit:
+                if bits & bit == true:  # the pivot clause is satisfied
+                    return None
+            elif first is None:
+                first = var
+        return (first,)
+
+    return ((bits, fixed) for bits, fixed, _ in _search(
+        formula.to_ints(), over, (), next_block))
+
+
+def choose_var_subset(formula: CnfFormula | Sequence[tuple[int, ...]],
+                      n0: int) -> tuple[int, ...]:
     """Pick a block of min(n0, h) of the h held variables, those that some
     clause holds: a split on any other variable gives two equal cofactors.
+    ``formula`` is a formula or its int clauses, which are all it reads:
+    the one search hands over a frame's clauses left, not a formula.
 
     Greedy: grow the block one variable at a time, each step taking the
     held variable that maximizes the number of clauses whose variables are
@@ -309,7 +355,8 @@ def choose_var_subset(formula: CnfFormula, n0: int) -> tuple[int, ...]:
     """
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
-    clauses = formula.to_ints()
+    clauses = (formula.to_ints() if isinstance(formula, CnfFormula)
+               else formula)
     outside = list(map(len, clauses))
     occurs: dict[int, list[int]] = {}
     for i, clause in enumerate(clauses):
@@ -409,8 +456,9 @@ def var_partition_decompose(formula: CnfFormula, n0: int, *,
     By default (the tree ``--mode decompose`` prints) the base is the
     finest one, the row rule ``_row_children``: one edge per X1
     assignment that the only-X1 clauses allow, in ascending bit order.
-    With ``propagate`` (the tree that ``sat``, ``count`` and ``allsat``
-    solve) the base comes from the search itself, the rule
+    With ``propagate`` (the tree that ``allsat`` solves, and whose
+    cubes ``_var_partition_cubes`` finds in one search for ``sat`` and
+    ``count``) the base comes from the search itself, the rule
     ``_propagated_children``: one edge per branch over X1 that unit
     propagation leaves standing, so refuted branches cost no node.
     """
@@ -424,6 +472,36 @@ def var_partition_decompose(formula: CnfFormula, n0: int, *,
         return children(f, choose_var_subset(f, n0))
 
     return _grow(formula, split)
+
+
+def _var_partition_cubes(formula: CnfFormula, n0: int
+                         ) -> Iterator[tuple[int, int]]:
+    """The cubes ``(bits, fixed)`` over the root universe of the models of
+    the live leaves of ``var_partition_decompose(formula, n0,
+    propagate=True)``, from one search of the root.
+
+    The search follows that tree's base.  The root's block is
+    ``choose_var_subset`` of the root, as the tree chooses it.  A frame
+    whose block runs out is a node of the tree: with more than ``n0``
+    unset variables it is internal, and goes on over ``choose_var_subset``
+    of its distinct clauses left, each repeated slot emptied as the tree's
+    cofactor merges it; any other is a leaf, searched over every variable
+    in the frame that made it.  No cofactor is built.
+    """
+    if n0 < 1:
+        raise ValueError("n0 must be at least 1")
+    over = formula.universe
+    width = len(over)
+
+    def next_block(bits: int, fixed: int, slots: list) -> tuple | None:
+        if width - fixed.bit_count() > n0:
+            return choose_var_subset(_distinct(slots), n0)
+        return None
+
+    block = (choose_var_subset(formula, n0)
+             if width > n0 and not formula.is_empty else None)
+    return ((bits, fixed) for bits, fixed, _ in _search(
+        formula.to_ints(), over, block, next_block))
 
 
 def _row_children(f: CnfFormula, x1: tuple[int, ...]
@@ -483,8 +561,25 @@ def _propagated_children(f: CnfFormula, x1: tuple[int, ...]
             else:
                 free.append(v)
         edges.append((bindings, CnfFormula._normalized(
-            tuple(dict.fromkeys(c for c in slots if c)), tuple(free))))
+            _distinct(slots), tuple(free))))
     return edges
+
+
+def _distinct(slots: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The distinct clauses left in a search frame's ``slots``, in slot
+    order: its cofactor's clauses.  Each slot that repeats an earlier one
+    is emptied in place, so a search going on from the frame branches as
+    a search of the cofactor would."""
+    live = list(filter(None, slots))
+    distinct = tuple(dict.fromkeys(live))
+    if len(distinct) < len(live):
+        seen = set()
+        for i, clause in enumerate(slots):
+            if clause in seen:
+                slots[i] = ()
+            elif clause:
+                seen.add(clause)
+    return distinct
 
 
 def estimate_cost(

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from cofsat import (SolutionSet, all_solutions, clause_branch_tree,
-                    count_and_witness, decompose, emit_dimacs, gather)
+                    decompose, emit_dimacs, gather)
+from cofsat.allsat import _count_and_least
 from cofsat.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -333,13 +334,18 @@ class TestVerify:
     @pytest.mark.parametrize("output_format", ["text", "json"])
     def test_count_and_sat_verify_the_cube_path(self, monkeypatch, mode,
                                                 output_format):
-        self._forbid(monkeypatch, "gather", "parallel_leaf_solve")
+        # One search of the root: no tree is built, no leaf solved.
+        self._forbid(monkeypatch, "gather", "parallel_leaf_solve",
+                     "var_partition_decompose", "clause_branch_tree",
+                     "clause_pivot_tree")
         path = str(GOLDEN / "example2.cnf")
-        plain = run_capture(RunConfig(path, mode=mode,
-                                      output_format=output_format))
-        assert plain[0] == EXIT_SAT
-        assert run_capture(RunConfig(path, mode=mode, verify=True,
-                                     output_format=output_format)) == plain
+        for pivot in ("vars", "clause"):
+            plain = run_capture(RunConfig(path, mode=mode, pivot_strategy=pivot,
+                                          n0=2, output_format=output_format))
+            assert plain[0] == EXIT_SAT
+            assert run_capture(RunConfig(
+                path, mode=mode, pivot_strategy=pivot, n0=2, verify=True,
+                output_format=output_format)) == plain
 
     @pytest.mark.parametrize("mode", ["count", "sat"])
     @pytest.mark.parametrize("wrong", ["count", "least"])
@@ -347,19 +353,21 @@ class TestVerify:
         self._forbid(monkeypatch, "gather", "parallel_leaf_solve")
         last = all_solutions(example2_formula()).rows[-1]
 
-        def wrong_answer(tree):
-            count, least = count_and_witness(tree)
+        def wrong_answer(cubes, width):
+            count, least = _count_and_least(cubes, width)
             return (count + 1, least) if wrong == "count" else (count, last)
 
-        monkeypatch.setattr("cofsat.cli.count_and_witness", wrong_answer)
+        monkeypatch.setattr("cofsat.cli._count_and_least", wrong_answer)
         found = 10 if wrong == "count" else 9
-        assert run_capture(RunConfig(
-            str(GOLDEN / "example2.cnf"), mode=mode, verify=True)) == (
-            EXIT_ERROR, "", f"error: verification mismatch: solver found "
-                            f"{found} solutions, oracle found 9\n")
+        for pivot in ("vars", "clause"):
+            assert run_capture(RunConfig(
+                str(GOLDEN / "example2.cnf"), mode=mode, pivot_strategy=pivot,
+                n0=2, verify=True)) == (
+                EXIT_ERROR, "", f"error: verification mismatch: solver found "
+                                f"{found} solutions, oracle found 9\n")
 
     def test_allsat_mismatch_fails_the_run(self, monkeypatch):
-        self._forbid(monkeypatch, "count_and_witness")
+        self._forbid(monkeypatch, "_count_and_least")
 
         def drop_a_row(tree, results):
             solutions = gather(tree, results)

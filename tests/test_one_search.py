@@ -1,0 +1,208 @@
+"""``--mode count`` and ``--mode sat`` solve in one search of the root.
+
+``decompose._var_partition_cubes`` and ``decompose._clause_branch_cubes``
+follow the base of the tree they replace (``var_partition_decompose(...,
+propagate=True)`` and ``clause_branch_tree``) as the first branchings of
+one ``cnf._search``, and solve each leaf in the frame that made it.  The
+count and least model of their cubes (``allsat._count_and_least``, the rule
+``count_and_witness`` applies to each leaf) must equal those of the tree
+and of the brute-force oracle of ``helpers``.
+"""
+
+import random
+import warnings
+from collections import Counter
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import example, given, settings
+
+from cofsat import (
+    CnfFormula,
+    clause_branch_tree,
+    count_and_witness,
+    decompose,
+    parse_dimacs,
+    var_partition_decompose,
+)
+from cofsat.allsat import _count_and_least
+from cofsat.decompose import _clause_branch_cubes, _var_partition_cubes
+
+from helpers import brute_force_rows, random_formula
+
+N0S = (1, 2, 3, 8)
+
+
+def one_search(f, pivot, n0=8, index=0):
+    cubes = (_var_partition_cubes(f, n0) if pivot == "vars"
+             else _clause_branch_cubes(f, index))
+    return _count_and_least(cubes, f.num_vars)
+
+
+def tree_answer(f, pivot, n0=8, index=0):
+    return count_and_witness(
+        var_partition_decompose(f, n0, propagate=True) if pivot == "vars"
+        else clause_branch_tree(f, index))
+
+
+def oracle(f):
+    rows = brute_force_rows(f.to_ints(), f.universe)
+    return len(rows), min(rows, default=None)
+
+
+def chain(n):
+    """(x1 + x2)(x2 + x3)...(x(n-1) + xn): a Fibonacci number of models."""
+    return parse_dimacs(f"p cnf {n} {n - 1}\n" + "".join(
+        f"{i} {i + 1} 0\n" for i in range(1, n)))
+
+
+@st.composite
+def mixed_cnf(draw):
+    """Clauses of 1 to 4 literals over 1..n, n <= 10, in a universe that
+    may hold variables no clause holds; some unsatisfiable."""
+    n = draw(st.integers(1, 10))
+    clause = st.lists(st.integers(1, n), min_size=1, max_size=min(4, n),
+                      unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
+    raw = draw(st.lists(clause, max_size=4 * n))
+    if draw(st.booleans()) and draw(st.booleans()):
+        v = draw(st.integers(1, n))
+        raw += [(v,), (-v,)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # repeated clauses are merged
+        return CnfFormula(raw, universe=range(1, n + 1 + draw(
+            st.integers(0, 2))))
+
+
+class TestAgainstTreeAndOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_cnf(), st.sampled_from(N0S), st.integers(0, 40))
+    # Under x1' x2' both clauses reduce to (x3 + x4), which the search
+    # holds in two slots and the tree's child once.
+    @example(CnfFormula([[1, 3, 4], [2, 3, 4]]), 2, 0)
+    def test_both_pivots(self, f, n0, index):
+        want = oracle(f)
+        assert one_search(f, "vars", n0) == tree_answer(f, "vars", n0) == want
+        if f.to_ints():
+            index %= len(f.to_ints())
+            assert (one_search(f, "clause", index=index)
+                    == tree_answer(f, "clause", index=index) == want)
+
+    def test_random_3cnf(self):
+        rng = random.Random(25)
+        for n, m in ((10, 30), (12, 51), (13, 55), (14, 60)):
+            f = random_formula(rng, n, m)
+            want = oracle(f)
+            for n0 in N0S:
+                assert one_search(f, "vars", n0) == tree_answer(
+                    f, "vars", n0) == want
+            index = rng.randrange(m)
+            assert one_search(f, "clause", index=index) == tree_answer(
+                f, "clause", index=index) == want
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("pivot", ["vars", "clause"])
+    @pytest.mark.parametrize("n0", N0S)
+    @pytest.mark.parametrize("index", [0, 3, -1, 10**6])
+    def test_no_clauses_at_any_pivot_index(self, pivot, n0, index):
+        f = CnfFormula([], universe=range(1, 6))
+        assert one_search(f, pivot, n0, index) == tree_answer(
+            f, pivot, n0, index) == oracle(f) == (32, 0)
+
+    @pytest.mark.parametrize("index", [-1, 4, 99])
+    def test_out_of_range_pivot_raises_the_same_error(self, index):
+        f = CnfFormula([[1, 2], [-1, 3], [2, -3], [-2, 3]])
+        with pytest.raises(ValueError) as tree_error:
+            clause_branch_tree(f, index)
+        with pytest.raises(ValueError) as search_error:
+            one_search(f, "clause", index=index)
+        assert str(search_error.value) == str(tree_error.value) == (
+            f"pivot index {index} out of range for 4 clauses")
+
+    @pytest.mark.parametrize("pivot", ["vars", "clause"])
+    @pytest.mark.parametrize("n0", N0S)
+    @pytest.mark.parametrize("clauses", [
+        [[1], [-1]],
+        [[1, 2], [1, -2], [-1, 2], [-1, -2]],
+        [[1, 2, 3], [-1], [-2], [-3, 4], [-4, 5], [-5]],
+    ], ids=["units", "pairs", "chain"])
+    def test_dead_root(self, pivot, n0, clauses):
+        f = CnfFormula(clauses, universe=range(1, 7))
+        assert one_search(f, pivot, n0) == tree_answer(f, pivot, n0) \
+            == oracle(f) == (0, None)
+
+    @pytest.mark.parametrize("pivot", ["vars", "clause"])
+    @pytest.mark.parametrize("n0", N0S)
+    def test_free_variables(self, pivot, n0):
+        # free1000: no clause holds x1..x997.
+        f = parse_dimacs("p cnf 1000 1\n998 999 1000 0\n")
+        assert one_search(f, pivot, n0) == tree_answer(f, pivot, n0) == (
+            7 << 997, 1 << 997)
+
+    @pytest.mark.parametrize("pivot", ["vars", "clause"])
+    @pytest.mark.parametrize("n0", N0S)
+    def test_two_clauses_over_forty_variables(self, pivot, n0):
+        f = CnfFormula([[1, 2], [-3, 4]], universe=range(1, 41))
+        assert one_search(f, pivot, n0) == tree_answer(f, pivot, n0) == (
+            9 << 36, 1)
+
+    @pytest.mark.parametrize("pivot", ["vars", "clause"])
+    @pytest.mark.parametrize("n0", N0S)
+    def test_chain30(self, pivot, n0):
+        # At n0 = 1 every frame of more than one unset variable is a node of
+        # its own: the tree of chain30 takes over 100 s to build, and of
+        # chain20 about 1 s.
+        n = 20 if n0 == 1 and pivot == "vars" else 30
+        fib = [0, 1]
+        while len(fib) < n + 3:
+            fib.append(fib[-1] + fib[-2])
+        # xn false forces x(n-1) true, x(n-2) false forces x(n-3) true, and
+        # so on down.
+        least = sum(1 << (v - 1) for v in range(n - 1, 0, -2))
+        f = chain(n)
+        assert one_search(f, pivot, n0) == tree_answer(f, pivot, n0) == (
+            fib[n + 2], least)
+
+
+class TestSameBlocksAsTheTree:
+    """The search asks ``choose_var_subset`` for a block at the very nodes
+    of the tree it replaces: the same multiset of clause lists."""
+
+    @staticmethod
+    def _blocks_asked(monkeypatch, solve):
+        asked = Counter()
+        choose = decompose.choose_var_subset
+
+        def record(formula, n0):
+            asked[formula.to_ints() if isinstance(formula, CnfFormula)
+                  else tuple(formula)] += 1
+            return choose(formula, n0)
+
+        monkeypatch.setattr(decompose, "choose_var_subset", record)
+        answer = solve()
+        monkeypatch.setattr(decompose, "choose_var_subset", choose)
+        return answer, asked
+
+    @pytest.mark.parametrize("n0", N0S)
+    def test_random_formulas_and_chains(self, monkeypatch, n0):
+        rng = random.Random(2025)
+        formulas = [random_formula(rng, n, m)
+                    for n, m in ((12, 30), (14, 50), (16, 68), (16, 40))]
+        formulas += [chain(14), chain(20), CnfFormula(
+            [[1, 3, 4], [2, 3, 4], [1, 5, -6], [2, 5, -6], [-4, 6, 7]])]
+        # At n0 = 2 a node holds one 2-literal clause in two slots; counted
+        # twice, it would pull the node's branching off the tree's.
+        formulas.append(CnfFormula([
+            [-3, -6], [-1, 8, -9], [-4, -5, -7], [-1, 6, -9], [4, -7, -9],
+            [1, -7, -9], [-4, -7], [5, -6, 7], [3, -9], [-2, -6, -8],
+            [6, -9], [4, 9], [5, 8]]))
+        asked = 0
+        for f in formulas:
+            tree = self._blocks_asked(
+                monkeypatch, lambda: tree_answer(f, "vars", n0))
+            search = self._blocks_asked(
+                monkeypatch, lambda: one_search(f, "vars", n0))
+            assert search == tree
+            asked += sum(tree[1].values())
+        assert asked >= len(formulas)

@@ -343,49 +343,29 @@ def choose_var_subset(formula: CnfFormula | Sequence[tuple[int, ...]],
     ``formula`` is a formula or its int clauses, which are all it reads:
     the one search hands over a frame's clauses left, not a formula.
 
-    Greedy: grow the block one variable at a time, each step taking the
-    held variable that maximizes the number of clauses whose variables are
-    fully inside the block, breaking ties by smallest variable id.
-
-    Clauses are in normal form, one literal per variable, so each clause
-    keeps only the number of its variables still outside the block, and
-    each variable the indices of its clauses: a candidate v adds exactly
-    the clauses whose one variable left outside is v; the clauses already
-    inside count the same for every candidate.
+    The block is the first min(n0, h) held variables ranked by the unit
+    clauses that hold them, then the 2-literal clauses, then all clauses,
+    most first, ties to the smallest id (most occurrences in the shortest
+    clauses, as the search branches), returned sorted.  Each clause adds
+    one weight per variable, so one sum ranks all three counts at once:
+    no count reaches ``len(clauses) + 1``, so a unit outweighs any number
+    of 2-literal clauses, and a 2-literal clause any number of others.
     """
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
     clauses = (formula.to_ints() if isinstance(formula, CnfFormula)
                else formula)
-    outside = list(map(len, clauses))
-    occurs: dict[int, list[int]] = {}
-    for i, clause in enumerate(clauses):
+    m = len(clauses) + 1
+    score: dict[int, int] = {}
+    for clause in clauses:
+        k = len(clause)
+        weight = m * m + 1 if k == 1 else m + 1 if k == 2 else 1
         for x in clause:
             v = abs(x)
-            if v in occurs:
-                occurs[v].append(i)
-            else:
-                occurs[v] = [i]
-    # The candidates in ascending id order, each with the number of
-    # clauses that it alone keeps outside the block.
-    completes = dict.fromkeys(sorted(occurs), 0)
-    for clause in clauses:
-        if len(clause) == 1:
-            completes[abs(clause[0])] += 1
-    chosen = []
-    for _ in range(min(n0, len(completes))):
-        # max keeps the first of equal scores: the smallest id.
-        best = max(completes, key=completes.__getitem__)
-        del completes[best]
-        chosen.append(best)
-        for i in occurs[best]:
-            outside[i] -= 1
-            if outside[i] == 1:
-                for x in clauses[i]:
-                    if abs(x) in completes:
-                        completes[abs(x)] += 1
-                        break
-    return tuple(sorted(chosen))
+            score[v] = score.get(v, 0) + weight
+    # Sorted by id first: the stable sort keeps ties in id order.
+    ranked = sorted(sorted(score), key=score.__getitem__, reverse=True)
+    return tuple(sorted(ranked[:n0]))
 
 
 def _split(

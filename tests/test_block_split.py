@@ -7,7 +7,7 @@ rows at their root positions in one scatter.  The references here are the
 straightforward algorithms, written in this file: try every X1 assignment
 against the clauses inside the block and substitute the whole formula under
 each allowed one, extend each leaf's rows by its prefix and then widen
-them, and rescan every clause for every held variable.
+them, and rescan every clause for every held variable's occurrences.
 """
 
 import itertools
@@ -51,8 +51,8 @@ def three_cnf(draw):
 @st.composite
 def mixed_cnf(draw):
     """Formulas over 1..n, n <= 14, from units, 2-, 3- and 4-literal clauses
-    over distinct variables: a unit completes a clause for its variable
-    before the greedy block choice takes any."""
+    over distinct variables: the block rule ranks a variable by its unit
+    clauses first, then its 2-literal ones."""
     n = draw(st.integers(4, MAX_N))
     clause = st.sampled_from((1, 2, 2, 3, 4)).flatmap(
         lambda k: st.lists(st.integers(1, n), min_size=k, max_size=k,
@@ -68,22 +68,18 @@ block_sizes = st.integers(1, 8)
 
 
 def reference_choose(formula, n0):
-    """The greedy block choice as a full rescan: every step scores every
-    held variable, one that some clause holds, by the clauses lying inside
-    the block grown by it."""
-    var_sets = [{abs(x) for x in c} for c in formula.to_ints()]
-    held = sorted(set().union(*var_sets))
-    chosen = set()
-    while len(chosen) < min(n0, len(held)):
-        best, best_count = None, -1
-        for v in held:
-            if v in chosen:
-                continue
-            count = sum(1 for vs in var_sets if vs <= chosen | {v})
-            if count > best_count:
-                best, best_count = v, count
-        chosen.add(best)
-    return tuple(sorted(chosen))
+    """The block rule as a full rescan: rank every held variable, one that
+    some clause holds, by the unit clauses that hold it, then the 2-literal
+    ones, then all of them, most first, ties to the smallest id, and take
+    the first n0."""
+    clauses = formula.to_ints()
+    held = {abs(x) for c in clauses for x in c}
+
+    def rank(v):
+        widths = [len(c) for c in clauses if v in c or -v in c]
+        return -widths.count(1), -widths.count(2), -len(widths), v
+
+    return tuple(sorted(sorted(held, key=rank)[:n0]))
 
 
 def reference_tree(formula, n0):

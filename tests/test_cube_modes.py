@@ -15,6 +15,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -344,6 +345,33 @@ def _pair_chain(n):
     """(x1 + x2)(x2 + x3)...(x(n-1) + xn): a Fibonacci number of models."""
     return f"p cnf {n} {n - 1}\n" + "".join(
         f"{i} {i + 1} 0\n" for i in range(1, n))
+
+
+def test_chain26_at_n0_1_counts_and_finds_a_model_quickly(tmp_path):
+    # At --n0 1 each frame of more than one unset variable asks for a
+    # block of its own.  A block of the variable in the most 2-literal
+    # clauses is the one the search would branch on anyway, so the search
+    # stops about as many cubes as a free one; a block that maximised the
+    # clauses inside it took over 4 s here.
+    n = 26
+    path = tmp_path / "chain26.cnf"
+    path.write_text(_pair_chain(n))
+    fib = [0, 1]
+    while len(fib) < n + 3:
+        fib.append(fib[-1] + fib[-2])
+    # xn false forces x(n-1) true, x(n-2) false forces x(n-3) true, and so
+    # on down.
+    witness = [v if (n - v) % 2 else -v for v in range(1, n + 1)]
+    expected = {"count": f"{fib[n + 2]}\n",
+                "sat": "SATISFIABLE\n" + " ".join(map(str, witness)) + " 0\n"}
+    for mode, text in expected.items():
+        out = io.StringIO()
+        start = time.perf_counter()
+        status = run(RunConfig(str(path), mode=mode, pivot_strategy="vars",
+                               n0=1), out=out, err=io.StringIO())
+        seconds = time.perf_counter() - start
+        assert (status, out.getvalue()) == (EXIT_SAT, text), mode
+        assert seconds < 2, mode
 
 
 # Files under 512 bytes that once made a run blow up.  In ``free1000`` and

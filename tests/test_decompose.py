@@ -278,10 +278,11 @@ class TestClauseBranchTree:
 
 class TestChooseVarSubset:
     def test_example2_n0_2_locked(self):
-        # no pair covers a clause, so ties fall to the smallest ids
-        assert choose_var_subset(example2_formula(), 2) == (1, 2)
+        # Every clause has three literals: x4 occurs in all four, x1 and x3
+        # in three each, and that tie falls to the smaller id.
+        assert choose_var_subset(example2_formula(), 2) == (1, 4)
 
-    def test_unique_greedy_optimum(self):
+    def test_most_2_literal_occurrences_win(self):
         f = CnfFormula([[1, 2], [1, -2], [-1, 2], [3, 4]])
         assert choose_var_subset(f, 2) == (1, 2)
 
@@ -289,8 +290,16 @@ class TestChooseVarSubset:
         f = CnfFormula([[5], [5, 6], [6, 7]])
         assert choose_var_subset(f, 1) == (5,)
 
-    def test_all_zero_coverage_takes_smallest_id(self):
-        f = CnfFormula([[5, 6], [5, 7]])
+    def test_one_unit_outweighs_more_2_literal_clauses(self):
+        f = CnfFormula([[7], [-7, 1, 2], [1, 3], [1, 4], [1, 5]])
+        assert choose_var_subset(f, 1) == (7,)
+
+    def test_2_literal_clauses_outweigh_longer_ones(self):
+        f = CnfFormula([[1, 2], [3, 4, 5], [3, 4, -5], [3, -4, 5]])
+        assert choose_var_subset(f, 1) == (1,)
+
+    def test_ties_take_smallest_id(self):
+        f = CnfFormula([[7, 8], [5, 6]])
         assert choose_var_subset(f, 1) == (5,)
 
     def test_block_capped_by_universe(self):

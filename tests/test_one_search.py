@@ -26,6 +26,7 @@ from cofsat import (
     var_partition_decompose,
 )
 from cofsat.allsat import _count_and_least
+from cofsat.cnf import _models
 from cofsat.decompose import _clause_branch_cubes, _var_partition_cubes
 
 from helpers import brute_force_rows, random_formula
@@ -163,6 +164,18 @@ class TestEdgeCases:
         f = chain(n)
         assert one_search(f, pivot, n0) == tree_answer(f, pivot, n0) == (
             fib[n + 2], least)
+
+
+def test_vars_base_stops_few_more_cubes_than_a_free_search():
+    # Blocks ranked by occurrences in the shortest clauses hold the
+    # variables the search would branch on first, so taking them as the
+    # first branchings costs few extra cubes; blocks that maximised the
+    # clauses inside them stopped up to 3.7 times as many at this size.
+    rng = random.Random(1)
+    for _ in range(10):
+        f = random_formula(rng, 30, 90)
+        free = len(_models(f.to_ints(), f.universe))
+        assert len(list(_var_partition_cubes(f, 8))) <= 1.5 * free
 
 
 class TestSameBlocksAsTheTree:

@@ -5,7 +5,7 @@ Clause-pivot mode branches on the 2^k - 1 partial assignments that satisfy
 one pivot clause; every branch is a smaller CNF, and the original formula
 is satisfiable iff some branch is.  Those branches overlap; the k branches
 l1, l1'l2, ..., l1'...l(k-1)'lk are an orthonormal base of the same clause,
-disjoint and covering it, and they are what the solver builds and works on.
+disjoint and covering it, and they are the solver's first branchings.
 Variable-partition mode instead peels
 off a block of at most n0 variables per level until every live leaf is
 small.  A closed-form model estimates the cost of the latter.

@@ -8,18 +8,19 @@ cross-check each other.
 
 ``_count_and_least`` is the one rule that sums cubes and takes the least
 one.  The CLI applies it to the cubes of one search of the root, for
-``--mode count`` and ``--mode sat``, which build no tree.
+``--mode count`` and ``--mode sat``, which build no tree; ``--mode allsat
+--pivot clause`` expands the same cubes to rows (``cnf._cube_rows``).
 ``count_and_witness`` applies it to each live leaf of a tree and maps the
 leaf minima to root rows.  ``all_solutions`` and ``solve_leaf`` expand a
 formula's cubes to rows, and ``gather`` reassembles the root-level
-solution set of ``--mode allsat`` from those per-leaf rows: each leaf's
-rows are moved to their root positions together with the leaf's prefix
-in one bit scatter, widened over any variables the branch left
-unconstrained, then sorted into one canonical set.  Both read the live
-leaves of a tree (``DecompositionTree.leaves``): of a variable-partition
-tree, or of a clause pivot's k orthonormal branches l1; -l1 l2; ...;
--l1 ... -l(k-1) lk (``clause_branch_tree``).  Their models are disjoint,
-so counts add and no row is built twice.
+solution set of ``--mode allsat --pivot vars`` from those per-leaf rows:
+each leaf's rows are moved to their root positions together with the
+leaf's prefix in one bit scatter, widened over any variables the branch
+left unconstrained, then sorted into one canonical set.  Both read the
+live leaves of a tree (``DecompositionTree.leaves``): of a
+variable-partition tree, or of a clause pivot's k orthonormal branches
+l1; -l1 l2; ...; -l1 ... -l(k-1) lk (``clause_branch_tree``).  Their
+models are disjoint, so counts add and no row is built twice.
 """
 
 from __future__ import annotations

@@ -1,19 +1,20 @@
 """Command-line driver: parse DIMACS, decompose, solve, gather.
 
-``--mode count`` and ``--mode sat`` build no tree: one search of the root
-(``cnf._search``) takes the pivot's base as its first branchings, solves
-each leaf in the frame that made it, and hands back cubes over the root
-universe, whose count and least model ``allsat._count_and_least`` reads.
-On a clause pivot the base is the k orthonormal branches of the pivot
-clause (``decompose._clause_branch_cubes``), on ``--pivot vars`` the
-blocks of the propagated variable-partition tree
-(``decompose._var_partition_cubes``).  The other two modes still build
-trees, from the one builder of ``decompose``.  ``--mode allsat`` solves
-the live leaves of ``clause_branch_tree`` or of
-``var_partition_decompose(..., propagate=True)`` to rows and gathers
-them: ``gather`` refuses an oversized output with a message stated from
-the leaves' row counts, and ``parallel_leaf_solve`` hands each leaf on as
-a work item, so moving allsat onto the one search is left for later.
+``--mode count``, ``--mode sat`` and ``--mode allsat --pivot clause``
+build no tree: one search of the root (``cnf._search``) takes the pivot's
+base as its first branchings, solves each leaf in the frame that made
+it, and hands back cubes over the root universe.  ``count`` and ``sat``
+read their count and least model (``allsat._count_and_least``); allsat
+expands them to rows as they come (``cnf._cube_rows``), and refuses an
+output of more than ``2**cnf.MAX_ENUM_VARS`` rows once the running total
+passes it.  On a clause pivot the base is the k orthonormal branches of
+the pivot clause (``decompose._clause_branch_cubes``), on ``--pivot
+vars`` the blocks of the propagated variable-partition tree
+(``decompose._var_partition_cubes``).  ``--mode allsat --pivot vars``
+still builds that tree (``var_partition_decompose(..., propagate=True)``),
+solves its live leaves to rows and gathers them: ``gather`` refuses an
+oversized output with a message stated from the leaves' row counts, and
+``parallel_leaf_solve`` hands each leaf on as a work item.
 ``--mode decompose`` prints, and nothing solves, the 2**k - 1
 overlapping branches of ``clause_pivot_decompose`` (``clause_pivot_tree``,
 the one rule defined here), or the tree with one child per allowed block
@@ -45,7 +46,7 @@ from itertools import islice
 
 from .allsat import LeafResult, _count_and_least, gather, solve_leaf
 from .cnf import (CnfFormula, DimacsParseError, NormalizationWarning,
-                  SolutionSet, parse_dimacs, to_truth_table)
+                  SolutionSet, _cube_rows, parse_dimacs, to_truth_table)
 from .decompose import (
     SOLVABLE,
     TRIVIAL,
@@ -53,7 +54,6 @@ from .decompose import (
     _clause_branch_cubes,
     _grow,
     _var_partition_cubes,
-    clause_branch_tree,
     clause_pivot_decompose,
     var_partition_decompose,
 )
@@ -216,18 +216,22 @@ def run(config: RunConfig, out: IO[str] | None = None,
 
         # ``solutions`` holds the rows the mode prints: every row for
         # allsat, the least model for sat (and count, which prints none).
-        if config.mode == "allsat":
-            tree = (var_partition_decompose(formula, config.n0, propagate=True)
-                    if vars_pivot
-                    else clause_branch_tree(formula, config.pivot_clause))
+        if config.mode == "allsat" and vars_pivot:
+            # Its spans: bench/test_bench.py::test_tracer_spans_a_real_run
+            tree = var_partition_decompose(formula, config.n0, propagate=True)
             solutions = gather(tree, parallel_leaf_solve(tree, config.jobs))
             count = solutions.count
-        else:  # count and sat read the cubes of one search: no tree, no rows
+        else:  # the cubes of one search: no tree
             cubes = (_var_partition_cubes(formula, config.n0) if vars_pivot
                      else _clause_branch_cubes(formula, config.pivot_clause))
-            count, least = _count_and_least(cubes, formula.num_vars)
-            solutions = SolutionSet(formula.universe,
-                                    () if least is None else (least,))
+            if config.mode == "allsat":
+                solutions = SolutionSet(formula.universe, _cube_rows(
+                    cubes, formula.num_vars, "output"))
+                count = solutions.count
+            else:  # no rows but the least
+                count, least = _count_and_least(cubes, formula.num_vars)
+                solutions = SolutionSet(formula.universe,
+                                        () if least is None else (least,))
     except ValueError as exc:  # includes capacity errors
         print(f"error: {exc}", file=err)
         return EXIT_ERROR

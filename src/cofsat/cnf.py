@@ -21,19 +21,20 @@ rows: a cube ``(bits, fixed)`` is the values the search fixed on one
 branch and the mask of which variables it fixed, and it stands for every
 row that agrees with it.  The cubes are disjoint, so callers count them
 without building rows, take the least row of a cube (its free bits 0), or
-expand them with ``_model_rows``, which stops once they hold more than
-``2**MAX_ENUM_VARS`` rows: leaf solving and the X1 enumeration of the
-decomposition tree that ``--mode decompose`` prints.  Restricted to a
+expand them with ``_cube_rows``, which stops once they hold more than
+``2**MAX_ENUM_VARS`` rows: ``_model_rows`` for leaf solving and the X1
+enumeration of the decomposition tree that ``--mode decompose`` prints,
+and ``--mode allsat --pivot clause`` for the root.  Restricted to a
 block of variables, the search stops each branch once no clause left
 holds an unset block variable and hands back the clauses left: the
-children of the variable-partition tree that ``--mode allsat`` solves.
-Given a rule for the next block, it goes on from each such branch
-instead, so one search runs a whole decomposition and solves each leaf
-in the frame that made it: ``--mode count`` and ``--mode sat``.  It sets
-the root's unit clauses in one pass and indexes the clauses left by
-literal, so each later unit touches only the clauses that hold its
-variable; a frame then branches on the held variable in the most
-2-literal clauses.
+children of the variable-partition tree that ``--mode allsat --pivot
+vars`` solves.  Given a rule for the next block, it goes on from each
+such branch instead, so one search runs a whole decomposition and solves
+each leaf in the frame that made it: ``--mode count``, ``--mode sat`` and
+``--mode allsat --pivot clause``.  It sets the root's unit clauses in one
+pass and indexes the clauses left by literal, so each later unit touches
+only the clauses that hold its variable; a frame then branches on the
+held variable in the most 2-literal clauses.
 ``substitute`` reduces one bound literal at a time with ``_reduce``.
 """
 
@@ -68,8 +69,8 @@ __all__ = [
     "to_truth_table",
 ]
 
-# Most rows expanded are 2**MAX_ENUM_VARS: by ``_model_rows`` for one
-# formula, and by ``allsat.gather`` for a tree.
+# Most rows expanded are 2**MAX_ENUM_VARS: by ``_cube_rows`` for one
+# search, and by ``allsat.gather`` for a tree.
 MAX_ENUM_VARS = 20
 
 
@@ -614,20 +615,26 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     first block too.
 
     Backtracking search over an explicit stack, so its depth is not bounded
-    by the interpreter's recursion limit.  The root's unit clauses are set
-    in one pass over the clauses, and the clauses left are indexed by
-    literal.  A frame owns a list of them, one slot per clause: a satisfied
-    clause is an empty slot, and setting a literal touches only the clauses
-    that hold it or its negation.  Each frame sets its unit literals until
-    none is left or a clause is falsified.  It then branches, False first,
-    on the held block variable occurring in the most 2-literal clauses
-    (ties to the first such variable in clause order), or, with none in a
+    by the interpreter's recursion limit.  When ``over`` is 1..n, as every
+    parsed root universe is, bit j is variable j + 1 and no map of the
+    universe is built.  The root's unit clauses are set in one pass over
+    the clauses, and the clauses left are indexed by literal.  A frame
+    owns a list of them, one slot per clause: a satisfied clause is an
+    empty slot, and setting a literal touches only the clauses that hold
+    it or its negation.  Each frame sets its unit literals until none is
+    left or a clause is falsified.  It then branches, False first, on the
+    held block variable occurring in the most 2-literal clauses (ties to
+    the first such variable in clause order), or, with none in a
     2-literal clause, on the smallest held one.  It counts only the slots
     it lists as 2-literal (the root's, and each that a cut leaves with two
     literals), in one pass into a plain dict; one branch takes a copy of
     both lists.
     """
-    position = {v: j for j, v in enumerate(over)}
+    width = len(over)
+    # None: bit j is variable j + 1.
+    position = (None if width and over[-1] == width
+                and all(map(operator.eq, over, range(1, width + 1)))
+                else {v: j for j, v in enumerate(over)})
     if block is not None:
         block = _both_literals(block)
     clauses = list(clauses)
@@ -641,7 +648,8 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     for lit in units:
         if -lit in units:
             return
-        bit = 1 << position[abs(lit)]
+        var = abs(lit)
+        bit = 1 << (var - 1 if position is None else position[var])
         fixed |= bit
         if lit > 0:
             bits |= bit
@@ -676,7 +684,8 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
         clauses, units, binary, bits, fixed, block = stack.pop()
         while units:
             lit = units.pop()
-            bit = 1 << position[abs(lit)]
+            var = abs(lit)
+            bit = 1 << (var - 1 if position is None else position[var])
             if fixed & bit:
                 # Set already, and to this value: the other value would
                 # have falsified the clause that made this unit.
@@ -749,22 +758,31 @@ def _model_rows(clauses: Iterable[tuple[int, ...]], over: Sequence[int]
                 ) -> list[int]:
     """Rows (bit j = value of ``over[j]``) of every assignment over
     ``over`` satisfying the int clauses, each once: the cubes of
-    ``_models`` expanded over their free bits, in search order.
+    ``_search`` expanded by ``_cube_rows``, in search order, capped as
+    ``enumeration capped at ...``."""
+    return _cube_rows(((bits, fixed) for bits, fixed, _ in _search(
+        clauses, over)), len(over), "enumeration")
 
-    The rows are counted cube by cube as the search finds them: once the
-    count passes ``2**MAX_ENUM_VARS``, ``CapacityError`` is raised, stated
-    as powers of two, before that cube is expanded.  So the cap bounds
-    the rows, not the width: a formula of any width with few models
-    expands.
+
+def _cube_rows(cubes: Iterable[tuple[int, int]], width: int, what: str
+               ) -> list[int]:
+    """The rows over ``width`` variables of the disjoint cubes ``(bits,
+    fixed)``, each cube expanded over its free bits, in cube order.
+
+    The rows are counted cube by cube as they come: once the count passes
+    ``2**MAX_ENUM_VARS``, ``CapacityError`` (``"<what> capped at ..."``)
+    is raised, stated as powers of two, before that cube is expanded or
+    a later one drawn.  So the cap bounds the rows, not the width: a
+    formula of any width with few models expands, and a search that
+    makes the cubes stops at the first one past the cap.
     """
-    width = len(over)
     rows: list[int] = []
-    for bits, fixed, _ in _search(clauses, over):
+    for bits, fixed in cubes:
         count = len(rows) + (1 << width - fixed.bit_count())
         if count > 1 << MAX_ENUM_VARS:
             raise CapacityError(
-                f"enumeration capped at 2**{MAX_ENUM_VARS} rows, formula "
-                f"has at least 2**{count.bit_length() - 1} models")
+                f"{what} capped at 2**{MAX_ENUM_VARS} rows, formula has at "
+                f"least 2**{count.bit_length() - 1} models")
         # Visit only the (at most MAX_ENUM_VARS) free bits, lowest first:
         # shifting a wide ``fixed`` once per variable is quadratic.
         unfixed = ~fixed & (1 << width) - 1

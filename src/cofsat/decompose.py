@@ -10,21 +10,22 @@ bindings to its parent's prefix.  The rules:
 
 * ``clause_branch_tree``: a pivot clause (l1 ... lk) expands over the
   orthonormal base l1; -l1 l2; ...; -l1 ... -l(k-1) lk, the k disjoint
-  branches that solving reads.  ``clause_pivot_decompose`` keeps the
-  paper's 2**k - 1 overlapping branches, one per partial assignment of
-  the clause: the input is satisfiable iff at least one of them is.
+  branches whose models solving reads.  ``clause_pivot_decompose`` keeps
+  the paper's 2**k - 1 overlapping branches, one per partial assignment
+  of the clause: the input is satisfiable iff at least one of them is.
 * ``var_partition_decompose``: a node of more than ``n0`` variables
   expands over an orthonormal base of a block X1 of them.  ``--mode
-  allsat`` takes the base from the search (``propagate=True``): the
-  branches over X1 that unit propagation leaves standing.  The tree that
-  ``--mode decompose`` prints takes the finest base, one edge per allowed
-  X1 row.
+  allsat --pivot vars`` takes the base from the search
+  (``propagate=True``): the branches over X1 that unit propagation
+  leaves standing.  The tree that ``--mode decompose`` prints takes the
+  finest base, one edge per allowed X1 row.
 
 The live leaves of both trees partition the root's models: their counts
 add and no model is found twice.  ``--mode count`` and ``--mode sat``
-build neither tree: ``_clause_branch_cubes`` and ``_var_partition_cubes``
-run one search of the root whose first branchings are the same bases,
-solve each leaf in the frame that made it, and hand back its cubes.
+build neither tree, nor does ``--mode allsat --pivot clause``:
+``_clause_branch_cubes`` and ``_var_partition_cubes`` run one search of
+the root whose first branchings are the same bases, solve each leaf in
+the frame that made it, and hand back its cubes.
 
 Each tree node holds an immutable WorkItem (prefix assignment + reduced
 formula) that can be shipped to any worker.  A simple closed-form cost
@@ -260,8 +261,8 @@ def clause_pivot_decompose(
 
 def clause_branch_tree(formula: CnfFormula, pivot_index: int) -> DecompositionTree:
     """The k orthonormal branches of the pivot clause (l1 ... lk), as a
-    one-level tree whose leaves are disjoint: what ``--mode allsat``
-    solves.
+    one-level tree whose leaves are disjoint: the base whose models
+    ``_clause_branch_cubes`` finds in one search.
 
     Node i (1 <= i <= k; li's singleton branch is item i - 1 of
     ``clause_pivot_decompose``) has prefix -l1 ... -l(i-1) li and the root
@@ -436,9 +437,9 @@ def var_partition_decompose(formula: CnfFormula, n0: int, *,
     By default (the tree ``--mode decompose`` prints) the base is the
     finest one, the row rule ``_row_children``: one edge per X1
     assignment that the only-X1 clauses allow, in ascending bit order.
-    With ``propagate`` (the tree that ``allsat`` solves, and whose
-    cubes ``_var_partition_cubes`` finds in one search for ``sat`` and
-    ``count``) the base comes from the search itself, the rule
+    With ``propagate`` (the tree that ``allsat --pivot vars`` solves, and
+    whose cubes ``_var_partition_cubes`` finds in one search for ``sat``
+    and ``count``) the base comes from the search itself, the rule
     ``_propagated_children``: one edge per branch over X1 that unit
     propagation leaves standing, so refuted branches cost no node.
     """

@@ -21,7 +21,7 @@ from cofsat import (
     to_truth_table,
     var_partition_decompose,
 )
-from cofsat import allsat
+from cofsat import allsat, cnf
 from cofsat.cli import EXIT_SAT, RunConfig, run
 from cofsat.decompose import DecompositionTree, TreeNode
 
@@ -240,17 +240,19 @@ class TestGather:
                                                    monkeypatch):
         # (1 2 3 4 5 6) over 16 variables has 2**16 - 2**10 models.  Its 63
         # overlapping branches hold about 681k rows; its 6 orthonormal
-        # branches hold exactly the 64,512 that get printed.
+        # branches hold exactly the 64,512 that get printed.  allsat reads
+        # the branches' cubes from one search of the root and expands them
+        # in ``cnf._cube_rows``, whose ``_scatter`` builds every row.
         path = tmp_path / "wide_clause.cnf"
         path.write_text("p cnf 16 1\n1 2 3 4 5 6 0\n")
-        scatter, built = allsat._scatter, []
+        scatter, built = cnf._scatter, []
 
         def counting_scatter(*args):
             rows = scatter(*args)
             built.append(len(rows))
             return rows
 
-        monkeypatch.setattr(allsat, "_scatter", counting_scatter)
+        monkeypatch.setattr(cnf, "_scatter", counting_scatter)
         out, err = io.StringIO(), io.StringIO()
         status = run(RunConfig(str(path), mode="allsat",
                                pivot_strategy="clause"), out=out, err=err)

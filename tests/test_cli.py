@@ -325,10 +325,13 @@ class TestVerify:
 
     @staticmethod
     def _forbid(monkeypatch, *names):
+        """Make each name fail when called: a dotted name is a path, any
+        other a name of ``cofsat.cli``."""
         def refuse(*args, **kwargs):
             raise AssertionError("this mode must not call that solver")
         for name in names:
-            monkeypatch.setattr(f"cofsat.cli.{name}", refuse)
+            monkeypatch.setattr(
+                name if "." in name else f"cofsat.cli.{name}", refuse)
 
     @pytest.mark.parametrize("mode", ["count", "sat"])
     @pytest.mark.parametrize("output_format", ["text", "json"])
@@ -336,8 +339,8 @@ class TestVerify:
                                                 output_format):
         # One search of the root: no tree is built, no leaf solved.
         self._forbid(monkeypatch, "gather", "parallel_leaf_solve",
-                     "var_partition_decompose", "clause_branch_tree",
-                     "clause_pivot_tree")
+                     "var_partition_decompose", "clause_pivot_tree",
+                     "cofsat.decompose.clause_branch_tree")
         path = str(GOLDEN / "example2.cnf")
         for pivot in ("vars", "clause"):
             plain = run_capture(RunConfig(path, mode=mode, pivot_strategy=pivot,
@@ -346,6 +349,28 @@ class TestVerify:
             assert run_capture(RunConfig(
                 path, mode=mode, pivot_strategy=pivot, n0=2, verify=True,
                 output_format=output_format)) == plain
+
+    @pytest.mark.parametrize("output_format", ["text", "json"])
+    def test_clause_allsat_verifies_the_cube_path(self, monkeypatch,
+                                                  output_format):
+        # The rows come from the cubes of one search of the root: no tree
+        # is built, no leaf solved, nothing gathered.
+        self._forbid(monkeypatch, "gather", "parallel_leaf_solve",
+                     "solve_leaf", "var_partition_decompose",
+                     "clause_pivot_tree",
+                     "cofsat.decompose.clause_branch_tree")
+        path = str(GOLDEN / "example2.cnf")
+        want = all_solutions(example2_formula())
+        plain = run_capture(RunConfig(path, mode="allsat",
+                                      pivot_strategy="clause",
+                                      output_format=output_format))
+        if output_format == "text":
+            assert plain == (EXIT_SAT, want.to_text(), "")
+        else:
+            assert json.loads(plain[1])["count"] == want.count == 9
+        assert run_capture(RunConfig(
+            path, mode="allsat", pivot_strategy="clause", verify=True,
+            output_format=output_format)) == plain
 
     @pytest.mark.parametrize("mode", ["count", "sat"])
     @pytest.mark.parametrize("wrong", ["count", "least"])

@@ -347,6 +347,60 @@ def _pair_chain(n):
         f"{i} {i + 1} 0\n" for i in range(1, n))
 
 
+def test_clause_allsat_stops_the_search_at_the_cap(tmp_path):
+    # chain46 has 4,807,526,976 models.  allsat counts the rows of each
+    # cube of the one search as it comes and stops at the first cube past
+    # 2**20 rows: totalling every cube first took 3.9 s here.
+    path = tmp_path / "chain46.cnf"
+    path.write_text(_pair_chain(46))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cofsat.cli", "--input", str(path),
+         "--mode", "allsat", "--pivot", "clause"],
+        capture_output=True, text=True, timeout=30, env=_child_env(),
+        preexec_fn=_limit_small_memory)
+    seconds = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_ERROR, "", "error: output capped at 2**20 rows, formula has at "
+        "least 2**20 models\n")
+    assert seconds < 2
+
+
+_PEAK = """
+import io, json, re, sys
+from cofsat.cli import RunConfig, run
+out, err = io.StringIO(), io.StringIO()
+status = run(RunConfig(sys.argv[1], mode="count", pivot_strategy=sys.argv[2]),
+             out=out, err=err)
+with open("/proc/self/status") as proc_status:
+    peak_kb = int(re.search(r"VmHWM:\\s*(\\d+) kB",
+                            proc_status.read()).group(1))
+print(json.dumps([status, out.getvalue(), err.getvalue(), peak_kb]))
+"""
+
+
+@pytest.mark.parametrize("pivot", ["vars", "clause"])
+def test_million_variable_header_counts_without_a_map_of_the_universe(
+        tmp_path, pivot):
+    # The one search reads variable v at bit v - 1 of a root over 1..n, so
+    # a 12-byte file declaring a million variables builds no dict over
+    # them: about 101 MB peak, against 133 MB with the map.
+    path = tmp_path / "header.cnf"
+    path.write_text("p cnf 1000000 1\n1 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK, str(path), pivot],
+        capture_output=True, text=True, timeout=60, env=_child_env())
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    status, out, err, peak_kb = json.loads(proc.stdout)
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        # 2**999999 has 301,030 decimal digits.
+        assert (status, out) == (EXIT_ERROR, "")
+        assert err.startswith("error: model count has more than ")
+    else:
+        assert (status, out, err) == (EXIT_SAT, f"{1 << 999999}\n", "")
+    assert peak_kb < 115 * 1024
+
+
 def test_chain26_at_n0_1_counts_and_finds_a_model_quickly(tmp_path):
     # At --n0 1 each frame of more than one unset variable asks for a
     # block of its own.  A block of the variable in the most 2-literal

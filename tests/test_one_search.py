@@ -1,4 +1,5 @@
-"""``--mode count`` and ``--mode sat`` solve in one search of the root.
+"""``--mode count``, ``--mode sat`` and ``--mode allsat --pivot clause``
+solve in one search of the root.
 
 ``decompose._var_partition_cubes`` and ``decompose._clause_branch_cubes``
 follow the base of the tree they replace (``var_partition_decompose(...,
@@ -6,9 +7,11 @@ propagate=True)`` and ``clause_branch_tree``) as the first branchings of
 one ``cnf._search``, and solve each leaf in the frame that made it.  The
 count and least model of their cubes (``allsat._count_and_least``, the rule
 ``count_and_witness`` applies to each leaf) must equal those of the tree
-and of the brute-force oracle of ``helpers``.
+and of the brute-force oracle of ``helpers``; so must the rows that
+``--mode allsat --pivot clause`` expands from the clause-pivot cubes.
 """
 
+import io
 import random
 import warnings
 from collections import Counter
@@ -22,10 +25,14 @@ from cofsat import (
     clause_branch_tree,
     count_and_witness,
     decompose,
+    emit_dimacs,
+    gather,
     parse_dimacs,
     var_partition_decompose,
 )
 from cofsat.allsat import _count_and_least
+from cofsat.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, RunConfig, run
+from cofsat.cli import parallel_leaf_solve
 from cofsat.cnf import _models
 from cofsat.decompose import _clause_branch_cubes, _var_partition_cubes
 
@@ -164,6 +171,38 @@ class TestEdgeCases:
         f = chain(n)
         assert one_search(f, pivot, n0) == tree_answer(f, pivot, n0) == (
             fib[n + 2], least)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_cnf())
+def test_clause_allsat_rows_match_the_tree_and_brute_force(tmp_path_factory,
+                                                           f):
+    # Every pivot index, and indices out of range: the CLI's rows come from
+    # the cubes of one search, the tree's from its solved and gathered
+    # leaves.  A formula with no clauses has no pivot, whatever the index.
+    f = parse_dimacs(emit_dimacs(f))  # the universe the CLI reads
+    path = tmp_path_factory.mktemp("cnf") / "f.cnf"
+    path.write_text(emit_dimacs(f))
+    m = len(f.to_ints())
+    want = brute_force_rows(f.to_ints(), f.universe)
+    for index in (*range(m), m, -1):
+        out, err = io.StringIO(), io.StringIO()
+        status = run(RunConfig(str(path), mode="allsat",
+                               pivot_strategy="clause", pivot_clause=index),
+                     out=out, err=err)
+        if m and not 0 <= index < m:
+            with pytest.raises(ValueError) as tree_error:
+                clause_branch_tree(f, index)
+            assert str(tree_error.value) == (
+                f"pivot index {index} out of range for {m} clauses")
+            assert (status, out.getvalue(), err.getvalue()) == (
+                EXIT_ERROR, "", f"error: {tree_error.value}\n")
+            continue
+        tree = clause_branch_tree(f, index)
+        gathered = gather(tree, parallel_leaf_solve(tree, 1))
+        assert list(gathered.rows) == want
+        assert (status, out.getvalue(), err.getvalue()) == (
+            EXIT_SAT if want else EXIT_UNSAT, gathered.to_text(), "")
 
 
 def test_vars_base_stops_few_more_cubes_than_a_free_search():

@@ -4,9 +4,9 @@
 Work items are immutable and self-contained, so they are independent:
 ``parallel_leaf_solve`` solves them one after another on the calling thread
 (a thread pool measured slower, because the pure-Python leaf search holds
-the GIL).  Gathering places each leaf's rows and its branch prefix at
-their root positions with one bit scatter, expands variables the branch
-never constrained, and canonicalizes, so the result does not depend on the
+the GIL).  Gathering joins each leaf's rows with its branch prefix as
+cubes over the root universe, expands variables the branch never
+constrained, and canonicalizes, so the result does not depend on the
 order in which the leaves were solved.
 """
 

@@ -4,17 +4,19 @@
 build no tree: one search of the root (``cnf._search``) takes the pivot's
 base as its first branchings, solves each leaf in the frame that made
 it, and hands back cubes over the root universe.  ``count`` and ``sat``
-read their count and least model (``allsat._count_and_least``); allsat
-expands them to rows as they come (``cnf._cube_rows``), and refuses an
-output of more than ``2**cnf.MAX_ENUM_VARS`` rows once the running total
-passes it.  On a clause pivot the base is the k orthonormal branches of
-the pivot clause (``decompose._clause_branch_cubes``), on ``--pivot
-vars`` the blocks of the propagated variable-partition tree
+read their count and least model (``allsat._count_and_least``); only
+``sat`` and ``allsat``, which print rows, build a ``SolutionSet``.  On a
+clause pivot the base is the k orthonormal branches of the pivot clause
+(``decompose._clause_branch_cubes``), on ``--pivot vars`` the blocks of
+the propagated variable-partition tree
 (``decompose._var_partition_cubes``).  ``--mode allsat --pivot vars``
 still builds that tree (``var_partition_decompose(..., propagate=True)``),
-solves its live leaves to rows and gathers them: ``gather`` refuses an
-oversized output with a message stated from the leaves' row counts, and
-``parallel_leaf_solve`` hands each leaf on as a work item.
+and ``parallel_leaf_solve`` hands each live leaf on as a work item;
+``gather`` joins the leaves' rows to their prefixes as cubes over the
+root universe.  On either pivot, allsat expands its cubes to rows as they
+come (``cnf._cube_rows``) and refuses an output of more than
+``2**cnf.MAX_ENUM_VARS`` rows at the first cube past the cap, stating the
+running total there.
 ``--mode decompose`` prints, and nothing solves, the 2**k - 1
 overlapping branches of ``clause_pivot_decompose`` (``clause_pivot_tree``,
 the one rule defined here), or the tree with one child per allowed block
@@ -214,24 +216,29 @@ def run(config: RunConfig, out: IO[str] | None = None,
                 out.write(tree.serialize())
             return EXIT_OK
 
-        # ``solutions`` holds the rows the mode prints: every row for
-        # allsat, the least model for sat (and count, which prints none).
-        if config.mode == "allsat" and vars_pivot:
-            # Its spans: bench/test_bench.py::test_tracer_spans_a_real_run
-            tree = var_partition_decompose(formula, config.n0, propagate=True)
-            solutions = gather(tree, parallel_leaf_solve(tree, config.jobs))
-            count = solutions.count
-        else:  # the cubes of one search: no tree
+        # ``rows`` holds the rows the mode prints: every row for allsat,
+        # the least model for sat (and count, which prints none).  Only
+        # the modes that print rows build a ``SolutionSet`` of them.
+        if config.mode == "allsat":
+            if vars_pivot:
+                # Its spans: bench/test_bench.py::test_tracer_spans_a_real_run
+                tree = var_partition_decompose(formula, config.n0,
+                                               propagate=True)
+                solutions = gather(tree, parallel_leaf_solve(tree,
+                                                             config.jobs))
+            else:  # the cubes of one search: no tree
+                solutions = SolutionSet(formula.universe, _cube_rows(
+                    _clause_branch_cubes(formula, config.pivot_clause),
+                    formula.num_vars, "output"))
+            rows = solutions.rows
+            count = len(rows)
+        else:  # the cubes of one search, no tree and no rows but the least
             cubes = (_var_partition_cubes(formula, config.n0) if vars_pivot
                      else _clause_branch_cubes(formula, config.pivot_clause))
-            if config.mode == "allsat":
-                solutions = SolutionSet(formula.universe, _cube_rows(
-                    cubes, formula.num_vars, "output"))
-                count = solutions.count
-            else:  # no rows but the least
-                count, least = _count_and_least(cubes, formula.num_vars)
-                solutions = SolutionSet(formula.universe,
-                                        () if least is None else (least,))
+            count, least = _count_and_least(cubes, formula.num_vars)
+            rows = () if least is None else (least,)
+            if config.mode == "sat":
+                solutions = SolutionSet(formula.universe, rows)
     except ValueError as exc:  # includes capacity errors
         print(f"error: {exc}", file=err)
         return EXIT_ERROR
@@ -241,8 +248,8 @@ def run(config: RunConfig, out: IO[str] | None = None,
               f"{MAX_VARS}", file=err)
     elif config.verify:
         table = to_truth_table(formula)
-        if (count != table.support_size or solutions.rows
-                != tuple(islice(table.support(), len(solutions.rows)))):
+        if (count != table.support_size
+                or rows != tuple(islice(table.support(), len(rows)))):
             print(f"error: verification mismatch: solver found {count} "
                   f"solutions, oracle found {table.support_size}", file=err)
             return EXIT_ERROR

@@ -24,18 +24,18 @@ without building rows, take the least row of a cube (its free bits 0), or
 expand them with ``_cube_rows``, which stops once they hold more than
 ``2**MAX_ENUM_VARS`` rows: ``_model_rows`` for leaf solving and the X1
 enumeration of the decomposition tree that ``--mode decompose`` prints,
-and ``--mode allsat --pivot clause`` for the root.  Restricted to a
-block of variables, the search stops each branch once no clause left
-holds an unset block variable and hands back the clauses left: the
-children of the variable-partition tree that ``--mode allsat --pivot
-vars`` solves.  Given a rule for the next block, it goes on from each
+``--mode allsat --pivot clause`` for the root, and ``allsat.gather`` for
+the cubes of a tree's leaves.  Restricted to a block of variables, the
+search stops each branch once no clause left holds an unset block
+variable and hands back the clauses left: the children of the
+variable-partition tree that ``--mode allsat --pivot vars`` solves.
+Given a rule for the next block, it goes on from each
 such branch instead, so one search runs a whole decomposition and solves
 each leaf in the frame that made it: ``--mode count``, ``--mode sat`` and
 ``--mode allsat --pivot clause``.  It sets the root's unit clauses in one
 pass and indexes the clauses left by literal, so each later unit touches
 only the clauses that hold its variable; a frame then branches on the
 held variable in the most 2-literal clauses.
-``substitute`` reduces one bound literal at a time with ``_reduce``.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ __all__ = [
     "to_truth_table",
 ]
 
-# Most rows expanded are 2**MAX_ENUM_VARS: by ``_cube_rows`` for one
-# search, and by ``allsat.gather`` for a tree.
+# Most rows expanded are 2**MAX_ENUM_VARS, by ``_cube_rows``: from the
+# cubes of one search, or of a tree's leaves in ``allsat.gather``.
 MAX_ENUM_VARS = 20
 
 
@@ -556,18 +556,27 @@ def substitute(
 ) -> CnfFormula | None:
     """Reduce a formula under a partial assignment.
 
-    Each bound literal is set in turn by ``_reduce``, one pass over the
-    clauses left: satisfied clauses are dropped, falsified literals
-    removed.  Surviving duplicates are then merged, first occurrence kept.
-    A clause losing all its literals means the reduced formula is
-    unsatisfiable: ``None`` is returned.  The universe of the result is
-    the unbound remainder of the input universe.
+    Each bound literal is set in turn, one pass over the clauses left:
+    satisfied clauses are dropped, falsified literals removed.  Surviving
+    duplicates are then merged, first occurrence kept.  A clause losing
+    all its literals means the reduced formula is unsatisfiable: ``None``
+    is returned.  The universe of the result is the unbound remainder of
+    the input universe.
     """
     clauses = formula._clauses
     for var, value in bindings.items():
-        clauses = _reduce(clauses, var if value else -var)
-        if clauses is None:
-            return None
+        lit = var if value else -var
+        neg = -lit
+        kept = []
+        for clause in clauses:
+            if lit in clause:
+                continue
+            if neg in clause:
+                if len(clause) == 1:
+                    return None
+                clause = tuple([x for x in clause if x != neg])
+            kept.append(clause)
+        clauses = kept
     remaining = tuple(v for v in formula._universe if v not in bindings)
     return CnfFormula._normalized(tuple(dict.fromkeys(clauses)), remaining)
 
@@ -793,24 +802,6 @@ def _cube_rows(cubes: Iterable[tuple[int, int]], width: int, what: str
             unfixed ^= low
         rows.extend(_scatter((0,), (), free, bits))
     return rows
-
-
-def _reduce(clauses: Sequence[tuple[int, ...]], lit: int
-            ) -> list[tuple[int, ...]] | None:
-    """The clauses with ``lit`` set true: satisfied clauses dropped,
-    ``-lit`` cut from the rest; None when a clause loses its last
-    literal."""
-    out = []
-    neg = -lit
-    for clause in clauses:
-        if lit in clause:
-            continue
-        if neg in clause:
-            if len(clause) == 1:
-                return None
-            clause = tuple([x for x in clause if x != neg])
-        out.append(clause)
-    return out
 
 
 def _scatter(rows: Iterable[int], targets: Sequence[int],

@@ -42,7 +42,6 @@ from .cnf import (
     CnfFormula,
     PartialAssignment,
     _model_rows,
-    _reduce,
     _search,
     partial_assignments,
     substitute,
@@ -266,36 +265,21 @@ def clause_branch_tree(formula: CnfFormula, pivot_index: int) -> DecompositionTr
 
     Node i (1 <= i <= k; li's singleton branch is item i - 1 of
     ``clause_pivot_decompose``) has prefix -l1 ... -l(i-1) li and the root
-    reduced by it; a branch the prefix falsifies is a dead leaf.  The
-    root reduced by -l1 ... -l(i-1) is carried from branch to branch, one
-    ``_reduce`` pass per literal but the last, and each live branch is
-    one ``substitute`` of it by li, so a k-literal pivot costs at most
-    2k - 1 clause passes.  The branches' models partition the root's, so
-    their counts add.  A formula with no clauses has no pivot: its tree
-    is the root alone, a trivial leaf, whatever ``pivot_index`` says.  An
-    out-of-range index raises ``ValueError``.
+    reduced by it, one ``substitute`` of the root per branch; a branch the
+    prefix falsifies is a dead leaf.  The branches' models partition the
+    root's, so their counts add.  A formula with no clauses has no pivot:
+    its tree is the root alone, a trivial leaf, whatever ``pivot_index``
+    says.  An out-of-range index raises ``ValueError``.
     """
     def split(f: CnfFormula, depth: int) -> list | None:
         if depth:
             return None
         edges = []
         negated: dict[int, bool] = {}
-        # The root under the negations so far, None once they falsify a
-        # clause; its duplicates are merged by the ``substitute`` that
-        # reads it.
-        clauses = f.to_ints()
-        universe = f.universe
-        pivot = _pivot_clause(f, pivot_index)
-        for lit in pivot:
-            var = abs(lit)
-            reduced = None if clauses is None else substitute(
-                CnfFormula._normalized(tuple(clauses), universe),
-                {var: lit > 0})
-            edges.append(({**negated, var: lit > 0}, reduced))
-            negated[var] = lit < 0
-            if clauses is not None and len(negated) < len(pivot):
-                clauses = _reduce(clauses, -lit)
-                universe = tuple([v for v in universe if v != var])
+        for lit in _pivot_clause(f, pivot_index):
+            bindings = {**negated, abs(lit): lit > 0}
+            edges.append((bindings, substitute(f, bindings)))
+            negated[abs(lit)] = lit < 0
         return edges
 
     return _grow(formula, split)

@@ -21,7 +21,7 @@ from cofsat import (
     to_truth_table,
     var_partition_decompose,
 )
-from cofsat import allsat, cnf
+from cofsat import cnf
 from cofsat.cli import EXIT_SAT, RunConfig, run
 from cofsat.decompose import DecompositionTree, TreeNode
 
@@ -227,7 +227,7 @@ class TestGather:
     def test_cap_counts_overlapping_rows_once(self, monkeypatch):
         # One clause (1 2 3) has 14 models over 4 variables: its 7 printed
         # branches hold 38 rows, its 3 orthonormal branches exactly 14.
-        monkeypatch.setattr(allsat, "MAX_ENUM_VARS", 4)
+        monkeypatch.setattr(cnf, "MAX_ENUM_VARS", 4)
         tree = clause_branch_tree(CnfFormula([[1, 2, 3]], universe=range(1, 5)), 0)
         assert gather(tree, []).count == 14
         tree = clause_branch_tree(CnfFormula([[1, 2, 3]], universe=range(1, 6)), 0)

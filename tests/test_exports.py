@@ -39,9 +39,9 @@ def test_lazy_names_are_the_originals():
 
 
 def test_capacity_error_has_one_identity():
-    from cofsat import allsat, boolfn, cnf, limits
+    from cofsat import boolfn, cnf, limits
     assert cofsat.CapacityError is boolfn.CapacityError is cnf.CapacityError \
-        is allsat.CapacityError is limits.CapacityError
+        is limits.CapacityError
     assert boolfn.MAX_VARS is cnf.MAX_VARS is limits.MAX_VARS
 
 

@@ -6,9 +6,10 @@ follow the base of the tree they replace (``var_partition_decompose(...,
 propagate=True)`` and ``clause_branch_tree``) as the first branchings of
 one ``cnf._search``, and solve each leaf in the frame that made it.  The
 count and least model of their cubes (``allsat._count_and_least``, the rule
-``count_and_witness`` applies to each leaf) must equal those of the tree
-and of the brute-force oracle of ``helpers``; so must the rows that
-``--mode allsat --pivot clause`` expands from the clause-pivot cubes.
+``count_and_witness`` applies to the tree's cubes) must equal those of the
+tree and of the brute-force oracle of ``helpers``; so must the rows that
+``--mode allsat --pivot clause`` expands from the clause-pivot cubes, and
+the rows that ``--mode allsat --pivot vars`` gathers from the tree.
 """
 
 import io
@@ -22,6 +23,7 @@ from hypothesis import example, given, settings
 
 from cofsat import (
     CnfFormula,
+    SolutionSet,
     clause_branch_tree,
     count_and_witness,
     decompose,
@@ -33,7 +35,7 @@ from cofsat import (
 from cofsat.allsat import _count_and_least
 from cofsat.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, RunConfig, run
 from cofsat.cli import parallel_leaf_solve
-from cofsat.cnf import _models
+from cofsat.cnf import _cube_rows, _models
 from cofsat.decompose import _clause_branch_cubes, _var_partition_cubes
 
 from helpers import brute_force_rows, random_formula
@@ -203,6 +205,28 @@ def test_clause_allsat_rows_match_the_tree_and_brute_force(tmp_path_factory,
         assert list(gathered.rows) == want
         assert (status, out.getvalue(), err.getvalue()) == (
             EXIT_SAT if want else EXIT_UNSAT, gathered.to_text(), "")
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_cnf())
+def test_vars_allsat_rows_match_the_one_search_and_brute_force(
+        tmp_path_factory, f):
+    # The CLI gathers the solved leaves of the propagated tree; the cubes
+    # of one search that follows the same base, expanded by the same row
+    # rule, must give the same rows.
+    f = parse_dimacs(emit_dimacs(f))  # the universe the CLI reads
+    path = tmp_path_factory.mktemp("cnf") / "f.cnf"
+    path.write_text(emit_dimacs(f))
+    want = brute_force_rows(f.to_ints(), f.universe)
+    for n0 in N0S:
+        assert sorted(_cube_rows(_var_partition_cubes(f, n0), f.num_vars,
+                                 "output")) == want
+        out, err = io.StringIO(), io.StringIO()
+        status = run(RunConfig(str(path), mode="allsat", pivot_strategy="vars",
+                               n0=n0), out=out, err=err)
+        assert (status, out.getvalue(), err.getvalue()) == (
+            EXIT_SAT if want else EXIT_UNSAT,
+            SolutionSet(f.universe, want).to_text(), "")
 
 
 def test_vars_base_stops_few_more_cubes_than_a_free_search():

@@ -122,7 +122,7 @@ class TruthTable:
     @property
     def support_size(self) -> int:
         """Number of assignments at which the function is 1."""
-        return bin(self._bits).count("1")
+        return self._bits.bit_count()
 
     def support(self) -> Iterator[int]:
         """Yield the encoded assignments at which the function is 1, in

@@ -3,15 +3,22 @@
 ``--mode count``, ``--mode sat`` and ``--mode allsat --pivot clause``
 build no tree: one search of the root (``cnf._search``) takes the pivot's
 base as its first branchings, solves each leaf in the frame that made
-it, and hands back cubes over the root universe.  ``count`` and ``sat``
-read their count and least model (``allsat._count_and_least``); only
-``sat`` and ``allsat``, which print rows, build a ``SolutionSet``.  On a
-clause pivot the base is the k orthonormal branches of the pivot clause
+it, and hands back cubes over the root universe.  ``count``, and ``sat``
+with ``--format json`` or ``--verify``, read their count and least model
+(``allsat._count_and_least``); only ``sat`` and ``allsat``, which print
+rows, build a ``SolutionSet``.  On a clause pivot the base is the k
+orthonormal branches of the pivot clause
 (``decompose._clause_branch_cubes``), on ``--pivot vars`` the blocks of
 the propagated variable-partition tree
-(``decompose._var_partition_cubes``).  ``--mode allsat --pivot vars``
-still builds that tree (``var_partition_decompose(..., propagate=True)``),
-and ``parallel_leaf_solve`` hands each live leaf on as a work item;
+(``decompose._var_partition_cubes``).  Text ``sat`` without ``--verify``
+prints no count and checks none, so it searches from the root for the
+least model alone, on either pivot: the search drops every branch that
+cannot hold a model below the last one found (``_search(...,
+least=True)``).  The least model does not depend on the base, and a
+search that followed the base first pruned far less.
+``--mode allsat --pivot vars`` still builds that tree
+(``var_partition_decompose(..., propagate=True)``), and
+``parallel_leaf_solve`` hands each live leaf on as a work item;
 ``gather`` joins the leaves' rows to their prefixes as cubes over the
 root universe.  On either pivot, allsat expands its cubes to rows as they
 come (``cnf._cube_rows``) and refuses an output of more than
@@ -48,13 +55,15 @@ from itertools import islice
 
 from .allsat import LeafResult, _count_and_least, gather, solve_leaf
 from .cnf import (CnfFormula, DimacsParseError, NormalizationWarning,
-                  SolutionSet, _cube_rows, parse_dimacs, to_truth_table)
+                  SolutionSet, _cube_rows, _search, parse_dimacs,
+                  to_truth_table)
 from .decompose import (
     SOLVABLE,
     TRIVIAL,
     DecompositionTree,
     _clause_branch_cubes,
     _grow,
+    _pivot_clause,
     _var_partition_cubes,
     clause_pivot_decompose,
     var_partition_decompose,
@@ -232,6 +241,18 @@ def run(config: RunConfig, out: IO[str] | None = None,
                     formula.num_vars, "output"))
             rows = solutions.rows
             count = len(rows)
+        elif (config.mode == "sat" and config.output_format == "text"
+              and not config.verify):
+            # No count is printed or checked: the least model alone, from
+            # the root on either pivot.  The pivot index is still checked.
+            if not vars_pivot and not formula.is_empty:
+                _pivot_clause(formula, config.pivot_clause)
+            count = least = None
+            for least, _, _ in _search(formula.to_ints(), formula.universe,
+                                       least=True):
+                pass  # each model stopped is below the one before
+            rows = () if least is None else (least,)
+            solutions = SolutionSet(formula.universe, rows)
         else:  # the cubes of one search, no tree and no rows but the least
             cubes = (_var_partition_cubes(formula, config.n0) if vars_pivot
                      else _clause_branch_cubes(formula, config.pivot_clause))
@@ -254,7 +275,7 @@ def run(config: RunConfig, out: IO[str] | None = None,
                   f"solutions, oracle found {table.support_size}", file=err)
             return EXIT_ERROR
 
-    sat = count > 0
+    sat = bool(rows)
     status = "SATISFIABLE" if sat else "UNSATISFIABLE"
     if config.output_format == "json" or config.mode == "count":
         try:

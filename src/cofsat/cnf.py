@@ -35,7 +35,9 @@ each leaf in the frame that made it: ``--mode count``, ``--mode sat`` and
 ``--mode allsat --pivot clause``.  It sets the root's unit clauses in one
 pass and indexes the clauses left by literal, so each later unit touches
 only the clauses that hold its variable; a frame then branches on the
-held variable in the most 2-literal clauses.
+held variable in the most 2-literal clauses.  Asked for the least model
+only (text ``--mode sat``), it prunes every frame that cannot hold a
+model below the last one it stopped, so the last one is the least.
 """
 
 from __future__ import annotations
@@ -362,10 +364,15 @@ class SolutionSet:
 
     def to_text(self) -> str:
         """One row per line as 0-terminated signed literals."""
-        return "".join(
-            " ".join([*(str(lit) for lit in self.row_to_literals(row)), "0"])
-            + "\n"
-            for row in self._rows)
+        # A row is read a byte at a time: the text of each byte value at
+        # each byte position is made once, when a row first needs it.
+        size = (len(self._over) + 7) // 8
+        texts = _ByteTexts(self._over).__getitem__
+        keys = range(0, size << 8, 256)
+        return "".join([
+            "".join(map(texts, map(operator.or_, keys,
+                                   row.to_bytes(size, "little")))) + "0\n"
+            for row in self._rows])
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -389,6 +396,25 @@ class SolutionSet:
 
     def __reduce__(self) -> tuple:
         return type(self), (self._over, self._rows)
+
+
+class _ByteTexts(dict):
+    """The text of a row's bytes, filled as rows ask for it: key ``k << 8 |
+    byte`` maps to the signed literals of ``over[8k:8k + 8]`` under
+    ``byte``, each followed by a space."""
+
+    __slots__ = ("_over",)
+
+    def __init__(self, over: Sequence[int]):
+        self._over = over
+
+    def __missing__(self, key: int) -> str:
+        start = key >> 8 << 3
+        byte = key & 255
+        text = self[key] = "".join([
+            f"{v} " if byte >> j & 1 else f"-{v} "
+            for j, v in enumerate(self._over[start:start + 8])])
+        return text
 
 
 # -- DIMACS ---------------------------------------------------------------
@@ -601,6 +627,7 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
             block: Collection[int] | None = None,
             next_block: Callable[[int, int, list[tuple[int, ...]]],
                                  Collection[int] | None] | None = None,
+            least: bool = False,
             ) -> Iterator[tuple[int, int, list[tuple[int, ...]]]]:
     """The stopped frames ``(bits, fixed, slots)`` of the one backtracking
     search, in search order: each binds the variables of ``fixed`` (bit j
@@ -622,6 +649,18 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     clause another slot holds.  An empty ``block`` stops the root at once,
     after its unit clauses are set, so ``next_block`` picks the root's
     first block too.
+
+    With ``least`` (and no block), the search looks for the least model
+    only: it keeps as its bound the ``bits`` of the last frame it stopped,
+    that frame's least row (its free bits 0), and drops every frame whose
+    ``bits`` reach the bound, when popped and again after its unit
+    clauses are set.  ``bits`` only grows down a branch, so a dropped
+    frame holds no smaller model, and the last frame stopped is the least
+    model.  Until the first model it branches on the held variable in the
+    most 2-literal clauses, ties to the highest position; after it, on the
+    highest held variable in a 2-literal clause: the bound prunes only
+    once the high bits are fixed.  With none in a 2-literal clause, it
+    branches on the highest held variable.
 
     Backtracking search over an explicit stack, so its depth is not bounded
     by the interpreter's recursion limit.  When ``over`` is 1..n, as every
@@ -688,9 +727,17 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
                 occurs[x] = [i]
     # A satisfied slot stays listed as 2-literal until its frame branches.
     binary = [i for i, clause in enumerate(clauses) if len(clause) == 2]
+    # Every row is below 1 << width, so no frame reaches the bound before
+    # a first model: a least model of 0 still prunes every frame.
+    bound = 1 << width
+    found = False
+    # The order of root positions: bit j is variable j + 1 without a map.
+    rank = abs if position is None else position.__getitem__
     stack = [(clauses, new, binary, bits, fixed, block)]
     while stack:
         clauses, units, binary, bits, fixed, block = stack.pop()
+        if bits >= bound:
+            continue
         while units:
             lit = units.pop()
             var = abs(lit)
@@ -727,9 +774,14 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
                 continue
             break  # a clause was falsified
         else:  # no clause was falsified
+            if bits >= bound:
+                continue
             # Every literal left in a slot is unset.
             if block is None:
                 if not any(clauses):
+                    if least:
+                        bound = bits
+                        found = True
                     yield bits, fixed, clauses
                     continue
             elif block.isdisjoint(chain.from_iterable(clauses)):
@@ -745,13 +797,23 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
             counts: dict[int, int] = {}
             _count_elements(counts, map(abs, chain.from_iterable(
                 map(clauses.__getitem__, binary))))
-            var = max(counts if block is None
-                      else filter(block.__contains__, counts),
-                      key=counts.__getitem__, default=None)
-            if var is None:
-                var = (min(abs(c[0]) for c in clauses if c) if block is None
-                       else min(map(abs, filter(block.__contains__,
-                                                chain.from_iterable(clauses)))))
+            if not least:
+                var = max(counts if block is None
+                          else filter(block.__contains__, counts),
+                          key=counts.__getitem__, default=None)
+                if var is None:
+                    var = (min(abs(c[0]) for c in clauses if c)
+                           if block is None
+                           else min(map(abs, filter(
+                               block.__contains__,
+                               chain.from_iterable(clauses)))))
+            else:
+                var = (max(counts, key=rank, default=None) if found
+                       else max(counts, key=lambda v: (counts[v], rank(v)),
+                                default=None))
+                if var is None:
+                    var = max(map(abs, chain.from_iterable(clauses)),
+                              key=rank)
             # Pushed True first, so the False branch is searched first.
             stack.append((clauses.copy(), [var], binary.copy(), bits, fixed,
                           block))
@@ -834,12 +896,15 @@ def to_truth_table(formula: CnfFormula) -> TruthTable:
         raise CapacityError(
             f"truth tables support at most {MAX_VARS} variables, formula has {n}")
     full = TruthTable.constant(n, True).bits
-    projection = {
-        v: TruthTable.variable(n, j).bits for j, v in enumerate(formula.universe)}
+    # Both literals of each variable, each projection built once.
+    projection = {}
+    for j, v in enumerate(formula.universe):
+        projection[v] = TruthTable.variable(n, j).bits
+        projection[-v] = full ^ projection[v]
     bits = full
     for clause in formula._clauses:
         acc = 0
         for x in clause:
-            acc |= projection[x] if x > 0 else full ^ projection[-x]
+            acc |= projection[x]
         bits &= acc
     return TruthTable(n, bits)

@@ -393,6 +393,20 @@ class TestSolutionSet:
         assert s.row_to_literals(1) == (2, -5)
         assert s.to_text() == "2 -5 0\n-2 5 0\n"
 
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17, 30])
+    def test_text_across_byte_boundaries(self, width):
+        # to_text reads a row a byte at a time; each line must still be
+        # the row's literals, read bit by bit.
+        rng = random.Random(width)
+        for over in (range(1, width + 1),
+                     sorted(rng.sample(range(1, 1000), width))):
+            rows = [0, (1 << width) - 1,
+                    *(rng.getrandbits(width) for _ in range(40))]
+            s = SolutionSet(over, rows)
+            assert s.to_text() == "".join(
+                " ".join(map(str, [*s.row_to_literals(row), 0])) + "\n"
+                for row in s.rows)
+
     def test_empty_universe_row_text(self):
         # the empty assignment is a real row, printed as a bare terminator
         s = SolutionSet([], [0])

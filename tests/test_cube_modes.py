@@ -383,6 +383,46 @@ def test_clause_allsat_stops_the_search_at_the_cap(tmp_path):
     assert seconds < 2
 
 
+# One text ``sat`` run in a fresh interpreter, timed inside it, with its
+# peak read as VmHWM.
+_LEAST = """
+import io, json, re, sys, time
+from cofsat.cli import RunConfig, run
+out, err = io.StringIO(), io.StringIO()
+start = time.perf_counter()
+status = run(RunConfig(sys.argv[1], mode="sat", pivot_strategy=sys.argv[2]),
+             out=out, err=err)
+seconds = time.perf_counter() - start
+with open("/proc/self/status") as proc_status:
+    peak_kb = int(re.search(r"VmHWM:\\s*(\\d+) kB",
+                            proc_status.read()).group(1))
+print(json.dumps([status, out.getvalue(), err.getvalue(), seconds, peak_kb]))
+"""
+
+
+@pytest.mark.parametrize("pivot", ["vars", "clause"])
+@pytest.mark.parametrize("n", [60, 200])
+def test_text_sat_searches_for_the_least_model_only(tmp_path, n, pivot):
+    # chain60 has about 4.1e12 models and chain200 about 7.3e41.  Text sat
+    # prints no count, so its search prunes every branch that cannot hold
+    # a model below the last one found: chain60 took over 120 s when the
+    # search summed every cube.
+    path = tmp_path / f"chain{n}.cnf"
+    path.write_text(_pair_chain(n))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LEAST, str(path), pivot],
+        capture_output=True, text=True, timeout=60, env=_child_env(),
+        preexec_fn=_limit_small_memory)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    status, out, err, seconds, peak_kb = json.loads(proc.stdout)
+    witness = [v if (n - v) % 2 else -v for v in range(1, n + 1)]
+    assert (status, out, err) == (
+        EXIT_SAT, "SATISFIABLE\n" + " ".join(map(str, [*witness, 0])) + "\n",
+        "")
+    assert seconds < 2
+    assert peak_kb < 100 * 1024
+
+
 _PEAK = """
 import io, json, re, sys
 from cofsat.cli import RunConfig, run

@@ -9,7 +9,9 @@ count and least model of their cubes (``allsat._count_and_least``, the rule
 ``count_and_witness`` applies to the tree's cubes) must equal those of the
 tree and of the brute-force oracle of ``helpers``; so must the rows that
 ``--mode allsat --pivot clause`` expands from the clause-pivot cubes, and
-the rows that ``--mode allsat --pivot vars`` gathers from the tree.
+the rows that ``--mode allsat --pivot vars`` gathers from the tree.  The
+least-model search of text ``--mode sat`` must end on the same least
+model.
 """
 
 import io
@@ -35,7 +37,7 @@ from cofsat import (
 from cofsat.allsat import _count_and_least
 from cofsat.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, RunConfig, run
 from cofsat.cli import parallel_leaf_solve
-from cofsat.cnf import _cube_rows, _models
+from cofsat.cnf import _cube_rows, _models, _search
 from cofsat.decompose import _clause_branch_cubes, _var_partition_cubes
 
 from helpers import brute_force_rows, random_formula
@@ -227,6 +229,52 @@ def test_vars_allsat_rows_match_the_one_search_and_brute_force(
         assert (status, out.getvalue(), err.getvalue()) == (
             EXIT_SAT if want else EXIT_UNSAT,
             SolutionSet(f.universe, want).to_text(), "")
+
+
+def least_search(f):
+    """The last cube of the least-model search, None when it stops none."""
+    least = None
+    for least, _, _ in _search(f.to_ints(), f.universe, least=True):
+        pass
+    return least
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_cnf())
+# A least model of 0, which must still prune the frames after it; one of
+# 1; no clauses; contradictory units.
+@example(CnfFormula([[-1, -2], [-3, 2]], universe=range(1, 5)))
+@example(CnfFormula([[1, 2], [-3]], universe=range(1, 5)))
+@example(CnfFormula([], universe=range(1, 4)))
+@example(CnfFormula([[2], [-2]], universe=range(1, 3)))
+def test_least_model_search_matches_the_count_and_brute_force(
+        tmp_path_factory, f):
+    # Text sat prints the least model of a search that prunes by it; the
+    # counting search, JSON sat and --verify read the same model from
+    # every cube.
+    f = parse_dimacs(emit_dimacs(f))  # the universe the CLI reads
+    want = oracle(f)[1]
+    assert least_search(f) == want
+    assert _count_and_least(_models(f.to_ints(), f.universe),
+                            f.num_vars)[1] == want
+    assert one_search(f, "vars")[1] == want
+    path = tmp_path_factory.mktemp("cnf") / "f.cnf"
+    path.write_text(emit_dimacs(f))
+    text = ("UNSATISFIABLE\n" if want is None else "SATISFIABLE\n"
+            + SolutionSet(f.universe, [want]).to_text())
+    m = len(f.to_ints())
+    runs = [("vars", 0)] + [("clause", i) for i in (*range(m), m, -1)]
+    for pivot, index in runs:
+        out, err = io.StringIO(), io.StringIO()
+        status = run(RunConfig(str(path), mode="sat", pivot_strategy=pivot,
+                               pivot_clause=index), out=out, err=err)
+        if pivot == "clause" and m and not 0 <= index < m:
+            assert (status, out.getvalue(), err.getvalue()) == (
+                EXIT_ERROR, "",
+                f"error: pivot index {index} out of range for {m} clauses\n")
+        else:
+            assert (status, out.getvalue(), err.getvalue()) == (
+                EXIT_UNSAT if want is None else EXIT_SAT, text, "")
 
 
 def test_vars_base_stops_few_more_cubes_than_a_free_search():

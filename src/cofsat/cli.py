@@ -25,10 +25,12 @@ come (``cnf._cube_rows``) and refuses an output of more than
 ``2**cnf.MAX_ENUM_VARS`` rows at the first cube past the cap, stating the
 running total there.
 ``--mode decompose`` prints, and nothing solves, the 2**k - 1
-overlapping branches of ``clause_pivot_decompose`` (``clause_pivot_tree``,
-the one rule defined here), or the tree with one child per allowed block
-row.  ``--verify`` checks what the run prints (the count, the least model
-or every row) against the truth table.
+overlapping branches of the pivot clause (``clause_pivot_tree`` hands the
+edges of ``decompose._pivot_lattice``, the rule ``clause_pivot_decompose``
+reads too, to the tree builder; a pivot of more than ``MAX_ENUM_VARS``
+literals is refused before any branch is built), or the tree with one
+child per allowed block row.  ``--verify`` checks what the run prints
+(the count, the least model or every row) against the truth table.
 
 The leaves are independent work items, solved one after another on the
 calling thread: a thread pool measured slower, because the pure-Python leaf
@@ -64,8 +66,8 @@ from .decompose import (
     _clause_branch_cubes,
     _grow,
     _pivot_clause,
+    _pivot_lattice,
     _var_partition_cubes,
-    clause_pivot_decompose,
     var_partition_decompose,
 )
 from .limits import MAX_VARS
@@ -155,7 +157,8 @@ def parallel_leaf_solve(tree: DecompositionTree, jobs: int) -> list[LeafResult]:
 def clause_pivot_tree(formula: CnfFormula,
                       pivot_index: int) -> DecompositionTree:
     """The tree that ``--mode decompose --pivot clause`` prints: the root
-    and one leaf per branch of ``clause_pivot_decompose``.
+    and one leaf per branch of ``clause_pivot_decompose``, from the same
+    split rule.
 
     Every live branch is a terminal leaf regardless of size, so leaves are
     flagged solvable (or trivial/dead) with no variable bound.  The
@@ -163,9 +166,8 @@ def clause_pivot_tree(formula: CnfFormula,
     clauses has no pivot: its tree is the root alone, a trivial leaf,
     whatever ``pivot_index`` says.
     """
-    return _grow(formula, lambda f, depth: None if depth else [
-        (item.prefix, item.formula)
-        for item in clause_pivot_decompose(f, pivot_index)])
+    return _grow(formula, lambda f, depth: None if depth else
+                 _pivot_lattice(f, pivot_index))
 
 
 def _tree_as_json(tree: DecompositionTree) -> list[dict]:

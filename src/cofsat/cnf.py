@@ -72,7 +72,9 @@ __all__ = [
 ]
 
 # Most rows expanded are 2**MAX_ENUM_VARS, by ``_cube_rows``: from the
-# cubes of one search, or of a tree's leaves in ``allsat.gather``.
+# cubes of one search, or of a tree's leaves in ``allsat.gather``.  It also
+# caps the 2**k - 1 branches of a clause pivot that ``--mode decompose``
+# prints (``decompose._pivot_lattice``).
 MAX_ENUM_VARS = 20
 
 

@@ -10,9 +10,13 @@ bindings to its parent's prefix.  The rules:
 
 * ``clause_branch_tree``: a pivot clause (l1 ... lk) expands over the
   orthonormal base l1; -l1 l2; ...; -l1 ... -l(k-1) lk, the k disjoint
-  branches whose models solving reads.  ``clause_pivot_decompose`` keeps
-  the paper's 2**k - 1 overlapping branches, one per partial assignment
-  of the clause: the input is satisfiable iff at least one of them is.
+  branches whose models solving reads.
+* ``_pivot_lattice``: the paper's 2**k - 1 overlapping branches, one per
+  partial assignment of the clause: the input is satisfiable iff at least
+  one of them is.  They form a lattice, f|(S + l) = (f|S)|l, so each
+  branch is one ``substitute`` of a parent's cofactor.  ``--mode
+  decompose --pivot clause`` prints them, and ``clause_pivot_decompose``
+  hands them out as work items.
 * ``var_partition_decompose``: a node of more than ``n0`` variables
   expands over an orthonormal base of a block X1 of them.  ``--mode
   allsat --pivot vars`` takes the base from the search
@@ -36,16 +40,18 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import combinations
 
+from . import cnf
 from .cnf import (
     Clause,
     CnfFormula,
     PartialAssignment,
     _model_rows,
     _search,
-    partial_assignments,
     substitute,
 )
+from .limits import CapacityError
 
 __all__ = [
     "WorkItem",
@@ -247,15 +253,52 @@ def clause_pivot_decompose(
 ) -> list[WorkItem]:
     """Branch on every partial assignment of the pivot clause.
 
-    Returns one WorkItem per assignment, in canonical assignment order.
+    Returns one WorkItem per assignment, in canonical assignment order
+    (that of ``partial_assignments``), built by ``_pivot_lattice``.
     Branches whose reduction falsifies a clause are kept, flagged dead.
     The input is satisfiable iff some branch is satisfiable.  Branch
     solution sets may overlap; ``clause_branch_tree`` gives the k disjoint
-    branches that solving uses.
+    branches that solving uses.  A pivot of more than ``MAX_ENUM_VARS``
+    literals raises ``CapacityError``.
     """
-    pivot = Clause._view(_pivot_clause(formula, pivot_index))
-    return [WorkItem(q, substitute(formula, q), 1)
-            for q in partial_assignments(pivot)]
+    return [WorkItem(PartialAssignment._sorted(bindings), cofactor, 1)
+            for bindings, cofactor in _pivot_lattice(formula, pivot_index)]
+
+
+def _pivot_lattice(formula: CnfFormula, pivot_index: int
+                   ) -> list[tuple[dict[int, bool], CnfFormula | None]]:
+    """The split rule of the 2**k - 1 overlapping branches of the pivot
+    clause (l1 ... lk): one edge ``(bindings, cofactor)`` per partial
+    assignment, in canonical order (by size, then by literal position).
+
+    The assignments form a lattice, and f|(S + l) = (f|S)|l: each cofactor
+    is one ``substitute`` of the cofactor of its subset without its last
+    literal, which this order builds first.  A branch under a dead one is
+    dead without a call, since a superset of a falsifying assignment
+    falsifies the same clause.  So the branches cost at most 2**k - 1
+    passes, each over a reduced parent.  More than ``2**MAX_ENUM_VARS``
+    branches (k > ``MAX_ENUM_VARS``) raise ``CapacityError`` before any
+    is built.
+    """
+    pivot = _pivot_clause(formula, pivot_index)
+    k = len(pivot)
+    cap = cnf.MAX_ENUM_VARS  # read at call time
+    if k > cap:  # 2**k - 1 > 2**cap
+        raise CapacityError(
+            f"pivot clause of {k} literals has 2**{k} - 1 branches, "
+            f"capped at 2**{cap}")
+    edges = []
+    built: dict[tuple[int, ...], tuple] = {(): ({}, formula)}  # by literals
+    for size in range(1, k + 1):
+        for subset in combinations(pivot, size):
+            bindings, parent = built[subset[:-1]]
+            var, value = abs(subset[-1]), subset[-1] > 0
+            # Literals are in variable order, so the bindings stay sorted.
+            edge = built[subset] = (
+                {**bindings, var: value},
+                None if parent is None else substitute(parent, {var: value}))
+            edges.append(edge)
+    return edges
 
 
 def clause_branch_tree(formula: CnfFormula, pivot_index: int) -> DecompositionTree:

@@ -14,7 +14,8 @@ from collections import Counter
 from collections.abc import Iterable
 from typing import Sequence
 
-from cofsat import BaseSet, CnfFormula, TruthTable
+from cofsat import (BaseSet, Clause, CnfFormula, TruthTable, WorkItem,
+                    partial_assignments, substitute)
 from cofsat.cnf import DimacsParseError, NormalizationWarning
 
 
@@ -191,6 +192,16 @@ def reference_models(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
                 if reduced is not None:
                     stack.append((*reduced, bits | value, fixed | bit))
     return frames
+
+
+def reference_pivot_branches(formula: CnfFormula, pivot_index: int
+                             ) -> list[WorkItem]:
+    """The 2**k - 1 branches of ``clause_pivot_decompose`` built one-shot:
+    each partial assignment of the pivot clause substituted into the root,
+    in ``partial_assignments`` order."""
+    pivot = Clause(formula.to_ints()[pivot_index])
+    return [WorkItem(q, substitute(formula, q), 1)
+            for q in partial_assignments(pivot)]
 
 
 def reference_reduce(clauses: Sequence[tuple[int, ...]], lit: int

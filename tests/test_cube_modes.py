@@ -12,6 +12,7 @@ bound.
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -22,7 +23,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from cofsat.cli import EXIT_ERROR, EXIT_OK, EXIT_SAT, EXIT_UNSAT, RunConfig, run
+from cofsat import CapacityError, CnfFormula, cnf, decompose
+from cofsat.cli import (EXIT_ERROR, EXIT_OK, EXIT_SAT, EXIT_UNSAT, RunConfig,
+                        clause_pivot_tree, run)
 
 from helpers import brute_force_rows
 
@@ -496,7 +499,9 @@ def test_chain26_at_n0_1_counts_and_finds_a_model_quickly(tmp_path):
 # ``units50`` is settled by propagation alone, and ``empty64`` has no
 # clause at all.  In ``free100000`` each edge's bindings and each printed
 # row were read with one shift per variable of a 100,000-variable
-# universe, 1.1-1.4 s per mode under --pivot vars.
+# universe, 1.1-1.4 s per mode under --pivot vars.  ``pivot24``'s one
+# clause has 2**24 - 1 partial assignments: decompose --pivot clause built
+# them for 19 s and died of MemoryError; it is refused past 2**20.
 _HOSTILE_INPUTS = {
     "free1000": "p cnf 1000 1\n998 999 1000 0\n",
     "free100000": "p cnf 100000 1\n99998 99999 100000 0\n",
@@ -505,6 +510,7 @@ _HOSTILE_INPUTS = {
     "chain30": _pair_chain(30),
     "units50": _implication_chain(50),
     "empty64": "p cnf 64 0\n",
+    "pivot24": "p cnf 24 1\n" + " ".join(map(str, range(1, 25))) + " 0\n",
 }
 
 # Every mode on both pivots, in one fresh interpreter per input.  VmHWM
@@ -553,3 +559,49 @@ def test_hostile_input_runs_in_bounded_time_and_memory(tmp_path, name):
         assert seconds < 2, where
         if name == "chain30" and pivot == "vars" and mode in ("count", "sat"):
             assert peak_kb < 100 * 1024, where
+
+
+def test_pivot_branches_are_capped(tmp_path, monkeypatch):
+    # With the cap at 2**3, the 7 branches of a 3-literal pivot are
+    # printed and the 15 of a 4-literal pivot are refused before any is
+    # built.  Solving reads the k disjoint branches, which are not capped.
+    monkeypatch.setattr(cnf, "MAX_ENUM_VARS", 3)
+    calls = []
+    original = decompose.substitute
+    monkeypatch.setattr(decompose, "substitute",
+                        lambda f, q: calls.append(q) or original(f, q))
+    message = "pivot clause of 4 literals has 2**4 - 1 branches, capped at 2**3"
+    formula = CnfFormula([[1, 2, 3, 4], [-1, 2, 3]])
+    assert len(decompose.clause_pivot_decompose(formula, 1)) == 7
+    calls.clear()
+    for build in (decompose.clause_pivot_decompose, clause_pivot_tree):
+        with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
+            build(formula, 0)
+    assert calls == []
+
+    path = tmp_path / "pivot4.cnf"
+    path.write_text("p cnf 4 2\n1 2 3 4 0\n-1 2 3 0\n")
+
+    def decompose_run(pivot_clause, mode="decompose"):
+        out, err = io.StringIO(), io.StringIO()
+        status = run(RunConfig(str(path), mode=mode, pivot_strategy="clause",
+                               pivot_clause=pivot_clause), out=out, err=err)
+        return status, out.getvalue(), err.getvalue()
+
+    status, out, err = decompose_run(1)
+    assert (status, len(out.splitlines()), err) == (EXIT_OK, 8, "")
+    assert decompose_run(0) == (EXIT_ERROR, "", f"error: {message}\n")
+    assert decompose_run(0, "count") == (EXIT_SAT, "13\n", "")
+
+
+def test_pivot24_is_refused_with_the_cap_message(tmp_path):
+    path = tmp_path / "pivot24.cnf"
+    path.write_text(_HOSTILE_INPUTS["pivot24"])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cofsat.cli", "--input", str(path),
+         "--mode", "decompose", "--pivot", "clause"],
+        capture_output=True, text=True, timeout=30, env=_child_env(),
+        preexec_fn=_limit_small_memory)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_ERROR, "", "error: pivot clause of 24 literals has 2**24 - 1 "
+        "branches, capped at 2**20\n")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from cofsat import (
     CapacityError,
@@ -34,7 +34,8 @@ from cofsat import (
 from cofsat import cli, decompose
 
 from helpers import (brute_force_rows, example2_formula, node_root_rows,
-                     random_3cnf_clauses, random_formula)
+                     random_3cnf_clauses, random_formula,
+                     reference_pivot_branches)
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -129,6 +130,83 @@ class TestClausePivot:
             assert tree.leaves() == list(tree.nodes)
         with pytest.raises(ValueError, match="pivot index 0 out of range"):
             clause_pivot_decompose(f, 0)
+
+
+@st.composite
+def long_pivot_formulas(draw):
+    """A random CNF over 1..n, n <= 10, whose first clause has 1 to 8
+    literals, followed by up to 8 clauses of 1 to 4 literals."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(k, 10))
+
+    def clauses(low, high):
+        return st.lists(st.integers(1, n), min_size=low, max_size=high,
+                        unique=True).flatmap(
+            lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
+
+    raw = [draw(clauses(k, k)),
+           *draw(st.lists(clauses(1, min(4, n)), max_size=8))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # repeated clauses are merged
+        return CnfFormula(raw, universe=range(1, n + 1))
+
+
+def _branches(items):
+    return [(w.prefix.to_literals(), w.formula, w.depth) for w in items]
+
+
+# A dead parent: every branch that sets x1 falsifies (x1').
+_DEAD_PARENT = CnfFormula([[1, 2, 3], [-1]])
+# Branches x1 and x2 live, x1 x2 first dead: it falsifies (x1' + x2').
+_DEAD_AT_SIZE_2 = CnfFormula([[1, 2, 3], [-1, -2]])
+# Under x1 x2 both (x1' + x4) and (x2' + x4) reduce to (x4): the merged
+# clause keeps its first place, before (x5 + x6).
+_MERGING = CnfFormula([[1, 2, 3], [-1, 4], [5, 6], [-2, 4]])
+
+
+class TestPivotLattice:
+    """``clause_pivot_decompose`` builds each branch from its parent's
+    cofactor; it must equal the root substituted by each partial
+    assignment in one shot."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=long_pivot_formulas())
+    @example(f=_DEAD_PARENT)
+    @example(f=_DEAD_AT_SIZE_2)
+    @example(f=_MERGING)
+    @example(f=CnfFormula([list(range(1, 9)), [-1, 9], [-2, -9], [-8]]))
+    def test_equals_the_one_shot_reference(self, f):
+        for index in range(len(f.to_ints())):
+            want = reference_pivot_branches(f, index)
+            assert _branches(clause_pivot_decompose(f, index)) == \
+                _branches(want)
+            grown = decompose._grow(f, lambda g, depth: None if depth else [
+                (w.prefix, w.formula) for w in want])
+            assert cli.clause_pivot_tree(f, index).serialize() == \
+                grown.serialize()
+
+    def test_branches_under_a_dead_parent_cost_no_call(self, monkeypatch):
+        calls = []
+        original = decompose.substitute
+        monkeypatch.setattr(decompose, "substitute",
+                            lambda f, q: calls.append(q) or original(f, q))
+        items = clause_pivot_decompose(_DEAD_PARENT, 0)
+        assert [(w.prefix.to_literals(), w.is_dead) for w in items] == [
+            ((1,), True), ((2,), False), ((3,), False), ((1, 2), True),
+            ((1, 3), True), ((2, 3), False), ((1, 2, 3), True)]
+        # x1, x2, x3, then x3 under x2: one call per branch with a live
+        # parent, each binding one literal.
+        assert calls == [{1: True}, {2: True}, {3: True}, {3: True}]
+
+    def test_a_branch_first_dead_at_size_2(self):
+        items = clause_pivot_decompose(_DEAD_AT_SIZE_2, 0)
+        assert [w.is_dead for w in items] == [
+            False, False, False, True, False, False, True]
+
+    def test_merged_duplicates_keep_their_first_place(self):
+        items = clause_pivot_decompose(_MERGING, 0)
+        assert items[3].prefix.to_literals() == (1, 2)
+        assert items[3].formula.to_ints() == ((4,), (5, 6))
 
 
 @st.composite

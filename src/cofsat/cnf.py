@@ -32,12 +32,13 @@ variable-partition tree that ``--mode allsat --pivot vars`` solves.
 Given a rule for the next block, it goes on from each
 such branch instead, so one search runs a whole decomposition and solves
 each leaf in the frame that made it: ``--mode count``, ``--mode sat`` and
-``--mode allsat --pivot clause``.  It sets the root's unit clauses in one
-pass and indexes the clauses left by literal, so each later unit touches
-only the clauses that hold its variable; a frame then branches on the
-held variable in the most 2-literal clauses.  Asked for the least model
-only (text ``--mode sat``), it prunes every frame that cannot hold a
-model below the last one it stopped, so the last one is the least.
+``--mode allsat --pivot clause``.  It indexes the clauses by literal,
+so each unit, the root's unit clauses included, touches only the clauses
+that hold its variable; a frame then branches on the held variable in
+the most 2-literal clauses.  Asked for the least model only (text
+``--mode sat``, over a sorted universe), it prunes every frame that
+cannot hold a model below the last one it stopped, so the last one is
+the least.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import warnings
 from collections import _count_elements  # Counter's C counting loop
 from collections.abc import (Callable, Collection, Iterable, Iterator,
                              Mapping, Sequence)
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 from .limits import MAX_VARS, CapacityError
 
@@ -332,13 +333,17 @@ class SolutionSet:
     """Full assignments over an ordered variable list, canonically stored.
 
     Rows are bit-encoded integers (bit j is the value of ``over[j]``), kept
-    sorted and duplicate-free.
+    sorted and duplicate-free.  A tuple ``over`` already strictly ascending,
+    such as a formula's universe, is kept as given.
     """
 
     __slots__ = ("_over", "_rows")
 
     def __init__(self, over: Iterable[int], rows: Iterable[int] = ()):
-        self._over = tuple(sorted(set(over)))
+        if not (isinstance(over, tuple)
+                and all(map(operator.lt, over, islice(over, 1, None)))):
+            over = tuple(sorted(set(over)))
+        self._over = over
         limit = 1 << len(self._over)
         unique = sorted(set(rows))
         # Sorted, so the ends bound every row; only a failure scans them.
@@ -652,33 +657,34 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     after its unit clauses are set, so ``next_block`` picks the root's
     first block too.
 
-    With ``least`` (and no block), the search looks for the least model
-    only: it keeps as its bound the ``bits`` of the last frame it stopped,
-    that frame's least row (its free bits 0), and drops every frame whose
-    ``bits`` reach the bound, when popped and again after its unit
-    clauses are set.  ``bits`` only grows down a branch, so a dropped
-    frame holds no smaller model, and the last frame stopped is the least
-    model.  Until the first model it branches on the held variable in the
-    most 2-literal clauses, ties to the highest position; after it, on the
-    highest held variable in a 2-literal clause: the bound prunes only
+    With ``least`` (no block, and ``over`` sorted, as every formula
+    universe is), the search looks for the least model only: it keeps as
+    its bound the ``bits`` of the last frame it stopped, that frame's
+    least row (its free bits 0), and drops every frame whose ``bits``
+    reach the bound, when popped and again after its unit clauses are
+    set.  ``bits`` only grows down a branch, so a dropped frame holds no
+    smaller model, and the last frame stopped is the least model.  Until
+    the first model it branches on the held variable in the most
+    2-literal clauses, ties to the highest; after it, on the highest held
+    variable in a 2-literal clause, with no count: the bound prunes only
     once the high bits are fixed.  With none in a 2-literal clause, it
     branches on the highest held variable.
 
     Backtracking search over an explicit stack, so its depth is not bounded
     by the interpreter's recursion limit.  When ``over`` is 1..n, as every
     parsed root universe is, bit j is variable j + 1 and no map of the
-    universe is built.  The root's unit clauses are set in one pass over
-    the clauses, and the clauses left are indexed by literal.  A frame
+    universe is built.  The clauses are indexed by literal once.  A frame
     owns a list of them, one slot per clause: a satisfied clause is an
     empty slot, and setting a literal touches only the clauses that hold
     it or its negation.  Each frame sets its unit literals until none is
-    left or a clause is falsified.  It then branches, False first, on the
-    held block variable occurring in the most 2-literal clauses (ties to
-    the first such variable in clause order), or, with none in a
-    2-literal clause, on the smallest held one.  It counts only the slots
-    it lists as 2-literal (the root's, and each that a cut leaves with two
-    literals), in one pass into a plain dict; one branch takes a copy of
-    both lists.
+    left or a clause is falsified; the root's are those of its unit
+    clauses, and a contradiction among them falsifies one of their slots.
+    It then branches, False first, on the held block variable occurring
+    in the most 2-literal clauses (ties to the first such variable in
+    clause order), or, with none in a 2-literal clause, on the smallest
+    held one.  It counts only the slots it lists as 2-literal (the
+    root's, and each that a cut leaves with two literals), in one pass
+    into a plain dict; one branch takes a copy of both lists.
     """
     width = len(over)
     # None: bit j is variable j + 1.
@@ -690,34 +696,6 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     clauses = list(clauses)
     if not all(clauses):
         return
-    # The root's unit clauses are set in one pass of set operations; the
-    # units that pass makes go through the occurrence lists, since
-    # repeating the pass until none is left is quadratic on a chain.
-    units = {c[0] for c in clauses if len(c) == 1}
-    bits = fixed = 0
-    for lit in units:
-        if -lit in units:
-            return
-        var = abs(lit)
-        bit = 1 << (var - 1 if position is None else position[var])
-        fixed |= bit
-        if lit > 0:
-            bits |= bit
-    new: list[int] = []
-    if units:
-        cut = {-lit for lit in units}
-        kept = []
-        for clause in clauses:
-            if not units.isdisjoint(clause):
-                continue
-            if not cut.isdisjoint(clause):
-                clause = tuple([x for x in clause if x not in cut])
-                if not clause:
-                    return
-                if len(clause) == 1:
-                    new.append(clause[0])
-            kept.append(clause)
-        clauses = kept
     # A slot keeps each of its literals until the clause is satisfied or
     # the literal's variable is set, so one index serves every frame.
     occurs: dict[int, list[int]] = {}
@@ -731,11 +709,10 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     binary = [i for i, clause in enumerate(clauses) if len(clause) == 2]
     # Every row is below 1 << width, so no frame reaches the bound before
     # a first model: a least model of 0 still prunes every frame.
-    bound = 1 << width
-    found = False
-    # The order of root positions: bit j is variable j + 1 without a map.
-    rank = abs if position is None else position.__getitem__
-    stack = [(clauses, new, binary, bits, fixed, block)]
+    unbounded = bound = 1 << width
+    # The root's unit clauses are its first units, set as a cut's are.
+    stack = [(clauses, [c[0] for c in clauses if len(c) == 1], binary, 0, 0,
+              block)]
     while stack:
         clauses, units, binary, bits, fixed, block = stack.pop()
         if bits >= bound:
@@ -783,7 +760,6 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
                 if not any(clauses):
                     if least:
                         bound = bits
-                        found = True
                     yield bits, fixed, clauses
                     continue
             elif block.isdisjoint(chain.from_iterable(clauses)):
@@ -796,26 +772,24 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
             # Satisfied slots dropped; sorted, so ties go to the first
             # variable in clause order.
             binary = sorted(filter(clauses.__getitem__, binary))
-            counts: dict[int, int] = {}
-            _count_elements(counts, map(abs, chain.from_iterable(
-                map(clauses.__getitem__, binary))))
-            if not least:
-                var = max(counts if block is None
-                          else filter(block.__contains__, counts),
-                          key=counts.__getitem__, default=None)
-                if var is None:
-                    var = (min(abs(c[0]) for c in clauses if c)
-                           if block is None
-                           else min(map(abs, filter(
-                               block.__contains__,
-                               chain.from_iterable(clauses)))))
+            paired = map(abs, chain.from_iterable(
+                map(clauses.__getitem__, binary)))
+            if least and bound < unbounded:  # past the first model
+                var = max(paired, default=None)
             else:
-                var = (max(counts, key=rank, default=None) if found
-                       else max(counts, key=lambda v: (counts[v], rank(v)),
-                                default=None))
-                if var is None:
-                    var = max(map(abs, chain.from_iterable(clauses)),
-                              key=rank)
+                counts: dict[int, int] = {}
+                _count_elements(counts, paired)
+                var = (max(counts, key=lambda v: (counts[v], v), default=None)
+                       if least else
+                       max(counts if block is None
+                           else filter(block.__contains__, counts),
+                           key=counts.__getitem__, default=None))
+            if var is None:  # no 2-literal clause is left
+                var = (max(map(abs, chain.from_iterable(clauses))) if least
+                       else min(abs(c[0]) for c in clauses if c)
+                       if block is None
+                       else min(map(abs, filter(
+                           block.__contains__, chain.from_iterable(clauses)))))
             # Pushed True first, so the False branch is searched first.
             stack.append((clauses.copy(), [var], binary.copy(), bits, fixed,
                           block))

@@ -426,16 +426,21 @@ def test_text_sat_searches_for_the_least_model_only(tmp_path, n, pivot):
     assert peak_kb < 100 * 1024
 
 
+# count, then JSON sat, in one fresh interpreter, each with the peak read
+# as VmHWM after it.
 _PEAK = """
 import io, json, re, sys
 from cofsat.cli import RunConfig, run
-out, err = io.StringIO(), io.StringIO()
-status = run(RunConfig(sys.argv[1], mode="count", pivot_strategy=sys.argv[2]),
-             out=out, err=err)
-with open("/proc/self/status") as proc_status:
-    peak_kb = int(re.search(r"VmHWM:\\s*(\\d+) kB",
-                            proc_status.read()).group(1))
-print(json.dumps([status, out.getvalue(), err.getvalue(), peak_kb]))
+runs = []
+for mode, output_format in (("count", "text"), ("sat", "json")):
+    out, err = io.StringIO(), io.StringIO()
+    status = run(RunConfig(sys.argv[1], mode=mode, pivot_strategy=sys.argv[2],
+                           output_format=output_format), out=out, err=err)
+    with open("/proc/self/status") as proc_status:
+        peak_kb = int(re.search(r"VmHWM:\\s*(\\d+) kB",
+                                proc_status.read()).group(1))
+    runs.append([status, out.getvalue(), err.getvalue(), peak_kb])
+print(json.dumps(runs))
 """
 
 
@@ -446,21 +451,30 @@ def test_million_variable_header_counts_without_a_map_of_the_universe(
     # a 12-byte file declaring a million variables builds no dict over
     # them, and count, which prints no row, builds no ``SolutionSet`` that
     # copies the universe: about 53 MB peak, against 101 MB with the copy
-    # and 133 MB with the map too.
+    # and 133 MB with the map too.  JSON sat builds a ``SolutionSet`` of
+    # its one row, which keeps the sorted universe as given: about 53 MB,
+    # against 101 MB when it sorted a copy.
     path = tmp_path / "header.cnf"
     path.write_text("p cnf 1000000 1\n1 0\n")
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK, str(path), pivot],
         capture_output=True, text=True, timeout=60, env=_child_env())
     assert proc.returncode == 0, proc.stderr[-2000:]
-    status, out, err, peak_kb = json.loads(proc.stdout)
+    (status, out, err, peak_kb), (sat_status, sat_out, sat_err, sat_kb) = (
+        json.loads(proc.stdout))
     if getattr(sys, "get_int_max_str_digits", lambda: 0)():
         # 2**999999 has 301,030 decimal digits.
         assert (status, out) == (EXIT_ERROR, "")
         assert err.startswith("error: model count has more than ")
+        assert (sat_status, sat_out, sat_err) == (EXIT_ERROR, "", err)
     else:
         assert (status, out, err) == (EXIT_SAT, f"{1 << 999999}\n", "")
+        assert (sat_status, sat_err) == (EXIT_SAT, "")
+        assert json.loads(sat_out) == {
+            "status": "SATISFIABLE", "count": 1 << 999999,
+            "solutions": [[1, *range(-2, -1000001, -1)]]}
     assert peak_kb < 75 * 1024
+    assert sat_kb < 75 * 1024
 
 
 def test_chain26_at_n0_1_counts_and_finds_a_model_quickly(tmp_path):
@@ -543,7 +557,7 @@ def test_hostile_input_runs_in_bounded_time_and_memory(tmp_path, name):
     path = tmp_path / f"{name}.cnf"
     path.write_text(_HOSTILE_INPUTS[name])
     assert path.stat().st_size < 512
-    # The printed row tree of chain30 is 20 MB of text: chain20 covers it.
+    # The printed row tree of chain30 is 14 MB of text: chain20 covers it.
     skip = [["decompose", "vars"]] if name == "chain30" else []
     proc = subprocess.run(
         [sys.executable, "-c", _HOSTILE, str(path), json.dumps(skip)],

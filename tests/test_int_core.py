@@ -14,7 +14,7 @@ import sys
 import warnings
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from cofsat import (
     Clause,
@@ -260,6 +260,12 @@ class TestSearchAgainstReference:
 
     @settings(max_examples=300, deadline=None)
     @given(unit_heavy_clauses())
+    # The root's units conflict only through propagation; repeat each
+    # other and satisfy a clause before its cut could make a unit; are
+    # every clause.
+    @example(([(1,), (-1, 2), (-2,)], (2, 1)))
+    @example(([(1,), (1,), (1, 2), (-2, 3)], (3, 1, 2)))
+    @example(([(3,), (-1,), (2,), (3,)], (1, 3, 2)))
     def test_unit_heavy_clauses(self, case):
         clauses, over = case
         assert _models(clauses, over) == reference_models(clauses, over)

@@ -242,11 +242,13 @@ def least_search(f):
 @settings(max_examples=150, deadline=None)
 @given(mixed_cnf())
 # A least model of 0, which must still prune the frames after it; one of
-# 1; no clauses; contradictory units.
+# 1; no clauses; contradictory units; a unit pivot clause 0, set before
+# the pivot's first branching.
 @example(CnfFormula([[-1, -2], [-3, 2]], universe=range(1, 5)))
 @example(CnfFormula([[1, 2], [-3]], universe=range(1, 5)))
 @example(CnfFormula([], universe=range(1, 4)))
 @example(CnfFormula([[2], [-2]], universe=range(1, 3)))
+@example(CnfFormula([[2], [1, 3], [-2, -3, 4]], universe=range(1, 5)))
 def test_least_model_search_matches_the_count_and_brute_force(
         tmp_path_factory, f):
     # Text sat prints the least model of a search that prunes by it; the

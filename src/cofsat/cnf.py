@@ -25,20 +25,20 @@ expand them with ``_cube_rows``, which stops once they hold more than
 ``2**MAX_ENUM_VARS`` rows: ``_model_rows`` for leaf solving and the X1
 enumeration of the decomposition tree that ``--mode decompose`` prints,
 ``--mode allsat --pivot clause`` for the root, and ``allsat.gather`` for
-the cubes of a tree's leaves.  Restricted to a block of variables, the
-search stops each branch once no clause left holds an unset block
-variable and hands back the clauses left: the children of the
-variable-partition tree that ``--mode allsat --pivot vars`` solves.
-Given a rule for the next block, it goes on from each
-such branch instead, so one search runs a whole decomposition and solves
-each leaf in the frame that made it: ``--mode count``, ``--mode sat`` and
-``--mode allsat --pivot clause``.  It indexes the clauses by literal,
-so each unit, the root's unit clauses included, touches only the clauses
-that hold its variable; a frame then branches on the held variable in
-the most 2-literal clauses.  Asked for the least model only (text
-``--mode sat``, over a sorted universe), it prunes every frame that
-cannot hold a model below the last one it stopped, so the last one is
-the least.
+the cubes of a tree's leaves.  One rule stops a branch: no clause left
+holds an unset variable of its block, no block being the block of every
+variable.  Restricted to a block, the search hands back the clauses left:
+the children of the variable-partition tree that ``--mode allsat --pivot
+vars`` solves.  Given a rule for the next block, it goes on from each such
+branch with clauses left, so one search runs a whole decomposition and
+solves each leaf in the frame that made it: ``--mode count``, ``--mode
+sat`` and ``--mode allsat --pivot clause``.  It indexes the clauses by
+literal, so each unit, the root's unit clauses included, touches only the
+clauses that hold its variable; a frame then branches on the held variable
+in the most 2-literal clauses.  Asked for the least model only (text
+``--mode sat``, over a sorted universe), it prunes every frame that cannot
+hold a model below the last one it stopped, so the last one is the least;
+once it holds one, it branches on the highest held variable.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from collections.abc import (Callable, Collection, Iterable, Iterator,
                              Mapping, Sequence)
 from itertools import chain, combinations, islice
 
-from .limits import MAX_VARS, CapacityError
+from .limits import MAX_HEADER_VARS, MAX_VARS, CapacityError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: to_truth_table loads boolfn on use
@@ -453,7 +453,9 @@ def parse_dimacs(source: str | bytes) -> CnfFormula:
     Lines end at LF only (a CR before it is dropped), so a form feed or
     U+2028 inside a comment does not end the comment.
     Normalization (dropped tautologies or duplicates) and a clause count
-    differing from the header produce warnings, not errors.
+    differing from the header produce warnings, not errors.  A header of
+    more than ``MAX_HEADER_VARS`` (2**20) variables is an error on its
+    line, raised before the universe is built.
 
     Valid text is read in one pass over all its tokens, and clauses in
     normal form (strictly ascending by variable, no two alike) are kept as
@@ -473,6 +475,8 @@ def parse_dimacs(source: str | bytes) -> CnfFormula:
         if not (header.startswith("p") and _ints_are_dimacs("".join(tokens))):
             raise ValueError(header)
         num_vars, num_clauses_declared = _header_counts(header.strip())
+        if num_vars > MAX_HEADER_VARS:
+            raise ValueError(header)
         ints = list(map(int, tokens))
     except ValueError:
         raise _first_error(source) from None
@@ -525,6 +529,10 @@ def _first_error(text: str) -> DimacsParseError:
                 return DimacsParseError(f"malformed header {stripped!r}", lineno)
             if min(num_vars, num_clauses) < 0:
                 return DimacsParseError("negative counts in header", lineno)
+            if num_vars > MAX_HEADER_VARS:
+                return DimacsParseError(
+                    f"header declares {num_vars} variables, capped at "
+                    f"2**{MAX_HEADER_VARS.bit_length() - 1}", lineno)
             continue
         if num_vars is None:
             return DimacsParseError("clause before header", lineno)
@@ -640,22 +648,22 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     search, in search order: each binds the variables of ``fixed`` (bit j
     for ``over[j]``) to the values in ``bits``.
 
-    The search branches only on a variable of its frame's block (all of
-    ``over`` when None) that some clause left holds, and propagates unit
-    clauses through every clause.  A frame stops once no clause left holds
-    an unset block variable, which may leave block variables free; ``slots``
-    then holds, one slot per clause in clause order, the clause reduced
-    by the frame's bindings, or ``()`` once it is satisfied.  The stopped
-    frames are disjoint and cover every model over ``over``; a refuted
-    branch stops no frame.  The caller owns each ``slots`` list.
+    The search branches only on a variable of its frame's block that some
+    clause left holds, and propagates unit clauses through every clause.
+    No block (None) is the block of every variable.  One rule stops a
+    frame: its block has run out, no clause left holding an unset block
+    variable, which may leave block variables free.  ``slots`` then holds,
+    one slot per clause in clause order, the clause reduced by the
+    frame's bindings, or ``()`` once it is satisfied.  The stopped frames
+    are disjoint and cover every model over ``over``; a refuted branch
+    stops no frame.  The caller owns each ``slots`` list.
 
-    With ``next_block``, only a frame with no clause left stops.  Any other
-    frame whose block runs out first goes on over ``next_block(bits, fixed,
-    slots)``, or over every variable when that is None; the block must
-    hold a variable of some slot.  ``next_block`` may empty a slot whose
-    clause another slot holds.  An empty ``block`` stops the root at once,
-    after its unit clauses are set, so ``next_block`` picks the root's
-    first block too.
+    With ``next_block``, a frame whose block runs out with clauses left
+    goes on instead, over ``next_block(bits, fixed, slots)`` (None for
+    every variable); the block must hold a variable of some slot.
+    ``next_block`` may empty a slot whose clause another slot holds.  An
+    empty ``block`` runs out at the root, after its unit clauses are set,
+    so ``next_block`` picks the root's first block too.
 
     With ``least`` (no block, and ``over`` sorted, as every formula
     universe is), the search looks for the least model only: it keeps as
@@ -665,10 +673,9 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     set.  ``bits`` only grows down a branch, so a dropped frame holds no
     smaller model, and the last frame stopped is the least model.  Until
     the first model it branches on the held variable in the most
-    2-literal clauses, ties to the highest; after it, on the highest held
-    variable in a 2-literal clause, with no count: the bound prunes only
-    once the high bits are fixed.  With none in a 2-literal clause, it
-    branches on the highest held variable.
+    2-literal clauses, ties to the highest; once it holds a model, and
+    whenever no 2-literal clause is left, on the highest held variable:
+    the bound prunes only once the high bits are fixed.
 
     Backtracking search over an explicit stack, so its depth is not bounded
     by the interpreter's recursion limit.  When ``over`` is 1..n, as every
@@ -755,37 +762,33 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
         else:  # no clause was falsified
             if bits >= bound:
                 continue
-            # Every literal left in a slot is unset.
-            if block is None:
-                if not any(clauses):
+            # Slot literals are unset; no block runs out with the clauses.
+            left = any(clauses)
+            if not left or block is not None and block.isdisjoint(
+                    chain.from_iterable(clauses)):
+                if not left or next_block is None:
                     if least:
                         bound = bits
-                    yield bits, fixed, clauses
-                    continue
-            elif block.isdisjoint(chain.from_iterable(clauses)):
-                if next_block is None or not any(clauses):
                     yield bits, fixed, clauses
                     continue
                 block = next_block(bits, fixed, clauses)
                 if block is not None:
                     block = _both_literals(block)
             # Satisfied slots dropped; sorted, so ties go to the first
-            # variable in clause order.
-            binary = sorted(filter(clauses.__getitem__, binary))
-            paired = map(abs, chain.from_iterable(
-                map(clauses.__getitem__, binary)))
-            if least and bound < unbounded:  # past the first model
-                var = max(paired, default=None)
-            else:
-                counts: dict[int, int] = {}
-                _count_elements(counts, paired)
-                var = (max(counts, key=lambda v: (counts[v], v), default=None)
-                       if least else
-                       max(counts if block is None
-                           else filter(block.__contains__, counts),
-                           key=counts.__getitem__, default=None))
-            if var is None:  # no 2-literal clause is left
-                var = (max(map(abs, chain.from_iterable(clauses))) if least
+            # variable in clause order.  Once a model is held, none counts.
+            binary = ([] if least and bound < unbounded
+                      else sorted(filter(clauses.__getitem__, binary)))
+            counts: dict[int, int] = {}
+            _count_elements(counts, map(abs, chain.from_iterable(
+                map(clauses.__getitem__, binary))))
+            var = (max(counts, key=lambda v: (counts[v], v), default=None)
+                   if least else
+                   max(counts if block is None
+                       else filter(block.__contains__, counts),
+                       key=counts.__getitem__, default=None))
+            if var is None:  # no 2-literal clause is left, or a model is held
+                # Slots keep variable order: c[-1] is highest, c[0] least.
+                var = (max(abs(c[-1]) for c in clauses if c) if least
                        else min(abs(c[0]) for c in clauses if c)
                        if block is None
                        else min(map(abs, filter(

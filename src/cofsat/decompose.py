@@ -29,7 +29,8 @@ add and no model is found twice.  ``--mode count`` and ``--mode sat``
 build neither tree, nor does ``--mode allsat --pivot clause``:
 ``_clause_branch_cubes`` and ``_var_partition_cubes`` run one search of
 the root whose first branchings are the same bases, solve each leaf in
-the frame that made it, and hand back its cubes.
+the frame that made it, and hand back its cubes.  Each base is one rule
+that reads its frame: the pivot clause is followed through its own slot.
 
 Each tree node holds an immutable WorkItem (prefix assignment + reduced
 formula) that can be shipped to any worker.  A simple closed-form cost
@@ -37,7 +38,6 @@ model for the variable-partition strategy is included.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import combinations
@@ -333,35 +333,25 @@ def _clause_branch_cubes(formula: CnfFormula, pivot_index: int
     """The cubes ``(bits, fixed)`` over the root universe of the models of
     ``clause_branch_tree``'s live leaves, from one search of the root.
 
-    The search takes the tree's base as its first branching: it branches
-    on the first unset variable of the pivot clause (l1 ... lk) until some
-    pivot literal is true, so its branches are l1; -l1 l2; ..., and then
-    searches freely.  Each branch is solved in the frame that made it:
-    no cofactor is built.  A formula with no clauses has no pivot and one
-    cube, whatever ``pivot_index`` says; an out-of-range index raises
-    ``ValueError``.
+    The search takes the tree's base as its first branchings.  A frame's
+    slot of the pivot clause (l1 ... lk) is the pivot's cofactor under the
+    frame: its false literals are cut and it is empty once the pivot
+    holds.  So the search branches on the variable of the first literal
+    left in that slot, the first unset pivot variable, until the slot is
+    empty, and then searches freely: its branches are l1; -l1 l2; ....
+    Each branch is solved in the frame that made it: no cofactor is
+    built.  A formula with no clauses has no pivot and one cube, whatever
+    ``pivot_index`` says; an out-of-range index raises ``ValueError``.
     """
-    over = formula.universe
-    pivot = () if formula.is_empty else _pivot_clause(formula, pivot_index)
-    # Each pivot literal as its variable, its bit, and that bit's value
-    # when the literal is true; the universe is sorted.
-    literals = []
-    for lit in pivot:
-        bit = 1 << bisect_left(over, abs(lit))
-        literals.append((abs(lit), bit, bit if lit > 0 else 0))
+    if not formula.is_empty:
+        _pivot_clause(formula, pivot_index)
 
     def next_block(bits: int, fixed: int, slots: list) -> tuple | None:
-        first = None
-        for var, bit, true in literals:
-            if fixed & bit:
-                if bits & bit == true:  # the pivot clause is satisfied
-                    return None
-            elif first is None:
-                first = var
-        return (first,)
+        pivot = slots[pivot_index]
+        return (abs(pivot[0]),) if pivot else None
 
     return ((bits, fixed) for bits, fixed, _ in _search(
-        formula.to_ints(), over, (), next_block))
+        formula.to_ints(), formula.universe, (), next_block))
 
 
 def choose_var_subset(formula: CnfFormula | Sequence[tuple[int, ...]],
@@ -488,13 +478,13 @@ def _var_partition_cubes(formula: CnfFormula, n0: int
     the live leaves of ``var_partition_decompose(formula, n0,
     propagate=True)``, from one search of the root.
 
-    The search follows that tree's base.  The root's block is
-    ``choose_var_subset`` of the root, as the tree chooses it.  A frame
-    whose block runs out is a node of the tree: with more than ``n0``
-    unset variables it is internal, and goes on over ``choose_var_subset``
-    of its distinct clauses left, each repeated slot emptied as the tree's
-    cofactor merges it; any other is a leaf, searched over every variable
-    in the frame that made it.  No cofactor is built.
+    The search follows that tree's base by one rule, the root's block
+    included.  A frame whose block runs out, and the root, are nodes of
+    the tree: with more than ``n0`` unset variables a node is internal,
+    and goes on over ``choose_var_subset`` of its distinct clauses left,
+    each repeated slot emptied as the tree's cofactor merges it; any
+    other is a leaf, searched over every variable in the frame that made
+    it.  No cofactor is built.
     """
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
@@ -506,10 +496,9 @@ def _var_partition_cubes(formula: CnfFormula, n0: int
             return choose_var_subset(_distinct(slots), n0)
         return None
 
-    block = (choose_var_subset(formula, n0)
-             if width > n0 and not formula.is_empty else None)
+    clauses = formula.to_ints()
     return ((bits, fixed) for bits, fixed, _ in _search(
-        formula.to_ints(), over, block, next_block))
+        clauses, over, next_block(0, 0, list(clauses)), next_block))
 
 
 def _row_children(f: CnfFormula, x1: tuple[int, ...]

@@ -248,7 +248,8 @@ def reference_parse_dimacs(source: str | bytes) -> CnfFormula:
     Lines end at LF only (a CR before it is dropped), so a form feed or
     U+2028 inside a comment does not end the comment.
     Normalization (dropped tautologies or duplicates) and a clause count
-    differing from the header produce warnings, not errors.
+    differing from the header produce warnings, not errors.  A header of
+    more than 2**20 variables is an error on its line.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8", errors="replace")
@@ -277,6 +278,10 @@ def reference_parse_dimacs(source: str | bytes) -> CnfFormula:
                 raise DimacsParseError(f"malformed header {stripped!r}", lineno) from None
             if num_vars < 0 or num_clauses_declared < 0:
                 raise DimacsParseError("negative counts in header", lineno)
+            if num_vars > 1 << 20:
+                raise DimacsParseError(
+                    f"header declares {num_vars} variables, capped at 2**20",
+                    lineno)
             continue
         if num_vars is None:
             raise DimacsParseError("clause before header", lineno)

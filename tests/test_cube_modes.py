@@ -516,9 +516,14 @@ def test_chain26_at_n0_1_counts_and_finds_a_model_quickly(tmp_path):
 # universe, 1.1-1.4 s per mode under --pivot vars.  ``pivot24``'s one
 # clause has 2**24 - 1 partial assignments: decompose --pivot clause built
 # them for 19 s and died of MemoryError; it is refused past 2**20.
+# ``free1000000`` declares the most variables a header may, about; in
+# ``header1e8`` building the universe 1..10**8 died of MemoryError in every
+# mode, and a header past 2**20 variables is refused before it is built.
 _HOSTILE_INPUTS = {
     "free1000": "p cnf 1000 1\n998 999 1000 0\n",
     "free100000": "p cnf 100000 1\n99998 99999 100000 0\n",
+    "free1000000": "p cnf 1000000 1\n1 0\n",
+    "header1e8": "p cnf 100000000 1\n1 0\n",
     "free30": "p cnf 30 1\n25 26 27 0\n",
     "chain20": _pair_chain(20),
     "chain30": _pair_chain(30),
@@ -573,6 +578,20 @@ def test_hostile_input_runs_in_bounded_time_and_memory(tmp_path, name):
         assert seconds < 2, where
         if name == "chain30" and pivot == "vars" and mode in ("count", "sat"):
             assert peak_kb < 100 * 1024, where
+
+
+def test_header1e8_is_refused_with_the_cap_message_in_every_mode(tmp_path):
+    path = tmp_path / "header1e8.cnf"
+    path.write_text(_HOSTILE_INPUTS["header1e8"])
+    proc = subprocess.run(
+        [sys.executable, "-c", _HOSTILE, str(path), "[]"],
+        capture_output=True, text=True, timeout=30, env=_child_env(),
+        preexec_fn=_limit_small_memory)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    message = (f"error: {path}: line 1: header declares 100000000 variables, "
+               "capped at 2**20\n")
+    assert [run[2:4] for run in json.loads(proc.stdout)] == [
+        [EXIT_ERROR, message]] * 8
 
 
 def test_pivot_branches_are_capped(tmp_path, monkeypatch):

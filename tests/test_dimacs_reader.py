@@ -45,7 +45,8 @@ BAD_TOKENS = ["1-2", "1" * 5000, "x", "p", "c", "--1", "+-1", "1.0", "0x1",
               "\udce9"]
 BAD_HEADERS = ["p cnf 3", "p dnf 3 1", "p cnf x 1", "p cnf -1 0",
                "p cnf 3 -2", "p cnf 1_0 1", "pcnf 3 1", "p cnf 3 1 1",
-               "p cnf \u0663 1", "p cnf\u2028 3 1", "p", "pq cnf 3 1"]
+               "p cnf \u0663 1", "p cnf\u2028 3 1", "p", "pq cnf 3 1",
+               "p cnf 1048577 1"]
 FAULTS = st.lists(st.sampled_from([
     "int-token", "bad-token", "out-of-range", "empty-clause", "unterminated",
     "clause-first", "second-header", "bad-header", "bad-header",

@@ -40,7 +40,7 @@ from cofsat.cli import parallel_leaf_solve
 from cofsat.cnf import _cube_rows, _models, _search
 from cofsat.decompose import _clause_branch_cubes, _var_partition_cubes
 
-from helpers import brute_force_rows, random_formula
+from helpers import brute_force_rows, random_formula, reference_reduce
 
 N0S = (1, 2, 3, 8)
 
@@ -175,6 +175,53 @@ class TestEdgeCases:
         f = chain(n)
         assert one_search(f, pivot, n0) == tree_answer(f, pivot, n0) == (
             fib[n + 2], least)
+
+
+def propagated(clauses, literals):
+    """The literals that unit propagation sets from ``literals`` and the
+    unit clauses."""
+    clauses = list(clauses)
+    units = [*literals, *(c[0] for c in clauses if len(c) == 1)]
+    true = set()
+    while units:
+        lit = units.pop()
+        if lit not in true:
+            true.add(lit)
+            clauses, new = reference_reduce(clauses, lit)
+            units += new
+    return true
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_cnf())
+# The unit x2 satisfies the pivot (x1 + x2) before the search branches:
+# the one cube fixes x2 and leaves x1 free.
+@example(CnfFormula([[1, 2], [2]]))
+# Under x1' the clause (x1 + x3) satisfies the pivot (x1 + x2 + x3)
+# before its x2 is reached.
+@example(CnfFormula([[1, 2, 3], [1, 3], [-2, -3]]))
+def test_clause_cubes_follow_the_orthonormal_base(f):
+    # The search branches on the pivot clause (l1 ... lk) over the base
+    # l1; l1' l2; ...: on the first literal left in its slot, until the
+    # clause holds.  So each cube fixes some pivot literal true, and each
+    # literal before the first it fixes true false, but for those after
+    # a point where unit propagation under the false ones has already
+    # made the clause hold.
+    position = {v: j for j, v in enumerate(f.universe)}
+    clauses = f.to_ints()
+    for index, pivot in enumerate(clauses):
+        for bits, fixed in _clause_branch_cubes(f, index):
+            values = []
+            for lit in pivot:
+                bit = 1 << position[abs(lit)]
+                values.append(None if not fixed & bit
+                              else (bits & bit != 0) == (lit > 0))
+            where = (index, bits, fixed)
+            assert True in values, where
+            before = values[:values.index(True)]
+            if None in before:
+                falsified = [-lit for lit in pivot[:before.index(None)]]
+                assert propagated(clauses, falsified) & set(pivot), where
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,18 +4,18 @@
 build no tree: one search of the root (``cnf._search``) takes the pivot's
 base as its first branchings, solves each leaf in the frame that made
 it, and hands back cubes over the root universe.  ``count``, and ``sat``
-with ``--format json`` or ``--verify``, read their count and least model
+with ``--format json`` or a ``--verify`` that checks (at most
+``MAX_VARS`` variables), read their count and least model
 (``allsat._count_and_least``); only ``sat`` and ``allsat``, which print
 rows, build a ``SolutionSet``.  On a clause pivot the base is the k
 orthonormal branches of the pivot clause
 (``decompose._clause_branch_cubes``), on ``--pivot vars`` the blocks of
 the propagated variable-partition tree
-(``decompose._var_partition_cubes``).  Text ``sat`` without ``--verify``
-prints no count and checks none, so it searches from the root for the
-least model alone, on either pivot: the search drops every branch that
-cannot hold a model below the last one found (``_search(...,
-least=True)``).  The least model does not depend on the base, and a
-search that followed the base first pruned far less.
+(``decompose._var_partition_cubes``).  Text ``sat`` otherwise prints no
+count and checks none, so on either pivot it takes the first model of a
+search from the root that branches on the highest held variable, False
+first: the least model (``_search(..., least=True)``), which does not
+depend on the base.
 ``--mode allsat --pivot vars`` still builds that tree
 (``var_partition_decompose(..., propagate=True)``), and
 ``parallel_leaf_solve`` hands each live leaf on as a work item;
@@ -211,6 +211,8 @@ def run(config: RunConfig, out: IO[str] | None = None,
     for warning in caught:
         print(f"warning: {config.input_path}: {warning.message}", file=err)
 
+    # The truth table reaches at most MAX_VARS variables.
+    checks = config.verify and formula.num_vars <= MAX_VARS
     try:
         vars_pivot = config.pivot_strategy == "vars"
         if config.mode == "decompose":
@@ -244,16 +246,14 @@ def run(config: RunConfig, out: IO[str] | None = None,
             rows = solutions.rows
             count = len(rows)
         elif (config.mode == "sat" and config.output_format == "text"
-              and not config.verify):
+              and not checks):
             # No count is printed or checked: the least model alone, from
             # the root on either pivot.  The pivot index is still checked.
             if not vars_pivot and not formula.is_empty:
                 _pivot_clause(formula, config.pivot_clause)
-            count = least = None
-            for least, _, _ in _search(formula.to_ints(), formula.universe,
-                                       least=True):
-                pass  # each model stopped is below the one before
-            rows = () if least is None else (least,)
+            count = None
+            rows = next(_search(formula.to_ints(), formula.universe,
+                                least=True), ())[:1]
             solutions = SolutionSet(formula.universe, rows)
         else:  # the cubes of one search, no tree and no rows but the least
             cubes = (_var_partition_cubes(formula, config.n0) if vars_pivot
@@ -266,10 +266,10 @@ def run(config: RunConfig, out: IO[str] | None = None,
         print(f"error: {exc}", file=err)
         return EXIT_ERROR
 
-    if config.verify and formula.num_vars > MAX_VARS:
+    if config.verify and not checks:
         print(f"note: --verify skipped: {formula.num_vars} variables > "
               f"{MAX_VARS}", file=err)
-    elif config.verify:
+    elif checks:
         table = to_truth_table(formula)
         if (count != table.support_size
                 or rows != tuple(islice(table.support(), len(rows)))):

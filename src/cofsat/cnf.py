@@ -36,9 +36,8 @@ sat`` and ``--mode allsat --pivot clause``.  It indexes the clauses by
 literal, so each unit, the root's unit clauses included, touches only the
 clauses that hold its variable; a frame then branches on the held variable
 in the most 2-literal clauses.  Asked for the least model only (text
-``--mode sat``, over a sorted universe), it prunes every frame that cannot
-hold a model below the last one it stopped, so the last one is the least;
-once it holds one, it branches on the highest held variable.
+``--mode sat``, over a sorted universe), it branches on the highest held
+variable, False first, and its first stopped frame is the least model.
 """
 
 from __future__ import annotations
@@ -666,16 +665,12 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     so ``next_block`` picks the root's first block too.
 
     With ``least`` (no block, and ``over`` sorted, as every formula
-    universe is), the search looks for the least model only: it keeps as
-    its bound the ``bits`` of the last frame it stopped, that frame's
-    least row (its free bits 0), and drops every frame whose ``bits``
-    reach the bound, when popped and again after its unit clauses are
-    set.  ``bits`` only grows down a branch, so a dropped frame holds no
-    smaller model, and the last frame stopped is the least model.  Until
-    the first model it branches on the held variable in the most
-    2-literal clauses, ties to the highest; once it holds a model, and
-    whenever no 2-literal clause is left, on the highest held variable:
-    the bound prunes only once the high bits are fixed.
+    universe is), the search stops one frame, the least model, or none:
+    each frame branches on its highest held variable, False first, and
+    the search returns after its first stopped frame.  Every variable
+    above the branch variable is set or held by no clause, free in every
+    model below, so frames stop in ascending order of their least rows
+    (free bits 0).  It lists no 2-literal clauses.
 
     Backtracking search over an explicit stack, so its depth is not bounded
     by the interpreter's recursion limit.  When ``over`` is 1..n, as every
@@ -686,12 +681,12 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     it or its negation.  Each frame sets its unit literals until none is
     left or a clause is falsified; the root's are those of its unit
     clauses, and a contradiction among them falsifies one of their slots.
-    It then branches, False first, on the held block variable occurring
-    in the most 2-literal clauses (ties to the first such variable in
-    clause order), or, with none in a 2-literal clause, on the smallest
-    held one.  It counts only the slots it lists as 2-literal (the
-    root's, and each that a cut leaves with two literals), in one pass
-    into a plain dict; one branch takes a copy of both lists.
+    Without ``least``, it then branches, False first, on the held block
+    variable occurring in the most 2-literal clauses (ties to the first
+    such variable in clause order), or, with none in a 2-literal clause,
+    on the smallest held one.  It counts only the slots it lists as
+    2-literal (the root's, and each that a cut leaves with two literals),
+    in one pass into a plain dict; one branch takes a copy of both lists.
     """
     width = len(over)
     # None: bit j is variable j + 1.
@@ -713,17 +708,13 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
             else:
                 occurs[x] = [i]
     # A satisfied slot stays listed as 2-literal until its frame branches.
-    binary = [i for i, clause in enumerate(clauses) if len(clause) == 2]
-    # Every row is below 1 << width, so no frame reaches the bound before
-    # a first model: a least model of 0 still prunes every frame.
-    unbounded = bound = 1 << width
+    binary = [] if least else [i for i, clause in enumerate(clauses)
+                               if len(clause) == 2]
     # The root's unit clauses are its first units, set as a cut's are.
     stack = [(clauses, [c[0] for c in clauses if len(c) == 1], binary, 0, 0,
               block)]
     while stack:
         clauses, units, binary, bits, fixed, block = stack.pop()
-        if bits >= bound:
-            continue
         while units:
             lit = units.pop()
             var = abs(lit)
@@ -760,39 +751,39 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
                 continue
             break  # a clause was falsified
         else:  # no clause was falsified
-            if bits >= bound:
-                continue
             # Slot literals are unset; no block runs out with the clauses.
             left = any(clauses)
             if not left or block is not None and block.isdisjoint(
                     chain.from_iterable(clauses)):
                 if not left or next_block is None:
-                    if least:
-                        bound = bits
                     yield bits, fixed, clauses
+                    if least:
+                        return
                     continue
                 block = next_block(bits, fixed, clauses)
                 if block is not None:
                     block = _both_literals(block)
-            # Satisfied slots dropped; sorted, so ties go to the first
-            # variable in clause order.  Once a model is held, none counts.
-            binary = ([] if least and bound < unbounded
-                      else sorted(filter(clauses.__getitem__, binary)))
-            counts: dict[int, int] = {}
-            _count_elements(counts, map(abs, chain.from_iterable(
-                map(clauses.__getitem__, binary))))
-            var = (max(counts, key=lambda v: (counts[v], v), default=None)
-                   if least else
-                   max(counts if block is None
-                       else filter(block.__contains__, counts),
-                       key=counts.__getitem__, default=None))
-            if var is None:  # no 2-literal clause is left, or a model is held
-                # Slots keep variable order: c[-1] is highest, c[0] least.
-                var = (max(abs(c[-1]) for c in clauses if c) if least
-                       else min(abs(c[0]) for c in clauses if c)
-                       if block is None
-                       else min(map(abs, filter(
-                           block.__contains__, chain.from_iterable(clauses)))))
+            # Slots keep variable order: c[-1] is highest, c[0] least.
+            if least:
+                binary = []
+                var = abs(max(map(operator.itemgetter(-1),
+                                  filter(None, clauses)), key=abs))
+            else:
+                # Satisfied slots dropped; sorted, so ties go to the first
+                # variable in clause order.
+                binary = sorted(filter(clauses.__getitem__, binary))
+                counts: dict[int, int] = {}
+                _count_elements(counts, map(abs, chain.from_iterable(
+                    map(clauses.__getitem__, binary))))
+                var = max(counts if block is None
+                          else filter(block.__contains__, counts),
+                          key=counts.__getitem__, default=None)
+                if var is None:  # no 2-literal clause is left
+                    var = (min(abs(c[0]) for c in clauses if c)
+                           if block is None
+                           else min(map(abs, filter(
+                               block.__contains__,
+                               chain.from_iterable(clauses)))))
             # Pushed True first, so the False branch is searched first.
             stack.append((clauses.copy(), [var], binary.copy(), bits, fixed,
                           block))

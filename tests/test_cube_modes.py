@@ -387,14 +387,14 @@ def test_clause_allsat_stops_the_search_at_the_cap(tmp_path):
 
 
 # One text ``sat`` run in a fresh interpreter, timed inside it, with its
-# peak read as VmHWM.
+# peak read as VmHWM; a third argument "verify" adds --verify.
 _LEAST = """
 import io, json, re, sys, time
 from cofsat.cli import RunConfig, run
 out, err = io.StringIO(), io.StringIO()
 start = time.perf_counter()
-status = run(RunConfig(sys.argv[1], mode="sat", pivot_strategy=sys.argv[2]),
-             out=out, err=err)
+status = run(RunConfig(sys.argv[1], mode="sat", pivot_strategy=sys.argv[2],
+                       verify=sys.argv[3:] == ["verify"]), out=out, err=err)
 seconds = time.perf_counter() - start
 with open("/proc/self/status") as proc_status:
     peak_kb = int(re.search(r"VmHWM:\\s*(\\d+) kB",
@@ -403,27 +403,45 @@ print(json.dumps([status, out.getvalue(), err.getvalue(), seconds, peak_kb]))
 """
 
 
-@pytest.mark.parametrize("pivot", ["vars", "clause"])
-@pytest.mark.parametrize("n", [60, 200])
-def test_text_sat_searches_for_the_least_model_only(tmp_path, n, pivot):
-    # chain60 has about 4.1e12 models and chain200 about 7.3e41.  Text sat
-    # prints no count, so its search prunes every branch that cannot hold
-    # a model below the last one found: chain60 took over 120 s when the
-    # search summed every cube.
+def _least_run(tmp_path, n, *args):
+    """Text ``sat`` on chain n in a child process: the least model it
+    should print, and its status, stdout, stderr, seconds and peak kB."""
     path = tmp_path / f"chain{n}.cnf"
     path.write_text(_pair_chain(n))
     proc = subprocess.run(
-        [sys.executable, "-c", _LEAST, str(path), pivot],
+        [sys.executable, "-c", _LEAST, str(path), *args],
         capture_output=True, text=True, timeout=60, env=_child_env(),
         preexec_fn=_limit_small_memory)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    status, out, err, seconds, peak_kb = json.loads(proc.stdout)
     witness = [v if (n - v) % 2 else -v for v in range(1, n + 1)]
-    assert (status, out, err) == (
-        EXIT_SAT, "SATISFIABLE\n" + " ".join(map(str, [*witness, 0])) + "\n",
-        "")
+    return ("SATISFIABLE\n" + " ".join(map(str, [*witness, 0])) + "\n",
+            *json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("pivot", ["vars", "clause"])
+@pytest.mark.parametrize("n", [60, 200, 1000])
+def test_text_sat_searches_for_the_least_model_only(tmp_path, n, pivot):
+    # chain60 has about 4.1e12 models and chain200 about 7.3e41.  Text sat
+    # prints no count, so it stops at the first model of a search that
+    # branches on the highest variable, False first: the least one.
+    # chain60 took over 120 s when the search summed every cube, and
+    # chain1000 4 s when it pruned by the last model found.
+    want, status, out, err, seconds, peak_kb = _least_run(tmp_path, n, pivot)
+    assert (status, out, err) == (EXIT_SAT, want, "")
     assert seconds < 2
     assert peak_kb < 100 * 1024
+
+
+@pytest.mark.parametrize("pivot", ["vars", "clause"])
+def test_sat_verify_past_the_table_limit_counts_nothing(tmp_path, pivot):
+    # Past 16 variables --verify checks nothing, so text sat takes the
+    # least-model search as without it: chain60 ran past 15 s when
+    # --verify took the counting search.
+    want, status, out, err, seconds, _ = _least_run(tmp_path, 60, pivot,
+                                                     "verify")
+    assert (status, out, err) == (
+        EXIT_SAT, want, "note: --verify skipped: 60 variables > 16\n")
+    assert seconds < 2
 
 
 # count, then JSON sat, in one fresh interpreter, each with the peak read

@@ -10,8 +10,8 @@ count and least model of their cubes (``allsat._count_and_least``, the rule
 tree and of the brute-force oracle of ``helpers``; so must the rows that
 ``--mode allsat --pivot clause`` expands from the clause-pivot cubes, and
 the rows that ``--mode allsat --pivot vars`` gathers from the tree.  The
-least-model search of text ``--mode sat`` must end on the same least
-model.
+least-model search of text ``--mode sat`` must stop on the same least
+model, and on no other.
 """
 
 import io
@@ -288,8 +288,8 @@ def least_search(f):
 
 @settings(max_examples=150, deadline=None)
 @given(mixed_cnf())
-# A least model of 0, which must still prune the frames after it; one of
-# 1; no clauses; contradictory units; a unit pivot clause 0, set before
+# A least model of 0, after which the search must stop; one of 1; no
+# clauses; contradictory units; a unit pivot clause 0, set before
 # the pivot's first branching.
 @example(CnfFormula([[-1, -2], [-3, 2]], universe=range(1, 5)))
 @example(CnfFormula([[1, 2], [-3]], universe=range(1, 5)))
@@ -298,12 +298,14 @@ def least_search(f):
 @example(CnfFormula([[2], [1, 3], [-2, -3, 4]], universe=range(1, 5)))
 def test_least_model_search_matches_the_count_and_brute_force(
         tmp_path_factory, f):
-    # Text sat prints the least model of a search that prunes by it; the
-    # counting search, JSON sat and --verify read the same model from
-    # every cube.
+    # Text sat prints the first model of a search that branches on the
+    # highest variable, and stops there; the counting search, JSON sat and
+    # --verify read the same model from every cube.
     f = parse_dimacs(emit_dimacs(f))  # the universe the CLI reads
     want = oracle(f)[1]
     assert least_search(f) == want
+    assert len(list(_search(f.to_ints(), f.universe, least=True))) == (
+        want is not None)
     assert _count_and_least(_models(f.to_ints(), f.universe),
                             f.num_vars)[1] == want
     assert one_search(f, "vars")[1] == want

@@ -15,7 +15,7 @@ the propagated variable-partition tree
 count and checks none, so on either pivot it takes the first model of a
 search from the root that branches on the highest held variable, False
 first: the least model (``_search(..., least=True)``), which does not
-depend on the base.
+depend on the base; after a refuted frame it probes by the counting search.
 ``--mode allsat --pivot vars`` still builds that tree
 (``var_partition_decompose(..., propagate=True)``), and
 ``parallel_leaf_solve`` hands each live leaf on as a work item;

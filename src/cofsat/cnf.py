@@ -38,6 +38,8 @@ clauses that hold its variable; a frame then branches on the held variable
 in the most 2-literal clauses.  Asked for the least model only (text
 ``--mode sat``, over a sorted universe), it branches on the highest held
 variable, False first, and its first stopped frame is the least model.
+After a refuted frame, it probes the next frame with a counting search,
+unless the last model found keeps that frame's values.
 """
 
 from __future__ import annotations
@@ -665,12 +667,16 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     so ``next_block`` picks the root's first block too.
 
     With ``least`` (no block, and ``over`` sorted, as every formula
-    universe is), the search stops one frame, the least model, or none:
-    each frame branches on its highest held variable, False first, and
-    the search returns after its first stopped frame.  Every variable
-    above the branch variable is set or held by no clause, free in every
-    model below, so frames stop in ascending order of their least rows
-    (free bits 0).  It lists no 2-literal clauses.
+    universe is), the search stops one frame, the least model, or none.
+    Each frame branches on its highest held variable x, False first:
+    every variable above x is set or held by no clause, so the least
+    model lies in f|x' whenever f|x' is satisfiable, and the first frame
+    to stop (free bits 0) is the least model.  A frame popped after a
+    refuted one is first probed, unless the last model found keeps its
+    values: a counting search of its slots refutes it if it stops no
+    frame, else gives a model of it.  So a refuted subtree costs at most
+    one counting search per frame the search backs up to.  Only a probe
+    lists 2-literal slots.
 
     Backtracking search over an explicit stack, so its depth is not bounded
     by the interpreter's recursion limit.  When ``over`` is 1..n, as every
@@ -710,11 +716,22 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     # A satisfied slot stays listed as 2-literal until its frame branches.
     binary = [] if least else [i for i, clause in enumerate(clauses)
                                if len(clause) == 2]
+    # Least mode: the last model's row (free bits 0), the stack depth
+    # above which frames probe a frame, and whether the last frame was
+    # refuted.
+    row = probe = None
+    listing = not least
+    refuted = False
     # The root's unit clauses are its first units, set as a cut's are.
     stack = [(clauses, [c[0] for c in clauses if len(c) == 1], binary, 0, 0,
               block)]
     while stack:
         clauses, units, binary, bits, fixed, block = stack.pop()
+        if probe is not None and len(stack) < probe:
+            # Every probe frame was refuted, so was the probed frame.
+            probe = None
+            listing = False
+            refuted = True
         while units:
             lit = units.pop()
             var = abs(lit)
@@ -744,17 +761,27 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
                     a, b, c = clause
                     clauses[i] = ((b, c) if a == neg else (a, c) if b == neg
                                   else (a, b))
-                    binary.append(i)
+                    if listing:
+                        binary.append(i)
                 else:
                     clauses[i] = tuple([x for x in clause if x != neg])
             else:
                 continue
+            refuted = True
             break  # a clause was falsified
         else:  # no clause was falsified
             # Slot literals are unset; no block runs out with the clauses.
             left = any(clauses)
             if not left or block is not None and block.isdisjoint(
                     chain.from_iterable(clauses)):
+                if probe is not None:
+                    # A model of the probed frame, which goes on.
+                    row = bits
+                    del stack[probe:]
+                    stack.append(probed)
+                    probe = None
+                    listing = False
+                    continue
                 if not left or next_block is None:
                     yield bits, fixed, clauses
                     if least:
@@ -763,27 +790,38 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
                 block = next_block(bits, fixed, clauses)
                 if block is not None:
                     block = _both_literals(block)
-            # Slots keep variable order: c[-1] is highest, c[0] least.
-            if least:
-                binary = []
-                var = abs(max(map(operator.itemgetter(-1),
-                                  filter(None, clauses)), key=abs))
-            else:
-                # Satisfied slots dropped; sorted, so ties go to the first
-                # variable in clause order.
-                binary = sorted(filter(clauses.__getitem__, binary))
-                counts: dict[int, int] = {}
-                _count_elements(counts, map(abs, chain.from_iterable(
-                    map(clauses.__getitem__, binary))))
-                var = max(counts if block is None
-                          else filter(block.__contains__, counts),
-                          key=counts.__getitem__, default=None)
-                if var is None:  # no 2-literal clause is left
-                    var = (min(abs(c[0]) for c in clauses if c)
-                           if block is None
-                           else min(map(abs, filter(
-                               block.__contains__,
-                               chain.from_iterable(clauses)))))
+            if least and probe is None:
+                if refuted and (row is None or (bits ^ row) & fixed):
+                    # No model found keeps the frame's values: its first
+                    # frame in a counting search of its slots is one.
+                    probe = len(stack)
+                    probed = (clauses.copy(), [], [], bits, fixed, None)
+                    binary = [i for i, c in enumerate(clauses) if len(c) == 2]
+                    listing = True
+                else:
+                    refuted = False
+                    # Slots keep variable order: c[-1] is highest.
+                    var = abs(max(map(operator.itemgetter(-1),
+                                      filter(None, clauses)), key=abs))
+                    stack.append((clauses.copy(), [var], [], bits, fixed,
+                                  None))
+                    stack.append((clauses, [-var], [], bits, fixed, None))
+                    continue
+            # Satisfied slots dropped; sorted, so ties go to the first
+            # variable in clause order.
+            binary = sorted(filter(clauses.__getitem__, binary))
+            counts: dict[int, int] = {}
+            _count_elements(counts, map(abs, chain.from_iterable(
+                map(clauses.__getitem__, binary))))
+            var = max(counts if block is None
+                      else filter(block.__contains__, counts),
+                      key=counts.__getitem__, default=None)
+            if var is None:  # no 2-literal clause is left
+                var = (min(abs(c[0]) for c in clauses if c)
+                       if block is None
+                       else min(map(abs, filter(
+                           block.__contains__,
+                           chain.from_iterable(clauses)))))
             # Pushed True first, so the False branch is searched first.
             stack.append((clauses.copy(), [var], binary.copy(), bits, fixed,
                           block))

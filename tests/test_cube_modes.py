@@ -444,6 +444,46 @@ def test_sat_verify_past_the_table_limit_counts_nothing(tmp_path, pivot):
     assert seconds < 2
 
 
+def _core_chain(guard):
+    """(x1 + x2)(x1 + x2')(x1' + x2)(x1' + x2'), each clause with
+    ``guard`` added, and the chain (x6 + x7)...(x58 + x59)(x59 + x60)."""
+    core = [[*guard, 1, 2], [*guard, 1, -2], [*guard, -1, 2],
+            [*guard, -1, -2]]
+    clauses = [*core, *([i, i + 1] for i in range(6, 60))]
+    return f"p cnf 60 {len(clauses)}\n" + "".join(
+        " ".join(map(str, [*c, 0])) + "\n" for c in clauses)
+
+
+@pytest.mark.parametrize("pivot", ["vars", "clause"])
+@pytest.mark.parametrize("guard", [(), (60,)])
+def test_text_sat_refutes_a_low_core_below_high_branches(tmp_path, guard,
+                                                        pivot):
+    # The core on x1 and x2 is refuted only by branching on them, and the
+    # chain above it has a Fibonacci number of assignments.  Branching on
+    # the highest variable alone visited each of them before reaching the
+    # core, for over 20 s: when the core is unsatisfiable, and when it
+    # holds x60 so that the least model sets x60 but no x60 = False
+    # branch holds a model.  Once the core refutes a branch, each frame
+    # the search backs up to is probed by a counting search of its slots,
+    # which refutes the core in three frames.
+    path = tmp_path / "core.cnf"
+    path.write_text(_core_chain(guard))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LEAST, str(path), pivot],
+        capture_output=True, text=True, timeout=60, env=_child_env(),
+        preexec_fn=_limit_small_memory)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    status, out, err, seconds, _ = json.loads(proc.stdout)
+    # x59 False forces x58, x57 False forces x56, and so on down to x6.
+    model = [-1, -2, -3, -4, -5,
+             *(v if v % 2 == 0 else -v for v in range(6, 60)), 60]
+    assert (status, out, err) == (
+        (EXIT_UNSAT, "UNSATISFIABLE\n", "") if not guard else
+        (EXIT_SAT, "SATISFIABLE\n" + " ".join(map(str, [*model, 0])) + "\n",
+         ""))
+    assert seconds < 2
+
+
 # count, then JSON sat, in one fresh interpreter, each with the peak read
 # as VmHWM after it.
 _PEAK = """

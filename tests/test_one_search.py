@@ -328,6 +328,19 @@ def test_least_model_search_matches_the_count_and_brute_force(
                 EXIT_UNSAT if want is None else EXIT_SAT, text, "")
 
 
+def test_least_model_search_with_probes_matches_brute_force():
+    # Random 3-CNF of up to 10 variables refutes branches often, so the
+    # least search probes frames by the counting search, finds models in
+    # them and refutes others; its one stopped frame stays the least.
+    rng = random.Random(7)
+    for _ in range(300):
+        f = random_formula(rng, rng.randint(3, 10), rng.randint(1, 45))
+        want = oracle(f)[1]
+        assert least_search(f) == want
+        assert len(list(_search(f.to_ints(), f.universe, least=True))) == (
+            want is not None)
+
+
 def test_vars_base_stops_few_more_cubes_than_a_free_search():
     # Blocks ranked by occurrences in the shortest clauses hold the
     # variables the search would branch on first, so taking them as the

@@ -29,8 +29,9 @@ overlapping branches of the pivot clause (``clause_pivot_tree`` hands the
 edges of ``decompose._pivot_lattice``, the rule ``clause_pivot_decompose``
 reads too, to the tree builder; a pivot of more than ``MAX_ENUM_VARS``
 literals is refused before any branch is built), or the tree with one
-child per allowed block row.  ``--verify`` checks what the run prints
-(the count, the least model or every row) against the truth table.
+child per allowed block row, as text or as JSON that ``_tree_as_json``
+writes itself.  ``--verify`` checks what the run prints (the count, the
+least model or every row) against the truth table.
 
 The leaves are independent work items, solved one after another on the
 calling thread: a thread pool measured slower, because the pure-Python leaf
@@ -45,8 +46,8 @@ an error in the input or an option value the run rejects (``--n0 0``), and
 Start-up is part of every run: importing this module loads none of
 ``dataclasses``, ``typing``, ``json``, ``argparse`` or ``re``, nor the
 truth-table layer ``boolfn`` or ``expr``.  ``main`` imports ``argparse``,
-``--format json`` imports ``json``, and ``--verify`` loads ``boolfn`` when
-it builds a truth table (at most ``MAX_VARS`` variables).
+a solving mode's ``--format json`` imports ``json``, and ``--verify``
+loads ``boolfn`` for a truth table (at most ``MAX_VARS`` variables).
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .decompose import (
     SOLVABLE,
     TRIVIAL,
     DecompositionTree,
+    _Texts,
     _clause_branch_cubes,
     _grow,
     _pivot_clause,
@@ -170,21 +172,24 @@ def clause_pivot_tree(formula: CnfFormula,
                  _pivot_lattice(f, pivot_index))
 
 
-def _tree_as_json(tree: DecompositionTree) -> list[dict]:
-    out = []
-    for node in tree.nodes:
-        entry = {
-            "id": node.node_id,
-            "parent": node.parent,
-            "depth": node.item.depth,
-            "status": node.status,
-            "prefix": node.item.prefix.to_literals(),
-        }
-        if node.status in (SOLVABLE, TRIVIAL):
-            entry["universe"] = node.item.formula.universe
-            entry["clauses"] = node.item.formula.to_ints()
-        out.append(entry)
-    return out
+def _tree_as_json(tree: DecompositionTree) -> str:
+    """The ``--format json`` line of ``--mode decompose``, as ``json.dumps``
+    writes it: each distinct binding, universe and clause written once per
+    call, and the parts joined once."""
+    lits = _Texts(lambda vb: str(vb[0] if vb[1] else -vb[0]))
+    lists = _Texts(lambda ints: str(list(ints)))  # as json.dumps writes
+    parts = ['{"status": "OK", "tree": [']
+    for node_id, parent, (prefix, f, depth), status in tree.nodes:
+        leaf = "" if status not in (SOLVABLE, TRIVIAL) else (
+            f', "universe": {lists[f.universe]}, "clauses": '
+            f'[{", ".join(map(lists.__getitem__, f.to_ints()))}]')
+        parts += (
+            f'{{"id": {node_id}, "parent": {parent}, "depth": {depth}, '
+            f'"status": "{status}", "prefix": '
+            f'[{", ".join(map(lits.__getitem__, prefix.items()))}]{leaf}}}',
+            ", ")
+    parts[-1] = "]}\n"  # the root is always there
+    return "".join(parts)
 
 
 def run(config: RunConfig, out: IO[str] | None = None,
@@ -221,12 +226,8 @@ def run(config: RunConfig, out: IO[str] | None = None,
             if config.verify:
                 print("note: --verify skipped: decompose mode solves nothing",
                       file=err)
-            if config.output_format == "json":
-                import json
-                print(json.dumps({"status": "OK", "tree": _tree_as_json(tree)}),
-                      file=out)
-            else:
-                out.write(tree.serialize())
+            out.write(_tree_as_json(tree) if config.output_format == "json"
+                      else tree.serialize())
             return EXIT_OK
 
         # ``rows`` holds the rows the mode prints: every row for allsat,

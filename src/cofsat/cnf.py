@@ -563,10 +563,9 @@ def emit_dimacs(formula: CnfFormula) -> str:
     those whose universe is {1..nvars}.
     """
     num_vars = max(formula.universe, default=0)
-    lines = [f"p cnf {num_vars} {len(formula._clauses)}"]
-    for clause in formula._clauses:
-        lines.append(" ".join(map(str, clause)) + " 0")
-    return "\n".join(lines) + "\n"
+    lines = [f"p cnf {num_vars} {len(formula._clauses)}\n"]
+    lines += [f"{' '.join(map(str, c))} 0\n" for c in formula._clauses]
+    return "".join(lines)  # joined once: the text is held once
 
 
 # -- clause-level operations ----------------------------------------------

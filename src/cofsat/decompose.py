@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from itertools import combinations
+from itertools import combinations, compress
 
 from . import cnf
 from .cnf import (
@@ -152,26 +152,35 @@ class DecompositionTree:
         The prefix is written as signed literals in ascending variable
         order.  Leaves that carry a formula append its universe and an
         inline clause block; internal and dead nodes stop after the prefix.
+        Each distinct binding, universe and clause is written once per
+        call, each line is read off those texts, and the text is joined
+        once.
         """
+        lits = _Texts(lambda vb: f"{vb[0]} " if vb[1] else f"-{vb[0]} ")
+        universes = _Texts(lambda u: f"{' '.join(map(str, u))} " if u else "")
+        clauses = _Texts(lambda c: f" {' '.join(map(str, c))} 0")
         lines = []
-        texts: dict[tuple[int, ...], str] = {}  # leaves share clause tuples
-        for node in self._nodes:
-            item = node.item
-            parts = [str(node.node_id), str(node.parent), str(item.depth),
-                     node.status, "q", *map(str, item.prefix.to_literals()),
-                     "0"]
-            if node.status in (SOLVABLE, TRIVIAL):
-                f = item.formula
-                clauses = f.to_ints()
-                parts += ["u", *map(str, f.universe), "0",
-                          "c", str(len(clauses))]
-                for clause in clauses:
-                    text = texts.get(clause)
-                    if text is None:
-                        text = texts[clause] = " ".join(map(str, clause)) + " 0"
-                    parts.append(text)
-            lines.append(" ".join(parts))
-        return "\n".join(lines) + "\n"
+        for node_id, parent, (prefix, f, depth), status in self._nodes:
+            leaf = "" if status not in (SOLVABLE, TRIVIAL) else (
+                f" u {universes[f.universe]}0 c {len(f.to_ints())}"
+                f"{''.join(map(clauses.__getitem__, f.to_ints()))}")
+            lines.append(f"{node_id} {parent} {depth} {status} q "
+                         f"{''.join(map(lits.__getitem__, prefix.items()))}0"
+                         f"{leaf}\n")
+        return "".join(lines)
+
+
+class _Texts(dict):
+    """The text of each key, made by ``text`` the first time it is read."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: Callable[[tuple], str]):
+        self.text = text
+
+    def __missing__(self, key: tuple) -> str:
+        value = self[key] = self.text(key)
+        return value
 
 
 class CostEstimate(namedtuple(
@@ -207,7 +216,8 @@ def _grow(
     A node is dead when its formula is None or it has no edges, trivial
     when its formula has no clauses, solvable when ``split`` declines and
     internal otherwise.  A child's prefix is its parent's plus the edge's
-    bindings.
+    bindings; every rule gives these as a new dict in variable order, so
+    under the root they are the prefix as they stand.
     """
     nodes: list[TreeNode] = []
     # Preorder from an explicit stack, children pushed in reverse, so the
@@ -216,25 +226,22 @@ def _grow(
     while stack:
         parent, item = stack.pop()
         node_id = len(nodes)
-        f = item.formula
-        edges = None
-        if f is None:
-            status = DEAD
-        elif f.is_empty:
-            status = TRIVIAL
+        prefix, f, depth = item
+        if f is None or f.is_empty:
+            edges = None
+            status = DEAD if f is None else TRIVIAL
         else:
-            edges = split(f, item.depth)
-            status = (SOLVABLE if edges is None
-                      else INTERNAL if edges else DEAD)
-        nodes.append(TreeNode(node_id, parent, item, status))
+            edges = split(f, depth)
+            status = SOLVABLE if edges is None else INTERNAL if edges else DEAD
+        nodes.append(tuple.__new__(TreeNode, (node_id, parent, item, status)))
         if edges:
-            prefix = item.prefix.items()
-            depth = item.depth + 1
+            pairs = prefix.items()
+            depth += 1
             # Both runs are in variable order, so sorting merges them.
             stack.extend(
                 (node_id, WorkItem(PartialAssignment._sorted(
-                    dict(sorted([*prefix, *bindings.items()]))),
-                    cofactor, depth))
+                    dict(sorted([*pairs, *bindings.items()])) if pairs
+                    else bindings), cofactor, depth))
                 for bindings, cofactor in reversed(edges))
     return DecompositionTree(nodes)
 
@@ -386,37 +393,6 @@ def choose_var_subset(formula: CnfFormula | Sequence[tuple[int, ...]],
     return tuple(sorted(ranked[:n0]))
 
 
-def _split(
-    clauses: Sequence[tuple[int, ...]], x1: Sequence[int]
-) -> list[tuple[int, int, tuple[int, ...]]]:
-    """One ``(mask, neg_mask, rest)`` entry per int clause, over the sorted
-    block x1.
-
-    Bit j of ``mask`` is set when the clause holds ``x1[j]``, and of
-    ``neg_mask`` when it holds it negatively, so a row over x1 falsifies
-    every X1 literal of the clause exactly when ``row & mask == neg_mask``.
-    ``rest`` is the clause's literals outside the block: empty for an
-    only-X1 clause, the clause itself for an only-X2 clause.
-    """
-    pos_bit = {v: 1 << j for j, v in enumerate(x1)}
-    neg_bit = {-v: b for v, b in pos_bit.items()}
-    split = []
-    for clause in clauses:
-        mask = neg = 0
-        rest = []
-        for x in clause:
-            if x in pos_bit:
-                mask |= pos_bit[x]
-            elif x in neg_bit:
-                bit = neg_bit[x]
-                mask |= bit
-                neg |= bit
-            else:
-                rest.append(x)
-        split.append((mask, neg, tuple(rest) if mask else clause))
-    return split
-
-
 def enumerate_c1_assignments(
     clauses: Iterable[Clause], x1: Iterable[int]
 ) -> list[PartialAssignment]:
@@ -506,28 +482,50 @@ def _row_children(f: CnfFormula, x1: tuple[int, ...]
     """One edge per X1 assignment the only-X1 clauses allow, in ascending
     bit order.
 
-    The clauses are split once into masks over X1, and each cofactor is
-    read off the masks: every other clause the row does not satisfy, cut
-    to its X2 literals (only-X2 clauses ride along unchanged), duplicates
-    merged in first-seen order.  This equals ``substitute`` of ``f`` under
-    the row, which never falsifies a clause: only an only-X1 clause could
-    lose every literal, and the allowed rows satisfy those.
+    One pass cuts each clause to its rest, its X2 literals, and marks the
+    clauses each value of each X1 variable satisfies, clause i of m at
+    byte m - 1 - i.  A row reads its marks and values from one table per 4
+    bits of X1, and its cofactor keeps the rests of the clauses it leaves,
+    in clause order, duplicates merged in first-seen order.  This equals
+    ``substitute`` of ``f`` under the row, which never falsifies a clause:
+    only an only-X1 clause could lose every literal, and the allowed rows
+    satisfy those.
     """
     clauses = f.to_ints()
-    split = _split(clauses, x1)
-    rows = sorted(_model_rows(
-        [c for c, (_, _, rest) in zip(clauses, split) if not rest], x1))
-    # In clause order: grouping the entries would reorder the cofactors'
-    # clauses.
-    entries = [entry for entry in split if entry[2]]
-    x2 = tuple(v for v in f.universe if v not in x1)
-    bits = [1 << j for j in range(len(x1))]
+    m = len(clauses)
+    at = {x: (j, x > 0) for j, v in enumerate(x1) for x in (v, -v)}
+    marks = [[0, 0] for _ in x1]  # by position in x1, then by value
+    rests = []
+    for i, clause in enumerate(clauses):
+        rest = []
+        for x in clause:
+            hit = at.get(x)
+            if hit is None:
+                rest.append(x)
+            else:
+                marks[hit[0]][hit[1]] |= 1 << 8 * (m - 1 - i)
+        rests.append(tuple(rest) if len(rest) < len(clause) else clause)
+    rows = sorted(_model_rows([c for c, r in zip(clauses, rests) if not r], x1))
+    tables = []
+    for lo in range(0, len(x1), 4):
+        table = [(0, ())]
+        for unset, set_ in marks[lo:lo + 4]:
+            table = ([(s | unset, vals + (False,)) for s, vals in table]
+                     + [(s | set_, vals + (True,)) for s, vals in table])
+        tables.append(table)
+    x2 = tuple(v for v in f.universe if v not in at)
+    full = int.from_bytes(b"\1" * m, "big")
     edges = []
     for row in rows:
-        reduced = dict.fromkeys(
-            rest for mask, neg, rest in entries if row & mask == neg)
-        edges.append((dict(zip(x1, [row & bit != 0 for bit in bits])),
-                      CnfFormula._normalized(tuple(reduced), x2)))
+        marked, values = 0, ()
+        for table in tables:
+            s, vals = table[row & 15]
+            marked |= s
+            values += vals
+            row >>= 4
+        left = (full ^ marked).to_bytes(m, "big")  # 1 per clause left
+        edges.append((dict(zip(x1, values)), CnfFormula._normalized(
+            tuple(dict.fromkeys(compress(rests, left))), x2)))
     return edges
 
 

@@ -321,3 +321,51 @@ def reference_parse_dimacs(source: str | bytes) -> CnfFormula:
             f"normalization reduced {len(raw_clauses)} clauses to "
             f"{len(formula._clauses)}", NormalizationWarning, stacklevel=2)
     return formula
+
+
+# -- the printed tree as it was before the per-call text caches -------------
+# ``DecompositionTree.serialize`` and ``--format json`` ``--mode decompose``
+# must write exactly these bytes.  Both functions are kept from the version
+# that built each node's line from a list of parts, and handed the JSON
+# ``tree`` array to ``json.dumps`` as a list of dicts.
+
+
+def reference_serialize(tree) -> str:
+    """The text form of a ``DecompositionTree``, one node per line."""
+    lines = []
+    texts: dict[tuple[int, ...], str] = {}  # leaves share clause tuples
+    for node in tree.nodes:
+        item = node.item
+        parts = [str(node.node_id), str(node.parent), str(item.depth),
+                 node.status, "q", *map(str, item.prefix.to_literals()),
+                 "0"]
+        if node.status in ("solvable", "trivial"):
+            f = item.formula
+            clauses = f.to_ints()
+            parts += ["u", *map(str, f.universe), "0",
+                      "c", str(len(clauses))]
+            for clause in clauses:
+                text = texts.get(clause)
+                if text is None:
+                    text = texts[clause] = " ".join(map(str, clause)) + " 0"
+                parts.append(text)
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+def reference_tree_json(tree) -> list[dict]:
+    """The node objects of the ``tree`` array of ``--format json``."""
+    out = []
+    for node in tree.nodes:
+        entry = {
+            "id": node.node_id,
+            "parent": node.parent,
+            "depth": node.item.depth,
+            "status": node.status,
+            "prefix": node.item.prefix.to_literals(),
+        }
+        if node.status in ("solvable", "trivial"):
+            entry["universe"] = node.item.formula.universe
+            entry["clauses"] = node.item.formula.to_ints()
+        out.append(entry)
+    return out

@@ -15,7 +15,8 @@ the propagated variable-partition tree
 count and checks none, so on either pivot it takes the first model of a
 search from the root that branches on the highest held variable, False
 first: the least model (``_search(..., least=True)``), which does not
-depend on the base; after a refuted frame it probes by the counting search.
+depend on the base; after a refuted frame it probes the next frame by
+the counting search run from that frame over the same clause index.
 ``--mode allsat --pivot vars`` still builds that tree
 (``var_partition_decompose(..., propagate=True)``), and
 ``parallel_leaf_solve`` hands each live leaf on as a work item;
@@ -58,13 +59,12 @@ from itertools import islice
 
 from .allsat import LeafResult, _count_and_least, gather, solve_leaf
 from .cnf import (CnfFormula, DimacsParseError, NormalizationWarning,
-                  SolutionSet, _cube_rows, _search, parse_dimacs,
+                  SolutionSet, _Texts, _cube_rows, _search, parse_dimacs,
                   to_truth_table)
 from .decompose import (
     SOLVABLE,
     TRIVIAL,
     DecompositionTree,
-    _Texts,
     _clause_branch_cubes,
     _grow,
     _pivot_clause,

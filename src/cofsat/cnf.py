@@ -38,8 +38,9 @@ clauses that hold its variable; a frame then branches on the held variable
 in the most 2-literal clauses.  Asked for the least model only (text
 ``--mode sat``, over a sorted universe), it branches on the highest held
 variable, False first, and its first stopped frame is the least model.
-After a refuted frame, it probes the next frame with a counting search,
-unless the last model found keeps that frame's values.
+After a refuted frame, it probes the next frame, unless the last model
+found keeps that frame's values: the probe is the counting search run
+from that frame over the same literal index.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from __future__ import annotations
 import operator
 import warnings
 from collections import _count_elements  # Counter's C counting loop
-from collections.abc import (Callable, Collection, Iterable, Iterator,
-                             Mapping, Sequence)
+from collections.abc import (Callable, Collection, Hashable, Iterable,
+                             Iterator, Mapping, Sequence)
 from itertools import chain, combinations, islice
 
 from .limits import MAX_HEADER_VARS, MAX_VARS, CapacityError
@@ -372,10 +373,18 @@ class SolutionSet:
 
     def to_text(self) -> str:
         """One row per line as 0-terminated signed literals."""
-        # A row is read a byte at a time: the text of each byte value at
-        # each byte position is made once, when a row first needs it.
-        size = (len(self._over) + 7) // 8
-        texts = _ByteTexts(self._over).__getitem__
+        # A row is read a byte at a time: key ``k << 8 | byte`` is the text
+        # of ``over[8k:8k + 8]`` under ``byte``, each literal followed by a
+        # space, made the first time a row holds that byte there.
+        over = self._over
+
+        def text(key: int) -> str:
+            start = key >> 8 << 3
+            return "".join([f"{v} " if key >> j & 1 else f"-{v} "
+                            for j, v in enumerate(over[start:start + 8])])
+
+        size = (len(over) + 7) // 8
+        texts = _Texts(text).__getitem__
         keys = range(0, size << 8, 256)
         return "".join([
             "".join(map(texts, map(operator.or_, keys,
@@ -406,23 +415,17 @@ class SolutionSet:
         return type(self), (self._over, self._rows)
 
 
-class _ByteTexts(dict):
-    """The text of a row's bytes, filled as rows ask for it: key ``k << 8 |
-    byte`` maps to the signed literals of ``over[8k:8k + 8]`` under
-    ``byte``, each followed by a space."""
+class _Texts(dict):
+    """The text of each key, made by ``text`` the first time it is read."""
 
-    __slots__ = ("_over",)
+    __slots__ = ("text",)
 
-    def __init__(self, over: Sequence[int]):
-        self._over = over
+    def __init__(self, text: Callable[[Hashable], str]):
+        self.text = text
 
-    def __missing__(self, key: int) -> str:
-        start = key >> 8 << 3
-        byte = key & 255
-        text = self[key] = "".join([
-            f"{v} " if byte >> j & 1 else f"-{v} "
-            for j, v in enumerate(self._over[start:start + 8])])
-        return text
+    def __missing__(self, key: Hashable) -> str:
+        value = self[key] = self.text(key)
+        return value
 
 
 # -- DIMACS ---------------------------------------------------------------
@@ -672,13 +675,16 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     model lies in f|x' whenever f|x' is satisfiable, and the first frame
     to stop (free bits 0) is the least model.  A frame popped after a
     refuted one is first probed, unless the last model found keeps its
-    values: a counting search of its slots refutes it if it stops no
-    frame, else gives a model of it.  So a refuted subtree costs at most
+    values.  The probe is the counting search run from a copy of that
+    frame, over the same literal index and bit map (``_frames`` without
+    ``least``): it refutes the frame if it stops no frame, else its first
+    stopped frame is a model of it.  So a refuted subtree costs at most
     one counting search per frame the search backs up to.  Only a probe
     lists 2-literal slots.
 
     Backtracking search over an explicit stack, so its depth is not bounded
-    by the interpreter's recursion limit.  When ``over`` is 1..n, as every
+    by the interpreter's recursion limit: ``_search`` sets it up and one
+    frame loop, ``_frames``, runs it.  When ``over`` is 1..n, as every
     parsed root universe is, bit j is variable j + 1 and no map of the
     universe is built.  The clauses are indexed by literal once.  A frame
     owns a list of them, one slot per clause: a satisfied clause is an
@@ -715,22 +721,27 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     # A satisfied slot stays listed as 2-literal until its frame branches.
     binary = [] if least else [i for i, clause in enumerate(clauses)
                                if len(clause) == 2]
-    # Least mode: the last model's row (free bits 0), the stack depth
-    # above which frames probe a frame, and whether the last frame was
-    # refuted.
-    row = probe = None
-    listing = not least
-    refuted = False
     # The root's unit clauses are its first units, set as a cut's are.
-    stack = [(clauses, [c[0] for c in clauses if len(c) == 1], binary, 0, 0,
-              block)]
+    yield from _frames([(clauses, [c[0] for c in clauses if len(c) == 1],
+                         binary, 0, 0, block)],
+                       least, occurs, position, next_block)
+
+
+def _frames(stack: list, least: bool, occurs: dict[int, list[int]],
+            position: dict[int, int] | None, next_block: Callable | None
+            ) -> Iterator[tuple[int, int, list[tuple[int, ...]]]]:
+    """The frame loop of ``_search``: the stopped frames of the search
+    from the frames on ``stack`` (popped last first), over the literal
+    index ``occurs`` and the bit map ``position`` (None: bit j is
+    variable j + 1).  A frame is ``(slots, units, binary, bits, fixed,
+    block)``, ``binary`` its 2-literal slots and ``block`` a set of
+    literals or None."""
+    # Least mode: the last model's row (free bits 0), and whether the last
+    # frame was refuted.
+    row = None
+    refuted = False
     while stack:
         clauses, units, binary, bits, fixed, block = stack.pop()
-        if probe is not None and len(stack) < probe:
-            # Every probe frame was refuted, so was the probed frame.
-            probe = None
-            listing = False
-            refuted = True
         while units:
             lit = units.pop()
             var = abs(lit)
@@ -760,7 +771,7 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
                     a, b, c = clause
                     clauses[i] = ((b, c) if a == neg else (a, c) if b == neg
                                   else (a, b))
-                    if listing:
+                    if not least:
                         binary.append(i)
                 else:
                     clauses[i] = tuple([x for x in clause if x != neg])
@@ -773,14 +784,6 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
             left = any(clauses)
             if not left or block is not None and block.isdisjoint(
                     chain.from_iterable(clauses)):
-                if probe is not None:
-                    # A model of the probed frame, which goes on.
-                    row = bits
-                    del stack[probe:]
-                    stack.append(probed)
-                    probe = None
-                    listing = False
-                    continue
                 if not left or next_block is None:
                     yield bits, fixed, clauses
                     if least:
@@ -789,23 +792,25 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
                 block = next_block(bits, fixed, clauses)
                 if block is not None:
                     block = _both_literals(block)
-            if least and probe is None:
+            if least:
                 if refuted and (row is None or (bits ^ row) & fixed):
-                    # No model found keeps the frame's values: its first
-                    # frame in a counting search of its slots is one.
-                    probe = len(stack)
-                    probed = (clauses.copy(), [], [], bits, fixed, None)
-                    binary = [i for i, c in enumerate(clauses) if len(c) == 2]
-                    listing = True
-                else:
-                    refuted = False
-                    # Slots keep variable order: c[-1] is highest.
-                    var = abs(max(map(operator.itemgetter(-1),
-                                      filter(None, clauses)), key=abs))
-                    stack.append((clauses.copy(), [var], [], bits, fixed,
-                                  None))
-                    stack.append((clauses, [-var], [], bits, fixed, None))
-                    continue
+                    # No model found keeps the frame's values: the first
+                    # frame of the counting search from it is one.
+                    model = next(_frames(
+                        [(clauses.copy(), [], [i for i, c in enumerate(clauses)
+                                               if len(c) == 2],
+                          bits, fixed, None)],
+                        False, occurs, position, None), None)
+                    if model is None:
+                        continue  # no model: the frame is refuted
+                    row = model[0]
+                refuted = False
+                # Slots keep variable order: c[-1] is highest.
+                var = abs(max(map(operator.itemgetter(-1),
+                                  filter(None, clauses)), key=abs))
+                stack.append((clauses.copy(), [var], [], bits, fixed, None))
+                stack.append((clauses, [-var], [], bits, fixed, None))
+                continue
             # Satisfied slots dropped; sorted, so ties go to the first
             # variable in clause order.
             binary = sorted(filter(clauses.__getitem__, binary))

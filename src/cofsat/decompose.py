@@ -47,6 +47,7 @@ from .cnf import (
     Clause,
     CnfFormula,
     PartialAssignment,
+    _Texts,
     _model_rows,
     _search,
     substitute,
@@ -168,19 +169,6 @@ class DecompositionTree:
                          f"{''.join(map(lits.__getitem__, prefix.items()))}0"
                          f"{leaf}\n")
         return "".join(lines)
-
-
-class _Texts(dict):
-    """The text of each key, made by ``text`` the first time it is read."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: Callable[[tuple], str]):
-        self.text = text
-
-    def __missing__(self, key: tuple) -> str:
-        value = self[key] = self.text(key)
-        return value
 
 
 class CostEstimate(namedtuple(

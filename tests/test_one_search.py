@@ -332,13 +332,23 @@ def test_least_model_search_with_probes_matches_brute_force():
     # Random 3-CNF of up to 10 variables refutes branches often, so the
     # least search probes frames by the counting search, finds models in
     # them and refutes others; its one stopped frame stays the least.
+    # Each formula is also searched over a sparse universe: its variables
+    # renamed, in order, to non-contiguous ids, and one id above them all
+    # that no clause holds, so every frame and probe maps ids to bits.
     rng = random.Random(7)
+    ids_rng = random.Random(8)
     for _ in range(300):
         f = random_formula(rng, rng.randint(3, 10), rng.randint(1, 45))
-        want = oracle(f)[1]
-        assert least_search(f) == want
-        assert len(list(_search(f.to_ints(), f.universe, least=True))) == (
-            want is not None)
+        ids = sorted(ids_rng.sample(range(1, 4 * f.num_vars), f.num_vars))
+        sparse = CnfFormula(
+            [[ids[x - 1] if x > 0 else -ids[-x - 1] for x in clause]
+             for clause in f.to_ints()],
+            universe=[*ids, ids[-1] + ids_rng.randint(1, 3)])
+        for g in (f, sparse):
+            want = oracle(g)[1]
+            assert least_search(g) == want
+            assert len(list(_search(g.to_ints(), g.universe,
+                                    least=True))) == (want is not None)
 
 
 def test_vars_base_stops_few_more_cubes_than_a_free_search():

@@ -29,8 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 
-from .cnf import (CnfFormula, SolutionSet, _cube_rows, _model_rows, _models,
-                  _scatter)
+from .cnf import CnfFormula, SolutionSet, _cube_rows, _model_rows, _models
 # Never called here; bench/tracing.py counts calls of ``allsat.substitute``.
 from .cnf import substitute  # noqa: F401
 from .decompose import DEAD, SOLVABLE, DecompositionTree, TreeNode, WorkItem
@@ -101,10 +100,17 @@ def _tree_cubes(
         if leaf.status != SOLVABLE:  # trivial: every assignment works
             yield base, fixed
             continue
-        targets = [position[v] for v in leaf.item.formula.universe]
+        # Bit j of a leaf cube is the root bit of its universe's j-th
+        # variable; a cube sets bits only where it fixes them.
+        targets = [1 << position[v] for v in leaf.item.formula.universe]
         for bits, leaf_fixed in leaf_cubes(leaf):
-            yield (_scatter((bits,), targets, (), base)[0],
-                   _scatter((leaf_fixed,), targets, (), fixed)[0])
+            root_bits, root_fixed = base, fixed
+            for j, bit in enumerate(targets):
+                if leaf_fixed >> j & 1:
+                    root_fixed |= bit
+                    if bits >> j & 1:
+                        root_bits |= bit
+            yield root_bits, root_fixed
 
 
 def _count_and_least(cubes: Iterable[tuple[int, int]], width: int

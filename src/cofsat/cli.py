@@ -319,7 +319,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="decomposition strategy (default: %(default)s)")
     parser.add_argument("--pivot-clause", type=int,
                         default=RunConfig.pivot_clause,
-                        help="clause index for --pivot clause "
+                        help="clause index for --pivot clause, counted "
+                             "over the clauses left after dropped "
+                             "tautologies and duplicates "
                              "(default: %(default)s)")
     parser.add_argument("--n0", type=int, default=RunConfig.n0,
                         help="leaf size threshold for --pivot vars "

@@ -34,10 +34,12 @@ branch with clauses left, so one search runs a whole decomposition and
 solves each leaf in the frame that made it: ``--mode count``, ``--mode
 sat`` and ``--mode allsat --pivot clause``.  It indexes the clauses by
 literal, so each unit, the root's unit clauses included, touches only the
-clauses that hold its variable; a frame then branches on the held variable
-in the most 2-literal clauses.  Asked for the least model only (text
-``--mode sat``, over a sorted universe), it branches on the highest held
-variable, False first, and its first stopped frame is the least model.
+clauses that hold its variable.  A frame is its slots (each clause as its
+bindings leave it), its units, its values and its block; it branches on
+the held variable in the most 2-literal slots.  Asked for the least model
+only (text ``--mode sat``, over a sorted universe), it branches on the
+highest held variable, False first, and its first stopped frame is the
+least model.
 After a refuted frame, it probes the next frame, unless the last model
 found keeps that frame's values: the probe is the counting search run
 from that frame over the same literal index.
@@ -451,9 +453,11 @@ def parse_dimacs(source: str | bytes) -> CnfFormula:
     """Parse DIMACS CNF text into a formula over universe {1..nvars}.
 
     Comment lines start with 'c' and may hold any bytes; elsewhere a byte
-    that is not UTF-8 is a bad token.  A single ``p cnf <nvars> <nclauses>``
-    header precedes the clauses; clauses are 0-terminated signed integers
-    (an optional ``+`` or ``-``, then ASCII digits) and may span lines.
+    that is not UTF-8 is a bad token.  Bytes that open with a UTF-8 byte
+    order mark read as the same bytes without it.  A single ``p cnf
+    <nvars> <nclauses>`` header precedes the clauses; clauses are
+    0-terminated signed integers (an optional ``+`` or ``-``, then ASCII
+    digits) and may span lines.
     Lines end at LF only (a CR before it is dropped), so a form feed or
     U+2028 inside a comment does not end the comment.
     Normalization (dropped tautologies or duplicates) and a clause count
@@ -466,7 +470,7 @@ def parse_dimacs(source: str | bytes) -> CnfFormula:
     read.  Only invalid text is walked line by line, to find its error.
     """
     if isinstance(source, bytes):
-        source = source.decode("utf-8", errors="replace")
+        source = source.decode("utf-8-sig", errors="replace")
     header, _, body = source.lstrip().partition("\n")
     # Drop the comment lines.  One before the header leaves the header's
     # "cnf" in the body, so the body holds a "c" whenever there is one.
@@ -679,8 +683,7 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     frame, over the same literal index and bit map (``_frames`` without
     ``least``): it refutes the frame if it stops no frame, else its first
     stopped frame is a model of it.  So a refuted subtree costs at most
-    one counting search per frame the search backs up to.  Only a probe
-    lists 2-literal slots.
+    one counting search per frame the search backs up to.
 
     Backtracking search over an explicit stack, so its depth is not bounded
     by the interpreter's recursion limit: ``_search`` sets it up and one
@@ -695,9 +698,13 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
     Without ``least``, it then branches, False first, on the held block
     variable occurring in the most 2-literal clauses (ties to the first
     such variable in clause order), or, with none in a 2-literal clause,
-    on the smallest held one.  It counts only the slots it lists as
-    2-literal (the root's, and each that a cut leaves with two literals),
-    in one pass into a plain dict; one branch takes a copy of both lists.
+    on the smallest held one.  It reads the counts from the slots, in one
+    pass over those of two literals into a plain dict: a clause of two
+    literals and a longer one that cuts left with two count alike, and no
+    side list of them is kept.  A frame is thus its slots, its units, its
+    values and its block, and one branch takes a copy of the slots.  A
+    cut of a 3-literal slot, the common cut of 3-CNF, unpacks it rather
+    than filtering it, which is faster.
     """
     width = len(over)
     # None: bit j is variable j + 1.
@@ -718,12 +725,9 @@ def _search(clauses: Iterable[tuple[int, ...]], over: Sequence[int],
                 occurs[x].append(i)
             else:
                 occurs[x] = [i]
-    # A satisfied slot stays listed as 2-literal until its frame branches.
-    binary = [] if least else [i for i, clause in enumerate(clauses)
-                               if len(clause) == 2]
     # The root's unit clauses are its first units, set as a cut's are.
     yield from _frames([(clauses, [c[0] for c in clauses if len(c) == 1],
-                         binary, 0, 0, block)],
+                         0, 0, block)],
                        least, occurs, position, next_block)
 
 
@@ -733,15 +737,14 @@ def _frames(stack: list, least: bool, occurs: dict[int, list[int]],
     """The frame loop of ``_search``: the stopped frames of the search
     from the frames on ``stack`` (popped last first), over the literal
     index ``occurs`` and the bit map ``position`` (None: bit j is
-    variable j + 1).  A frame is ``(slots, units, binary, bits, fixed,
-    block)``, ``binary`` its 2-literal slots and ``block`` a set of
-    literals or None."""
+    variable j + 1).  A frame is ``(slots, units, bits, fixed, block)``,
+    ``block`` a set of literals or None."""
     # Least mode: the last model's row (free bits 0), and whether the last
     # frame was refuted.
     row = None
     refuted = False
     while stack:
-        clauses, units, binary, bits, fixed, block = stack.pop()
+        clauses, units, bits, fixed, block = stack.pop()
         while units:
             lit = units.pop()
             var = abs(lit)
@@ -771,8 +774,6 @@ def _frames(stack: list, least: bool, occurs: dict[int, list[int]],
                     a, b, c = clause
                     clauses[i] = ((b, c) if a == neg else (a, c) if b == neg
                                   else (a, b))
-                    if not least:
-                        binary.append(i)
                 else:
                     clauses[i] = tuple([x for x in clause if x != neg])
             else:
@@ -797,9 +798,7 @@ def _frames(stack: list, least: bool, occurs: dict[int, list[int]],
                     # No model found keeps the frame's values: the first
                     # frame of the counting search from it is one.
                     model = next(_frames(
-                        [(clauses.copy(), [], [i for i, c in enumerate(clauses)
-                                               if len(c) == 2],
-                          bits, fixed, None)],
+                        [(clauses.copy(), [], bits, fixed, None)],
                         False, occurs, position, None), None)
                     if model is None:
                         continue  # no model: the frame is refuted
@@ -808,15 +807,13 @@ def _frames(stack: list, least: bool, occurs: dict[int, list[int]],
                 # Slots keep variable order: c[-1] is highest.
                 var = abs(max(map(operator.itemgetter(-1),
                                   filter(None, clauses)), key=abs))
-                stack.append((clauses.copy(), [var], [], bits, fixed, None))
-                stack.append((clauses, [-var], [], bits, fixed, None))
+                stack.append((clauses.copy(), [var], bits, fixed, None))
+                stack.append((clauses, [-var], bits, fixed, None))
                 continue
-            # Satisfied slots dropped; sorted, so ties go to the first
-            # variable in clause order.
-            binary = sorted(filter(clauses.__getitem__, binary))
+            # In clause order, so ties go to the first variable there.
             counts: dict[int, int] = {}
             _count_elements(counts, map(abs, chain.from_iterable(
-                map(clauses.__getitem__, binary))))
+                [c for c in clauses if len(c) == 2])))
             var = max(counts if block is None
                       else filter(block.__contains__, counts),
                       key=counts.__getitem__, default=None)
@@ -827,9 +824,8 @@ def _frames(stack: list, least: bool, occurs: dict[int, list[int]],
                            block.__contains__,
                            chain.from_iterable(clauses)))))
             # Pushed True first, so the False branch is searched first.
-            stack.append((clauses.copy(), [var], binary.copy(), bits, fixed,
-                          block))
-            stack.append((clauses, [-var], binary, bits, fixed, block))
+            stack.append((clauses.copy(), [var], bits, fixed, block))
+            stack.append((clauses, [-var], bits, fixed, block))
 
 
 def _both_literals(block: Collection[int]) -> set[int]:
@@ -866,33 +862,17 @@ def _cube_rows(cubes: Iterable[tuple[int, int]], width: int, what: str
             raise CapacityError(
                 f"{what} capped at 2**{MAX_ENUM_VARS} rows, formula has at "
                 f"least 2**{count.bit_length() - 1} models")
-        # Visit only the (at most MAX_ENUM_VARS) free bits, lowest first:
-        # shifting a wide ``fixed`` once per variable is quadratic.
+        # Double the fills over each of the (at most MAX_ENUM_VARS) free
+        # bits, lowest first: shifting a wide ``fixed`` once per variable
+        # is quadratic.
         unfixed = ~fixed & (1 << width) - 1
-        free = []
+        fills = [bits]
         while unfixed:
             low = unfixed & -unfixed
-            free.append(low.bit_length() - 1)
+            fills += [fill | low for fill in fills]
             unfixed ^= low
-        rows.extend(_scatter((0,), (), free, bits))
+        rows += fills
     return rows
-
-
-def _scatter(rows: Iterable[int], targets: Sequence[int],
-             free: Sequence[int] = (), base: int = 0) -> list[int]:
-    """Move bit j of each row to bit ``targets[j]``, OR in ``base``, and
-    expand over every combination of the ``free`` bit positions."""
-    fills = [base]
-    for pos in free:
-        fills += [fill | 1 << pos for fill in fills]
-    out: list[int] = []
-    for row in rows:
-        placed = 0
-        for j, target in enumerate(targets):
-            if row >> j & 1:
-                placed |= 1 << target
-        out.extend([placed | fill for fill in fills])
-    return out
 
 
 def to_truth_table(formula: CnfFormula) -> TruthTable:

@@ -21,7 +21,7 @@ from cofsat import (
     to_truth_table,
     var_partition_decompose,
 )
-from cofsat import cnf
+from cofsat import cli, cnf
 from cofsat.cli import EXIT_SAT, RunConfig, run
 from cofsat.decompose import DecompositionTree, TreeNode
 
@@ -242,17 +242,17 @@ class TestGather:
         # overlapping branches hold about 681k rows; its 6 orthonormal
         # branches hold exactly the 64,512 that get printed.  allsat reads
         # the branches' cubes from one search of the root and expands them
-        # in ``cnf._cube_rows``, whose ``_scatter`` builds every row.
+        # in ``cnf._cube_rows``, which builds every row.
         path = tmp_path / "wide_clause.cnf"
         path.write_text("p cnf 16 1\n1 2 3 4 5 6 0\n")
-        scatter, built = cnf._scatter, []
+        cube_rows, built = cnf._cube_rows, []
 
-        def counting_scatter(*args):
-            rows = scatter(*args)
+        def counting_cube_rows(*args):
+            rows = cube_rows(*args)
             built.append(len(rows))
             return rows
 
-        monkeypatch.setattr(cnf, "_scatter", counting_scatter)
+        monkeypatch.setattr(cli, "_cube_rows", counting_cube_rows)
         out, err = io.StringIO(), io.StringIO()
         status = run(RunConfig(str(path), mode="allsat",
                                pivot_strategy="clause"), out=out, err=err)
@@ -265,13 +265,28 @@ class TestGather:
 class TestCountAndWitness:
     def test_matches_gather_on_both_trees(self):
         rng = random.Random(83)
-        for _ in range(30):
-            f = random_formula(rng, rng.randint(5, 9), rng.randint(4, 30))
+
+        def formulas():
+            for _ in range(30):
+                yield random_formula(rng, rng.randint(5, 9), rng.randint(4, 30))
+            # Renamed to non-contiguous ids, one more id held by no clause:
+            # a leaf's bit j is not root bit j.
+            for _ in range(10):
+                n = rng.randint(5, 8)
+                ids = rng.sample(range(1, 4 * n), n + 1)
+                f = random_formula(rng, n, rng.randint(4, 24))
+                yield CnfFormula(
+                    [[ids[abs(x) - 1] if x > 0 else -ids[abs(x) - 1]
+                      for x in c] for c in f.to_ints()], universe=ids)
+
+        for f in formulas():
+            want = brute_force_rows(f.to_ints(), f.universe)
             for tree in (clause_branch_tree(f, rng.randrange(len(f.clauses))),
                          var_partition_decompose(f, 3)):
                 results = [solve_leaf(n.item) for n in tree.leaves()
                            if n.status == "solvable"]
                 rows = gather(tree, results).rows
+                assert list(rows) == want
                 assert count_and_witness(tree) == (
                     len(rows), rows[0] if rows else None)
 

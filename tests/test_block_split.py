@@ -2,8 +2,8 @@
 references.
 
 ``var_partition_decompose`` builds each node's children from one split of
-its clauses into masks over the block X1, and ``gather`` places each leaf's
-rows at their root positions in one scatter.  The references here are the
+its clauses into masks over the block X1, and ``gather`` moves each leaf's
+rows to their root positions as cubes.  The references here are the
 straightforward algorithms, written in this file: try every X1 assignment
 against the clauses inside the block and substitute the whole formula under
 each allowed one, extend each leaf's rows by its prefix and then widen

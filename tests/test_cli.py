@@ -168,6 +168,25 @@ class TestModes:
         assert status == EXIT_ERROR
         assert "pivot" in err
 
+    def test_pivot_index_counts_the_clauses_left(self, tmp_path):
+        # The tautology (1 -1) is dropped, so 2 clauses are left and index
+        # 1 is (-2), the file's third clause.
+        path = tmp_path / "tautology_first.cnf"
+        path.write_text("p cnf 3 3\n1 -1 0\n2 3 0\n-2 0\n")
+        warned = (f"warning: {path}: dropped tautological clause (x1' + x1)\n"
+                  f"warning: {path}: normalization reduced 3 clauses to 2\n")
+        status, out, err = run_capture(RunConfig(
+            str(path), mode="decompose", pivot_strategy="clause",
+            pivot_clause=1))
+        assert (status, err) == (EXIT_OK, warned)
+        assert out.splitlines()[1].startswith("1 0 1 solvable q -2 0 ")
+        status, out, err = run_capture(RunConfig(
+            str(path), mode="decompose", pivot_strategy="clause",
+            pivot_clause=2))
+        assert (status, out) == (EXIT_ERROR, "")
+        assert err == warned + (
+            "error: pivot index 2 out of range for 2 clauses\n")
+
 
 class TestJsonFormat:
     def test_sat_payload(self):

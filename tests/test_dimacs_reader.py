@@ -207,3 +207,15 @@ def test_bulk_reader_matches_the_line_reader(source):
 ], ids=lambda source: repr(source)[:48])
 def test_named_inputs_match_the_line_reader(source):
     assert_same_as_reference(source)
+
+
+@pytest.mark.parametrize("source", [
+    b"p cnf 1 1\n1 0\n",
+    b"c comment\np cnf 3 2\n1 -2 0\n3 0\n",
+    b"p cnf 2 2\n2 1 0\n1 2 0\n",
+    b"p cnf 2 1\n1 -3 0\n",
+    b"1 0\np cnf 1 1\n",
+], ids=lambda source: repr(source)[:48])
+def test_a_byte_order_mark_reads_as_the_text_without_it(source):
+    assert outcome(parse_dimacs, b"\xef\xbb\xbf" + source) == outcome(
+        parse_dimacs, source)
